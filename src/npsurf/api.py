@@ -1,311 +1,253 @@
 """JSON-in/JSON-out evaluation of every library operation.
 
 ``evaluate`` takes ``{"op": <name>, "args": {...}}`` and returns
-``{"op": ..., "verdict": ..., "justification": ...}``.  Argument names match
-the library signatures; surfaces and divisors are passed in their flat JSON
-form.  Unknown ops, unknown argument names, and malformed payloads raise
-``ValueError`` subclasses rather than guessing.
+``{"op", "kind", "verdict", "justification"}``; ``kind`` is the verdict's
+class name, or ``"value"`` for plain integers, booleans and lists.
+
+Each op is one row of ``_ROWS`` naming a library callable, whose signature
+and annotations, read once at import, give the argument names, which are
+required, and a strict converter per argument: ``int`` takes a JSON integer
+only, ``bool`` a JSON boolean only, null is accepted only where the
+annotation allows None, and ``FanoInput``/``ExampleFamily`` parameters are
+built from their own flat fields.  Bad requests raise ``ApiError``; nothing
+is coerced.
 """
 
 from __future__ import annotations
 
+import inspect
+import types
+import typing
+from collections.abc import Collection, Mapping, Sequence
+from dataclasses import dataclass
+
 from . import criteria, families, fano, lattice
+from .lattice import DivisorClass, PointConfig, SurfaceModel
 
 
 class ApiError(ValueError):
-    pass
+    """Unknown op, unknown or missing argument, or a wrongly typed value."""
 
 
-def _surface(obj) -> lattice.SurfaceModel:
-    if not isinstance(obj, dict):
-        raise ApiError("surface must be a JSON object")
-    return lattice.SurfaceModel.from_json(obj)
+# --- converters: one per annotation, built at import -------------------------
+
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object", types.NoneType: "null"}
+_SCALARS = (int, bool, str)
 
 
-def _divisor(obj) -> lattice.DivisorClass:
-    if not isinstance(obj, dict):
-        raise ApiError("divisor must be a JSON object")
-    return lattice.DivisorClass.from_json(obj)
+def _type_error(label: str, want: str, value) -> ApiError:
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    return ApiError(f"{label} must be a JSON {want}, got {got}")
 
 
-def _args(request_args: dict, required: tuple[str, ...],
-          optional: tuple[str, ...] = ()) -> dict:
-    args = dict(request_args or {})
-    missing = [k for k in required if k not in args]
-    if missing:
-        raise ApiError(f"missing args: {missing}")
-    unknown = set(args) - set(required) - set(optional)
-    if unknown:
-        raise ApiError(f"unknown args: {sorted(unknown)}")
-    return args
+def _converter(hint, label: str):
+    """The checking converter from JSON for one parameter annotation."""
+    origin, params = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:
+        def scalar(value):
+            if type(value) is not hint:
+                raise _type_error(label, _JSON_TYPES[hint], value)
+            return value
+        return scalar
+    if origin in (typing.Union, types.UnionType) \
+            and params[1:] == (types.NoneType,):
+        inner = _converter(params[0], label)
+        return lambda value: None if value is None else inner(value)
+    if hint in (DivisorClass, SurfaceModel, PointConfig):
+        name = hint.__name__
+
+        def parsed(value):
+            # looked up on every call, so a rebound from_json is the one used
+            try:
+                return getattr(lattice, name).from_json(value)
+            except lattice.LatticeError as exc:
+                raise ApiError(f"{label}: {exc}") from exc
+        return parsed
+    # containers hold scalars: a JSON array or object whose items have one
+    # type (Sequence, Mapping), or one type per field (TypedDict)
+    if origin in (Sequence, Collection, Mapping) and params[-1] in _SCALARS:
+        shape, items = (dict, dict.values) if origin is Mapping else (list, iter)
+        item_type = {params[-1]}
+        want = f"{_JSON_TYPES[shape]} of {_JSON_TYPES[params[-1]]}s"
+
+        def container(value):
+            if type(value) is not shape \
+                    or not item_type.issuperset(map(type, items(value))):
+                raise _type_error(label, want, value)
+            return value
+        return container
+    fields = typing.get_type_hints(hint) if typing.is_typeddict(hint) else {}
+    if fields and set(fields.values()) <= set(_SCALARS):
+        def record(value):
+            if type(value) is not dict:
+                raise _type_error(label, "object", value)
+            for key, x in value.items():
+                # undeclared fields are left to the library to reject
+                if key in fields and type(x) is not fields[key]:
+                    raise _type_error(f"{label}.{key}",
+                                      _JSON_TYPES[fields[key]], x)
+            return value
+        return record
+    raise TypeError(f"{label}: no JSON form for {hint!r}")
+
+
+# --- the op table ----------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class _Call:
+    """``getattr(owner, attr)``, looked up on every call, with its keyword
+    arguments taken from flat JSON: ``fields`` holds ``(json key, parameter,
+    converter, required)``, ``nested`` holds ``(parameter, _Call)`` for
+    parameters built from their own flat fields."""
+
+    owner: object
+    attr: str
+    fields: tuple
+    nested: tuple
+    required: tuple[str, ...]
+    names: frozenset[str]
+    tag: str | None
+
+    def run(self, args: dict):
+        kw = {}
+        for key, name, convert, required in self.fields:
+            if key in args:
+                kw[name] = convert(args[key])
+            elif required:
+                missing = [k for k in self.required if k not in args]
+                raise ApiError(f"missing args: {missing}")
+        for name, sub in self.nested:
+            kw[name] = sub.run(args)
+        return getattr(self.owner, self.attr)(**kw)
+
+
+def _derive(owner, attr: str, tag: str | None = None,
+            rename: dict | None = None) -> _Call:
+    """Read one callable's signature; ``rename`` maps a parameter to its
+    JSON key, or to None to keep it out of the JSON API."""
+    target = getattr(owner, attr)
+    hints = typing.get_type_hints(target)
+    fields, nested, required, keys = [], [], [], []
+    for name, param in inspect.signature(target).parameters.items():
+        key = (rename or {}).get(name, name)
+        if key is None:
+            continue
+        if hints[name] in _BUILT_FROM_FIELDS:
+            sub = _derive(*_BUILT_FROM_FIELDS[hints[name]])
+            nested.append((name, sub))
+            required += sub.required
+            keys += sub.names
+            continue
+        is_required = param.default is inspect.Parameter.empty
+        fields.append((key, name, _converter(hints[name], f"arg {key!r}"),
+                       is_required))
+        required += [key] if is_required else []
+        keys.append(key)
+    if len(set(keys)) != len(keys):
+        raise TypeError(f"{attr}: two parameters share one JSON key")
+    return _Call(owner, attr, tuple(fields), tuple(nested), tuple(required),
+                 frozenset(keys), tag)
+
+
+_ID = {"family_id": "id"}
+_BUILT_FROM_FIELDS = {
+    fano.FanoInput: (fano, "FanoInput"),
+    families.ExampleFamily: (families, "build_example", None, _ID),
+}
+
+
+class _Adapters:
+    """Ops whose JSON shape differs from the library call: the surface of a
+    divisor op is the divisor's own, and np_classify takes a divisor or its
+    anticanonical degree ``t``."""
+
+    @staticmethod
+    def np_classify(flags: Mapping[str, bool],
+                    divisor: DivisorClass | None = None,
+                    t: int | None = None) -> criteria.NpVerdict:
+        if (divisor is None) == (t is None):
+            raise ApiError("pass exactly one of divisor or t")
+        if divisor is None:
+            return criteria.np_classify_degree(t, flags)
+        return criteria.np_classify(divisor.surface, divisor, flags)
+
+    @staticmethod
+    def bpf_check(divisor: DivisorClass,
+                  flags: Mapping[str, bool]) -> criteria.BoolVerdict:
+        return criteria.bpf_check(divisor.surface, divisor, flags)
+
+    @staticmethod
+    def ample_oracle(divisor: DivisorClass,
+                     box: int | None = None) -> families.OracleResult:
+        return families.ample_oracle(divisor.surface, divisor, box)
 
 
 _ARITH_TAG = "exact lattice arithmetic"
 
-
-def _plain(value, justification=_ARITH_TAG) -> dict:
-    return {"verdict": value, "justification": justification}
-
-
-def _tagged(obj) -> dict:
-    payload = obj.to_json()
-    return {"verdict": payload,
-            "justification": payload.get("justification", _ARITH_TAG)}
-
-
-# --- op implementations ----------------------------------------------------
-
-
-def _op_intersect(a):
-    a = _args(a, ("d1", "d2"))
-    return _plain(lattice.intersect(_divisor(a["d1"]), _divisor(a["d2"])))
-
-
-def _op_canonical_class(a):
-    a = _args(a, ("surface",))
-    return _plain(lattice.canonical_class(_surface(a["surface"])).to_json())
-
-
-def _op_k_squared(a):
-    a = _args(a, ("surface",))
-    return _plain(lattice.k_squared(_surface(a["surface"])))
-
-
-def _op_euler_characteristic(a):
-    a = _args(a, ("divisor",))
-    return _plain(lattice.euler_characteristic(_divisor(a["divisor"])))
-
-
-def _op_sectional_genus(a):
-    a = _args(a, ("divisor",))
-    return _plain(lattice.sectional_genus(_divisor(a["divisor"])))
-
-
-def _op_hodge_index_bound(a):
-    a = _args(a, ("a", "b"))
-    return _plain(lattice.hodge_index_bound(_divisor(a["a"]), _divisor(a["b"])))
-
-
-def _op_signature(a):
-    a = _args(a, ("surface",))
-    return _plain(list(lattice.signature(_surface(a["surface"]))))
-
-
-def _op_blow_up(a):
-    a = _args(a, ("surface", "count", "config"))
-    cfg = lattice.PointConfig.from_json(a["config"])
-    return _plain(
-        lattice.blow_up(_surface(a["surface"]), int(a["count"]), cfg).to_json())
-
-
-def _op_np_classify(a):
-    a = _args(a, ("flags",), ("divisor", "t"))
-    if ("divisor" in a) == ("t" in a):
-        raise ApiError("pass exactly one of divisor or t")
-    if "divisor" in a:
-        d = _divisor(a["divisor"])
-        verdict = criteria.np_classify(d.surface, d, a["flags"])
-    else:
-        verdict = criteria.np_classify_degree(int(a["t"]), a["flags"])
-    return _tagged(verdict)
-
-
-def _op_bpf_check(a):
-    a = _args(a, ("divisor", "flags"))
-    d = _divisor(a["divisor"])
-    return _tagged(criteria.bpf_check(d.surface, d, a["flags"]))
-
-
-def _op_adjoint_very_ample(a):
-    a = _args(a, ("ksq", "summands"))
-    return _tagged(criteria.adjoint_very_ample(int(a["ksq"]), a["summands"]))
-
-
-def _op_min_kA_bound(a):
-    a = _args(a, ("ksq",), ("summand", "e", "conic_fibration"))
-    return _tagged(criteria.min_kA_bound(
-        int(a["ksq"]), summand=a.get("summand", "other"),
-        e=a.get("e"), conic_fibration=bool(a.get("conic_fibration", False))))
-
-
-def _op_adjoint_np_min_n(a):
-    a = _args(a, ("ksq", "p"), ("e", "exclude"))
-    return _tagged(criteria.adjoint_np_min_n(
-        int(a["ksq"]), int(a["p"]), e=a.get("e"),
-        exclude=tuple(a.get("exclude", ()))))
-
-
-def _op_reider_np(a):
-    a = _args(a, ("ksq", "Lsq", "p"),
-              ("minus_k_dot_L", "cond1_attested", "adjoint_very_ample",
-               "multiple_of_minus_k"))
-    return _tagged(criteria.reider_np(
-        int(a["ksq"]), int(a["Lsq"]), int(a["p"]),
-        minus_k_dot_L=a.get("minus_k_dot_L"),
-        cond1_attested=bool(a.get("cond1_attested", False)),
-        adjoint_very_ample=bool(a.get("adjoint_very_ample", False)),
-        multiple_of_minus_k=bool(a.get("multiple_of_minus_k", False))))
-
-
-def _op_lemma_125_bound(a):
-    a = _args(a, ("ksq", "Lsq", "p"),
-              ("multiple_of_minus_k", "adjoint_effective"))
-    bound = criteria.lemma_125_bound(
-        int(a["ksq"]), int(a["Lsq"]), int(a["p"]),
-        multiple_of_minus_k=bool(a.get("multiple_of_minus_k", False)),
-        adjoint_effective=bool(a.get("adjoint_effective", False)))
-    return _plain(bound, "Lem 1.25")
-
-
-def _op_verify_inequality_chain(a):
-    a = _args(a, ("p", "m", "ksq"))
-    chain = criteria.verify_inequality_chain(int(a["p"]), int(a["m"]),
-                                             int(a["ksq"]))
-    return _plain(list(chain), "Lem 1.25 chain")
-
-
-def _op_ampleness_termination(a):
-    a = _args(a, ("ksq", "p"),
-              ("e", "multiple_of_minus_k", "np_sharp_attested"))
-    return _tagged(criteria.ampleness_termination(
-        int(a["ksq"]), int(a["p"]), e=a.get("e"),
-        multiple_of_minus_k=bool(a.get("multiple_of_minus_k", True)),
-        np_sharp_attested=bool(a.get("np_sharp_attested", False))))
-
-
-def _op_thm_121_equivalence(a):
-    a = _args(a, ("ksq",), ("summand", "e"))
-    return _tagged(criteria.thm_121_equivalence(
-        int(a["ksq"]), summand=a.get("summand", "other"), e=a.get("e")))
-
-
-def _op_curve_np_reference(a):
-    a = _args(a, ("genus", "degree"))
-    return _tagged(criteria.curve_np_reference(int(a["genus"]),
-                                               int(a["degree"])))
-
-
-def _op_build_example(a):
-    a = _args(a, ("id",), ("params",))
-    ex = families.build_example(a["id"], a.get("params"))
-    payload = {
-        "id": ex.id, "params": dict(ex.params),
-        "surface": ex.surface.to_json(), "A": list(ex.A.coeffs),
-        "claims": {c.quantity: c.expected for c in ex.claims},
-        "np_expected": {"status": ex.np_expected[0], "p": ex.np_expected[1]},
-        "annotations": dict(ex.annotations),
-    }
-    return _plain(payload, "family table")
-
-
-def _op_nakai_certificate(a):
-    a = _args(a, ("id",), ("params",))
-    ex = families.build_example(a["id"], a.get("params"))
-    cert = families.nakai_certificate(ex)
-    return {"verdict": cert.to_json(), "justification": "Nakai curve cases"}
-
-
-def _op_brute_force_ample_oracle(a):
-    a = _args(a, ("id",), ("params", "box"))
-    ex = families.build_example(a["id"], a.get("params"))
-    result = families.brute_force_ample_oracle(ex, a.get("box"))
-    return {"verdict": result.to_json(), "justification": "exhaustive search"}
-
-
-def _op_ample_oracle(a):
-    a = _args(a, ("divisor",), ("box",))
-    d = _divisor(a["divisor"])
-    result = families.ample_oracle(d.surface, d, a.get("box"))
-    return {"verdict": result.to_json(), "justification": "exhaustive search"}
-
-
-def _op_verify_example(a):
-    a = _args(a, ("id",), ("params", "box", "strict"))
-    report = families.verify_example(
-        a["id"], a.get("params"), box=a.get("box"),
-        strict=bool(a.get("strict", True)))
-    return {"verdict": report.to_json(), "justification": "family verification"}
-
-
-def _fano_input(a: dict) -> fano.FanoInput:
-    allowed = ("n", "m", "Hn", "h0H", "morphism")
-    payload = {k: a[k] for k in allowed if k in a and a[k] is not None}
-    return fano.FanoInput(**payload)
-
-
-def _op_primitive_np(a):
-    a = _args(a, ("n", "m", "Hn"), ("h0H", "morphism"))
-    return _tagged(fano.primitive_np(_fano_input(a)))
-
-
-def _op_multiples_np_surface(a):
-    a = _args(a, ("profile", "l", "p"))
-    return _tagged(fano.multiples_np_surface(a["profile"], int(a["l"]),
-                                             int(a["p"])))
-
-
-def _op_multiples_np_fano(a):
-    a = _args(a, ("n", "m", "Hn", "l", "p"), ("h0H", "morphism"))
-    f = _fano_input({k: v for k, v in a.items() if k not in ("l", "p")})
-    return _tagged(fano.multiples_np_fano(f, int(a["l"]), int(a["p"])))
-
-
-def _op_index_nm3_n0(a):
-    a = _args(a, ("n", "m", "Hn", "k"), ("h0H", "morphism"))
-    f = _fano_input({k: v for k, v in a.items() if k != "k"})
-    return _tagged(fano.index_nm3_n0(f, int(a["k"])))
-
-
-def _op_index_nm3_np(a):
-    a = _args(a, ("n", "m", "Hn", "k", "p"), ("h0H", "morphism"))
-    f = _fano_input({k: v for k, v in a.items() if k not in ("k", "p")})
-    return _tagged(fano.index_nm3_np(f, int(a["k"]), int(a["p"])))
-
-
-_OPS = {
-    "intersect": _op_intersect,
-    "canonical_class": _op_canonical_class,
-    "k_squared": _op_k_squared,
-    "euler_characteristic": _op_euler_characteristic,
-    "sectional_genus": _op_sectional_genus,
-    "hodge_index_bound": _op_hodge_index_bound,
-    "signature": _op_signature,
-    "blow_up": _op_blow_up,
-    "np_classify": _op_np_classify,
-    "bpf_check": _op_bpf_check,
-    "adjoint_very_ample": _op_adjoint_very_ample,
-    "min_kA_bound": _op_min_kA_bound,
-    "adjoint_np_min_n": _op_adjoint_np_min_n,
-    "reider_np": _op_reider_np,
-    "lemma_125_bound": _op_lemma_125_bound,
-    "verify_inequality_chain": _op_verify_inequality_chain,
-    "ampleness_termination": _op_ampleness_termination,
-    "thm_121_equivalence": _op_thm_121_equivalence,
-    "curve_np_reference": _op_curve_np_reference,
-    "build_example": _op_build_example,
-    "nakai_certificate": _op_nakai_certificate,
-    "brute_force_ample_oracle": _op_brute_force_ample_oracle,
-    "ample_oracle": _op_ample_oracle,
-    "verify_example": _op_verify_example,
-    "primitive_np": _op_primitive_np,
-    "multiples_np_surface": _op_multiples_np_surface,
-    "multiples_np_fano": _op_multiples_np_fano,
-    "index_nm3_n0": _op_index_nm3_n0,
-    "index_nm3_np": _op_index_nm3_np,
+# op -> (owner of the callable of that name, fixed justification tag or None
+# to read the verdict's own, JSON keys of renamed parameters)
+_ROWS = {
+    "intersect": (lattice,),
+    "canonical_class": (lattice,),
+    "k_squared": (lattice,),
+    "euler_characteristic": (lattice, None, {"d": "divisor"}),
+    "sectional_genus": (lattice, None, {"d": "divisor"}),
+    "hodge_index_bound": (lattice,),
+    "signature": (lattice,),
+    "blow_up": (lattice,),
+    "np_classify": (_Adapters,),
+    "bpf_check": (_Adapters,),
+    "adjoint_very_ample": (criteria,),
+    "min_kA_bound": (criteria,),
+    "adjoint_np_min_n": (criteria,),
+    "reider_np": (criteria,),
+    "lemma_125_bound": (criteria, "Lem 1.25"),
+    "verify_inequality_chain": (criteria, "Lem 1.25 chain"),
+    "ampleness_termination": (criteria,),
+    "thm_121_equivalence": (criteria,),
+    "curve_np_reference": (criteria,),
+    "build_example": (families, "family table", _ID),
+    "nakai_certificate": (families, "Nakai curve cases"),
+    "brute_force_ample_oracle": (families, "exhaustive search"),
+    "ample_oracle": (_Adapters, "exhaustive search"),
+    "verify_example": (families, "family verification",
+                       {**_ID, "check_fixture": None}),
+    "primitive_np": (fano,),
+    "multiples_np_surface": (fano, None, {"B_profile": "profile"}),
+    "multiples_np_fano": (fano,),
+    "index_nm3_n0": (fano,),
+    "index_nm3_np": (fano,),
 }
-
+_OPS = {op: _derive(owner, op, *rest) for op, (owner, *rest) in _ROWS.items()}
 OPERATIONS = tuple(sorted(_OPS))
+_REQUEST_FIELDS = frozenset({"op", "args"})
 
 
 def evaluate(request: dict) -> dict:
     """Evaluate one JSON operation request."""
     if not isinstance(request, dict):
         raise ApiError("request must be a JSON object")
-    unknown = set(request) - {"op", "args"}
-    if unknown:
-        raise ApiError(f"unknown request fields: {sorted(unknown)}")
+    if not _REQUEST_FIELDS.issuperset(request):
+        raise ApiError("unknown request fields: "
+                       f"{sorted(request.keys() - _REQUEST_FIELDS)}")
     op = request.get("op")
-    if op not in _OPS:
+    call = _OPS.get(op) if isinstance(op, str) else None
+    if call is None:
         raise ApiError(f"unknown op {op!r}; known ops: {', '.join(OPERATIONS)}")
-    out = _OPS[op](request.get("args", {}))
-    return {"op": op, **out}
+    args = request.get("args", {})
+    if not isinstance(args, dict):
+        raise ApiError("args must be a JSON object")
+    if not call.names.issuperset(args):
+        raise ApiError(f"unknown args: {sorted(args.keys() - call.names)}")
+    result = call.run(args)
+    to_json = getattr(result, "to_json", None)
+    if to_json is not None:
+        verdict, kind = to_json(), type(result).__name__
+    else:
+        verdict = list(result) if isinstance(result, tuple) else result
+        kind = "value"
+    tag = call.tag or (verdict.get("justification", _ARITH_TAG)
+                       if isinstance(verdict, dict) else _ARITH_TAG)
+    return {"op": op, "kind": kind, "verdict": verdict, "justification": tag}

@@ -20,59 +20,51 @@ from .families import (
     CertificateRefused,
     OracleNotApplicable,
     VerificationError,
-    verify_example,
+    sweep_family,
 )
-
-_MORPHISMS = (
-    fano.MORPHISM_UNKNOWN,
-    fano.MORPHISM_TWO_TO_ONE_ONTO_PN,
-    fano.MORPHISM_ONTO_MINIMAL_DEGREE_NOT_PN,
-    fano.MORPHISM_NEITHER,
-)
-
 
 # --- output ----------------------------------------------------------------
 
 
-def _headline(v) -> str:
-    if isinstance(v, dict):
-        if "status" in v:
-            p = v.get("p")
-            head = v["status"] if p is None else f"{v['status']}(p = {p})"
-            needed = v.get("needed")
-            if needed:
-                head += f" pending: {', '.join(needed)}"
-            return head
-        if "value" in v:
-            return "yes" if v["value"] else "no"
-        if "n" in v and "case" in v:
-            return f"n >= {v['n']}"
-        if "bound" in v:
-            return f"-K.A >= {v['bound']}"
-        if "min_value" in v:
-            return (f"minimum {v['min_value']} at {tuple(v['argmin'])} "
-                    f"(box {v['box']}, {v['candidates']} candidates)")
-        if "valid" in v:
-            return "certificate valid" if v["valid"] else "certificate FAILED"
-        if "m_min" in v or "m_max" in v:
-            if v.get("direction") == "below":
-                return f"m <= {v['m_max']}"
-            return f"m >= {v['m_min']}"
-        if "triple_equivalence" in v:
-            return ("ample, very ample, and the syzygy bound are equivalent"
-                    if v["triple_equivalence"]
-                    else "only the syzygy/ampleness equivalence holds")
-        if "passed" in v:
-            return "ok" if v["passed"] else f"FAILED: {v['failures'][0]}"
-    return json.dumps(v)
+def _status(v: dict) -> str:
+    head = v["status"] if v.get("p") is None else f"{v['status']}(p = {v['p']})"
+    if v.get("needed"):
+        head += f" pending: {', '.join(v['needed'])}"
+    return head
 
 
-def _emit(payload: dict, as_json: bool, stream) -> None:
+# one-line summary of a verdict, by the ``kind`` the API reports
+_HEADLINES = {
+    "NpVerdict": _status,
+    "VAVerdict": _status,
+    "FanoN0Decision": _status,
+    "BoolVerdict": lambda v: "yes" if v["value"] else "no",
+    "MinNResult": lambda v: f"n >= {v['n']}",
+    "MinusKBoundReport": lambda v: f"-K.A >= {v['bound']}",
+    "OracleResult": lambda v: (
+        f"minimum {v['min_value']} at {tuple(v['argmin'])} "
+        f"(box {v['box']}, {v['candidates']} candidates)"),
+    "AmpleCertificate": lambda v: ("certificate valid" if v["valid"]
+                                   else "certificate FAILED"),
+    "TerminationThreshold": lambda v: (f"m <= {v['m_max']}"
+                                       if v["direction"] == "below"
+                                       else f"m >= {v['m_min']}"),
+    "EquivalenceReport": lambda v: (
+        "ample, very ample, and the syzygy bound are equivalent"
+        if v["triple_equivalence"]
+        else "only the syzygy/ampleness equivalence holds"),
+    "VerifyReport": lambda v: ("ok" if v["passed"]
+                               else f"FAILED: {v['failures'][0]}"),
+}
+
+
+def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return
     v = payload.get("verdict")
-    print(f"{payload.get('op')}: {_headline(v)}", file=stream)
+    headline = _HEADLINES.get(payload.get("kind"), json.dumps)(v)
+    print(f"{payload.get('op')}: {headline}")
     tag = payload.get("justification")
     if isinstance(v, dict):
         for key in sorted(v):
@@ -82,13 +74,13 @@ def _emit(payload: dict, as_json: bool, stream) -> None:
             value = v[key]
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
-            print(f"  {key}: {value}", file=stream)
+            print(f"  {key}: {value}")
     if "query" in payload:
         q = payload["query"]
         word = {True: "holds", False: "fails"}.get(q["holds"], "undetermined")
-        print(f"  N_{q['p']}: {word}", file=stream)
+        print(f"  N_{q['p']}: {word}")
     if tag:
-        print(f"  tag: {tag}", file=stream)
+        print(f"  tag: {tag}")
 
 
 def _augment_query(payload: dict, p_arg) -> dict:
@@ -131,6 +123,12 @@ def _load_divisor_file(path: str) -> tuple[dict, dict]:
     return data, flags
 
 
+def _eval(op: str, **args) -> dict:
+    """Evaluate one op, leaving out the arguments that were not given."""
+    return api.evaluate({"op": op, "args": {k: v for k, v in args.items()
+                                            if v is not None}})
+
+
 # --- subcommand handlers ---------------------------------------------------
 
 
@@ -140,8 +138,8 @@ def _cmd_classify(args) -> tuple[int, dict]:
             raise api.ApiError(
                 "curve classification needs both --curve-genus and "
                 "--curve-degree")
-        payload = api.evaluate({"op": "curve_np_reference", "args": {
-            "genus": args.curve_genus, "degree": args.curve_degree}})
+        payload = _eval("curve_np_reference", genus=args.curve_genus,
+                        degree=args.curve_degree)
         return 0, _augment_query(payload, args.p)
 
     cli_flags = {name: True for name in ("ample", "bpf", "anticanonical",
@@ -150,20 +148,16 @@ def _cmd_classify(args) -> tuple[int, dict]:
         divisor, flags = _load_divisor_file(args.surface)
         flags = {**flags, **cli_flags}
         if args.check_bpf:
-            payload = api.evaluate({"op": "bpf_check", "args": {
-                "divisor": divisor,
-                "flags": {k: v for k, v in flags.items()
-                          if k in ("nef", "anticanonical")}}})
-            return 0, payload
-        payload = api.evaluate({"op": "np_classify", "args": {
-            "divisor": divisor,
-            "flags": {k: v for k, v in flags.items()
-                      if k in ("ample", "bpf", "anticanonical")}}})
+            return 0, _eval("bpf_check", divisor=divisor, flags={
+                k: v for k, v in flags.items()
+                if k in ("nef", "anticanonical")})
+        payload = _eval("np_classify", divisor=divisor, flags={
+            k: v for k, v in flags.items()
+            if k in ("ample", "bpf", "anticanonical")})
         return 0, _augment_query(payload, args.p)
 
     if args.t is not None:
-        payload = api.evaluate({"op": "np_classify", "args": {
-            "t": args.t, "flags": cli_flags}})
+        payload = _eval("np_classify", t=args.t, flags=cli_flags)
         return 0, _augment_query(payload, args.p)
 
     raise api.ApiError("nothing to classify: give --surface FILE, --t, or "
@@ -174,63 +168,46 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     if args.Lsq is not None:
         if args.p is None:
             raise api.ApiError("the quadratic degree bound needs --p")
-        return 0, api.evaluate({"op": "lemma_125_bound", "args": {
-            "ksq": args.ksq, "Lsq": args.Lsq, "p": args.p,
-            "multiple_of_minus_k": args.multiple,
-            "adjoint_effective": args.adjoint_effective}})
+        return 0, _eval("lemma_125_bound", ksq=args.ksq, Lsq=args.Lsq,
+                        p=args.p, multiple_of_minus_k=args.multiple,
+                        adjoint_effective=args.adjoint_effective)
     if args.summand is not None or args.conic:
-        request = {"ksq": args.ksq, "conic_fibration": args.conic}
-        if args.summand is not None:
-            request["summand"] = args.summand
-        if args.e is not None:
-            request["e"] = args.e
-        return 0, api.evaluate({"op": "min_kA_bound", "args": request})
+        return 0, _eval("min_kA_bound", ksq=args.ksq, summand=args.summand,
+                        e=args.e, conic_fibration=args.conic)
     if args.p is None:
         raise api.ApiError("give --p for the summand-count table, --L2 for "
                            "the degree bound, or --summand for the "
                            "per-summand bound")
-    request = {"ksq": args.ksq, "p": args.p}
-    if args.e is not None:
-        request["e"] = args.e
-    if args.exclude:
-        request["exclude"] = args.exclude
-    return 0, api.evaluate({"op": "adjoint_np_min_n", "args": request})
+    return 0, _eval("adjoint_np_min_n", ksq=args.ksq, p=args.p, e=args.e,
+                    exclude=args.exclude)
 
 
 def _cmd_adjoint(args) -> tuple[int, dict]:
     if args.equivalence:
-        request = {"ksq": args.ksq, "summand": args.summand}
-        if args.e is not None:
-            request["e"] = args.e
-        return 0, api.evaluate({"op": "thm_121_equivalence", "args": request})
+        return 0, _eval("thm_121_equivalence", ksq=args.ksq,
+                        summand=args.summand, e=args.e)
     if args.summands is None:
         raise api.ApiError("give --summands TAG[,TAG...] for the "
                            "very-ampleness table or --equivalence")
     tags = [t.strip() for t in args.summands.split(",") if t.strip()]
-    return 0, api.evaluate({"op": "adjoint_very_ample", "args": {
-        "ksq": args.ksq, "summands": tags}})
+    return 0, _eval("adjoint_very_ample", ksq=args.ksq, summands=tags)
 
 
 def _cmd_reider(args) -> tuple[int, dict]:
-    request = {"ksq": args.ksq, "Lsq": args.Lsq, "p": args.p,
-               "cond1_attested": args.cond1,
-               "adjoint_very_ample": args.adjoint_va,
-               "multiple_of_minus_k": args.multiple}
-    if args.minus_k_dot_L is not None:
-        request["minus_k_dot_L"] = args.minus_k_dot_L
-    return 0, api.evaluate({"op": "reider_np", "args": request})
+    return 0, _eval("reider_np", ksq=args.ksq, Lsq=args.Lsq, p=args.p,
+                    minus_k_dot_L=args.minus_k_dot_L,
+                    cond1_attested=args.cond1,
+                    adjoint_very_ample=args.adjoint_va,
+                    multiple_of_minus_k=args.multiple)
 
 
 def _cmd_terminate(args) -> tuple[int, dict]:
-    request = {"ksq": args.ksq, "p": args.p,
-               "multiple_of_minus_k": not args.not_multiple,
-               "np_sharp_attested": args.np_sharp}
-    if args.e is not None:
-        request["e"] = args.e
-    return 0, api.evaluate({"op": "ampleness_termination", "args": request})
+    return 0, _eval("ampleness_termination", ksq=args.ksq, p=args.p, e=args.e,
+                    multiple_of_minus_k=not args.not_multiple,
+                    np_sharp_attested=args.np_sharp)
 
 
-def _cmd_example(args, as_json: bool, stream) -> tuple[int, dict | None]:
+def _cmd_example(args) -> tuple[int, dict | None]:
     if args.action == "list":
         table = {fid: [dict(ps) for ps in FAMILY_SWEEPS[fid]]
                  for fid in FAMILY_IDS}
@@ -238,123 +215,92 @@ def _cmd_example(args, as_json: bool, stream) -> tuple[int, dict | None]:
                    "justification": "family table"}
     params = _parse_params(args.param)
     if args.action == "show":
-        request = {"id": args.id}
-        if params:
-            request["params"] = params
-        return 0, api.evaluate({"op": "build_example", "args": request})
+        return 0, _eval("build_example", id=args.id, params=params)
 
-    if args.sweep:
-        sweep = FAMILY_SWEEPS.get(args.id)
-        if sweep is None:
-            raise api.ApiError(f"unknown family id {args.id!r}")
-        instances = []
-        code = 0
-        for ps in (sweep if params is None else [params]):
-            report = verify_example(args.id, ps, box=args.box, strict=False)
-            instances.append(report.to_json())
-            if report.failures:
-                code = 1
-        payload = {"op": "example_sweep", "family": args.id,
-                   "verdict": instances,
-                   "justification": "family verification"}
-        if as_json:
-            _emit(payload, True, stream)
+    if not args.sweep or params is not None:
+        payload = _eval("verify_example", id=args.id, params=params,
+                        box=args.box, strict=False)
+        if not args.sweep:
+            return (0 if payload["verdict"]["passed"] else 1), payload
+        instances = [payload["verdict"]]
+    else:
+        instances = [report.to_json() for report in
+                     sweep_family(args.id, box=args.box, strict=False)]
+    code = 0 if all(inst["passed"] for inst in instances) else 1
+    if args.json:
+        return code, {"op": "example_sweep", "family": args.id,
+                      "verdict": instances,
+                      "justification": "family verification"}
+    for inst in instances:
+        key = ",".join(f"{k}={v}" for k, v in inst["params"].items())
+        name = f"{inst['family']}[{key}]" if key else inst["family"]
+        if inst["passed"]:
+            np_v = inst["np_verdict"]
+            print(f"ok   {name}: {_status(np_v)} [{np_v['justification']}]")
         else:
-            for inst in instances:
-                key = ",".join(f"{k}={v}" for k, v in inst["params"].items())
-                name = f"{inst['family']}[{key}]" if key else inst["family"]
-                if inst["passed"]:
-                    np_v = inst["np_verdict"]
-                    print(f"ok   {name}: {_headline(np_v)} "
-                          f"[{np_v['justification']}]", file=stream)
-                else:
-                    print(f"FAIL {name}: {inst['failures'][0]}", file=stream)
-            verdict = "all passed" if code == 0 else "FAILURES above"
-            print(f"{len(instances)} instance(s): {verdict}", file=stream)
-        return code, None
-
-    report = verify_example(args.id, params, box=args.box, strict=False)
-    payload = {"op": "verify_example", "verdict": report.to_json(),
-               "justification": "family verification"}
-    return (0 if report.passed else 1), payload
+            print(f"FAIL {name}: {inst['failures'][0]}")
+    verdict = "all passed" if code == 0 else "FAILURES above"
+    print(f"{len(instances)} instance(s): {verdict}")
+    return code, None
 
 
 def _cmd_fano(args) -> tuple[int, dict]:
     if args.action == "surface":
-        profile = {"minusK_dot_B": args.minusK_dot_B}
-        if args.is_P2_O1:
-            profile["is_P2_O1"] = True
-        return 0, api.evaluate({"op": "multiples_np_surface", "args": {
-            "profile": profile, "l": args.l, "p": args.p}})
+        profile = {"minusK_dot_B": args.minusK_dot_B,
+                   "is_P2_O1": args.is_P2_O1}
+        return 0, _eval("multiples_np_surface", profile=profile, l=args.l,
+                        p=args.p)
     if args.action == "twist":
         verdict = fano.projective_space_twist_max_np(args.dim, args.k)
-        return 0, {"op": "projective_space_twist_max_np",
+        return 0, {"op": "projective_space_twist_max_np", "kind": "NpVerdict",
                    "verdict": verdict.to_json(),
                    "justification": verdict.justification}
 
-    base = {"n": args.n, "m": args.m, "Hn": args.Hn}
-    if args.h0H is not None:
-        base["h0H"] = args.h0H
-    if args.morphism != fano.MORPHISM_UNKNOWN:
-        base["morphism"] = args.morphism
+    base = {"n": args.n, "m": args.m, "Hn": args.Hn, "h0H": args.h0H,
+            "morphism": args.morphism}
     if args.k is None and args.p is None:
-        return 0, api.evaluate({"op": "primitive_np", "args": base})
+        return 0, _eval("primitive_np", **base)
     if args.k is None:
         raise api.ApiError("--p without --k: the twist criteria need the "
                            "twist --k")
     if args.m == args.n - 3:
         if args.p is None:
-            return 0, api.evaluate({"op": "index_nm3_n0",
-                                    "args": {**base, "k": args.k}})
-        return 0, api.evaluate({"op": "index_nm3_np",
-                                "args": {**base, "k": args.k, "p": args.p}})
+            return 0, _eval("index_nm3_n0", **base, k=args.k)
+        return 0, _eval("index_nm3_np", **base, k=args.k, p=args.p)
     if args.p is None:
         raise api.ApiError("--k without --p only applies at index n-3; give "
                            "--p for the multiples criterion")
-    return 0, api.evaluate({"op": "multiples_np_fano",
-                            "args": {**base, "l": args.k, "p": args.p}})
+    return 0, _eval("multiples_np_fano", **base, l=args.k, p=args.p)
 
 
 def _cmd_oracle(args) -> tuple[int, dict]:
     if (args.family_id is None) == (args.divisor is None):
         raise api.ApiError("give exactly one of --id FAMILY or --divisor FILE")
     if args.family_id is not None:
-        request = {"id": args.family_id}
-        params = _parse_params(args.param)
-        if params:
-            request["params"] = params
-        if args.box is not None:
-            request["box"] = args.box
-        return 0, api.evaluate({"op": "brute_force_ample_oracle",
-                                "args": request})
+        return 0, _eval("brute_force_ample_oracle", id=args.family_id,
+                        params=_parse_params(args.param), box=args.box)
     divisor, _ = _load_divisor_file(args.divisor)
-    request = {"divisor": divisor}
-    if args.box is not None:
-        request["box"] = args.box
-    return 0, api.evaluate({"op": "ample_oracle", "args": request})
+    return 0, _eval("ample_oracle", divisor=divisor, box=args.box)
 
 
-def _cmd_selftest(as_json: bool, stream) -> int:
+def _cmd_selftest(args) -> tuple[int, dict | None]:
     results = selftest_mod.run_all()
-    if as_json:
-        payload = {"op": "selftest",
-                   "verdict": [{"name": r.name, "passed": r.passed,
-                                "detail": r.detail,
-                                "seconds": round(r.seconds, 2)}
-                               for r in results],
-                   "passed": all(r.passed for r in results),
-                   "justification": "hermetic check suite"}
-        print(json.dumps(payload, indent=2, sort_keys=True), file=stream)
-    else:
-        for r in results:
-            mark = "ok  " if r.passed else "FAIL"
-            print(f"[{mark}] {r.name}: {r.detail} ({r.seconds:.2f}s)",
-                  file=stream)
-        total = sum(r.seconds for r in results)
-        good = sum(1 for r in results if r.passed)
-        print(f"{good}/{len(results)} checks passed in {total:.2f}s",
-              file=stream)
-    return 0 if all(r.passed for r in results) else 1
+    code = 0 if all(r.passed for r in results) else 1
+    if args.json:
+        return code, {"op": "selftest",
+                      "verdict": [{"name": r.name, "passed": r.passed,
+                                   "detail": r.detail,
+                                   "seconds": round(r.seconds, 2)}
+                                  for r in results],
+                      "passed": code == 0,
+                      "justification": "hermetic check suite"}
+    for r in results:
+        mark = "ok  " if r.passed else "FAIL"
+        print(f"[{mark}] {r.name}: {r.detail} ({r.seconds:.2f}s)")
+    total = sum(r.seconds for r in results)
+    good = sum(1 for r in results if r.passed)
+    print(f"{good}/{len(results)} checks passed in {total:.2f}s")
+    return code, None
 
 
 # --- parser ----------------------------------------------------------------
@@ -373,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     c = sub.add_parser("classify", help="syzygy level of a polarization")
+    c.set_defaults(handler=_cmd_classify)
     c.add_argument("--surface", metavar="FILE",
                    help="flat JSON file: lattice keys, coeffs, optional flags")
     c.add_argument("--t", type=int, help="anticanonical degree -K.L")
@@ -388,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--curve-degree", type=int)
 
     b = sub.add_parser("bounds", help="degree and summand-count bounds")
+    b.set_defaults(handler=_cmd_bounds)
     b.add_argument("--k2", type=int, required=True, dest="ksq")
     b.add_argument("--p", type=int)
     b.add_argument("--L2", type=int, dest="Lsq")
@@ -402,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("adjoint",
                        help="very-ampleness of canonical-plus-ample bundles")
+    a.set_defaults(handler=_cmd_adjoint)
     a.add_argument("--k2", type=int, required=True, dest="ksq")
     a.add_argument("--summands", metavar="TAG[,TAG...]",
                    help="shape tags of the ample summands")
@@ -412,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--e", type=int)
 
     r = sub.add_parser("reider", help="quadratic and degree gates for N_p")
+    r.set_defaults(handler=_cmd_reider)
     r.add_argument("--k2", type=int, required=True, dest="ksq")
     r.add_argument("--L2", type=int, required=True, dest="Lsq")
     r.add_argument("--p", type=int, required=True)
@@ -425,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("terminate",
                        help="twist threshold where the adjoint bundle stops "
                             "being ample")
+    t.set_defaults(handler=_cmd_terminate)
     t.add_argument("--k2", type=int, required=True, dest="ksq")
     t.add_argument("--p", type=int, required=True)
     t.add_argument("--e", type=int)
@@ -435,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("example",
                         help="reference families: build, verify, sweep")
+    ex.set_defaults(handler=_cmd_example)
     exs = ex.add_subparsers(dest="action", required=True)
     ev = exs.add_parser("verify", help="recompute and cross-check claims")
     ev.add_argument("id")
@@ -448,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     exs.add_parser("list", help="list families and parameter ranges")
 
     f = sub.add_parser("fano", help="Fano n-fold criteria")
+    f.set_defaults(handler=_cmd_fano)
     fs = f.add_subparsers(dest="action", required=True)
     fc = fs.add_parser("classify", help="classify (X, H) or a twist of it")
     fc.add_argument("--n", type=int, required=True, help="dimension")
@@ -455,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--deg", type=int, required=True, dest="Hn",
                     help="top self-intersection H^n")
     fc.add_argument("--h0", type=int, dest="h0H", help="section count of H")
-    fc.add_argument("--morphism", choices=_MORPHISMS,
+    fc.add_argument("--morphism", choices=fano.MORPHISM_KINDS,
                     default=fano.MORPHISM_UNKNOWN)
     fc.add_argument("--k", type=int, help="twist kH to classify")
     fc.add_argument("--p", type=int, help="syzygy level to test")
@@ -472,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--k", type=int, required=True)
 
     o = sub.add_parser("oracle", help="exhaustive ampleness search")
+    o.set_defaults(handler=_cmd_oracle)
     o.add_argument("--id", dest="family_id", help="family id")
     o.add_argument("--param", action="append", default=[], metavar="K=V")
     o.add_argument("--divisor", metavar="FILE",
@@ -479,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--box", type=int,
                    help="search box (env NP_ORACLE_BOX sets the default)")
 
-    sub.add_parser("selftest", help="run the hermetic check suite")
+    st = sub.add_parser("selftest", help="run the hermetic check suite")
+    st.set_defaults(handler=_cmd_selftest)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
 
     try:
         if args.eval_file is not None:
@@ -495,8 +449,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 with open(args.eval_file) as fh:
                     request = json.load(fh)
-            print(json.dumps(api.evaluate(request), indent=2, sort_keys=True),
-                  file=out)
+            _emit(api.evaluate(request), True)
             return 0
 
         if args.command is None:
@@ -505,25 +458,9 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
 
-        if args.command == "selftest":
-            return _cmd_selftest(args.json, out)
-        if args.command == "example":
-            code, payload = _cmd_example(args, args.json, out)
-            if payload is not None:
-                _emit(payload, args.json, out)
-            return code
-
-        handler = {
-            "classify": _cmd_classify,
-            "bounds": _cmd_bounds,
-            "adjoint": _cmd_adjoint,
-            "reider": _cmd_reider,
-            "terminate": _cmd_terminate,
-            "fano": _cmd_fano,
-            "oracle": _cmd_oracle,
-        }[args.command]
-        code, payload = handler(args)
-        _emit(payload, args.json, out)
+        code, payload = args.handler(args)
+        if payload is not None:
+            _emit(payload, args.json)
         return code
     except VerificationError as exc:
         print(f"npsurf: verification failed: {exc}", file=sys.stderr)

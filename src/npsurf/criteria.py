@@ -17,6 +17,7 @@ reference case, and the ampleness/syzygy equivalences reported by
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,6 +116,16 @@ def _require_flags(flags, allowed: frozenset[str]) -> dict[str, bool]:
     return {k: bool(v) for k, v in flags.items()}
 
 
+def _check_e(ksq: int, e: int | None) -> None:
+    """``e`` is the invariant of a minimal Hirzebruch surface F_e."""
+    if e is None:
+        return
+    if ksq != 8:
+        raise CriteriaError("e is only meaningful for K^2 = 8")
+    if e < 0:
+        raise CriteriaError(f"the Hirzebruch invariant e must be >= 0, got {e}")
+
+
 def green_lazarsfeld_failure(effective_degree: int) -> int:
     """First failing level for K_C + N with N effective of the given degree.
 
@@ -131,7 +142,7 @@ def green_lazarsfeld_failure(effective_degree: int) -> int:
 _CLASSIFY_FLAGS = frozenset({"ample", "bpf", "anticanonical"})
 
 
-def np_classify_degree(t: int, flags) -> NpVerdict:
+def np_classify_degree(t: int, flags: Mapping[str, bool]) -> NpVerdict:
     """Classify from the anticanonical degree ``t = -K.L`` alone.
 
     With the anticanonical flag and ``L`` ample the degree criterion is an
@@ -172,7 +183,8 @@ def np_classify_degree(t: int, flags) -> NpVerdict:
     )
 
 
-def np_classify(surface: SurfaceModel, L: DivisorClass, flags) -> NpVerdict:
+def np_classify(surface: SurfaceModel, L: DivisorClass,
+                flags: Mapping[str, bool]) -> NpVerdict:
     """Classify the syzygy level of ``(surface, L)`` from ``-K.L``."""
     if L.surface != surface:
         raise CriteriaError("L does not live on the given surface")
@@ -183,7 +195,8 @@ def np_classify(surface: SurfaceModel, L: DivisorClass, flags) -> NpVerdict:
 # --- bpf_check -------------------------------------------------------------
 
 
-def bpf_check(surface: SurfaceModel, L: DivisorClass, flags) -> BoolVerdict:
+def bpf_check(surface: SurfaceModel, L: DivisorClass,
+              flags: Mapping[str, bool]) -> BoolVerdict:
     """Sufficient base-point-freeness test on an anticanonical surface.
 
     Needs ``L`` nef (attested) and the anticanonical flag; then ``-K.L >= 2``
@@ -235,7 +248,7 @@ def _summand_tags(summands) -> tuple[str, ...]:
     return tags
 
 
-def adjoint_very_ample(ksq: int, summands) -> VAVerdict:
+def adjoint_very_ample(ksq: int, summands: Sequence[str]) -> VAVerdict:
     """Very ampleness of K + A_1 + ... + A_n for ample A_i, by K^2 regime.
 
     ``summands`` is a sequence of tags (one per A_i) from
@@ -332,8 +345,7 @@ def min_kA_bound(ksq: int, summand: str = "other", e: int | None = None,
         raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
     if summand not in ("minus_k", "minus_2k", "minus_3k", "other"):
         raise CriteriaError(f"unknown summand tag {summand!r}")
-    if e is not None and ksq != 8:
-        raise CriteriaError("e is only meaningful for K^2 = 8")
+    _check_e(ksq, e)
     if ksq == 9:
         return MinusKBoundReport(3, None, False, "Prop 1.9")
     if ksq == 8:
@@ -381,7 +393,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def adjoint_np_min_n(ksq: int, p: int, e: int | None = None,
-                     exclude=()) -> MinNResult:
+                     exclude: Collection[str] = ()) -> MinNResult:
     """Table of minimal n with K + A_1 + ... + A_n satisfying N_p.
 
     ``exclude`` lists shapes the A_i are promised to avoid (tags from
@@ -399,8 +411,7 @@ def adjoint_np_min_n(ksq: int, p: int, e: int | None = None,
         raise CriteriaError(f"unknown exclusion tags: {sorted(unknown)}")
     if exclude and not 1 <= ksq <= 7:
         raise CriteriaError("exclusion regimes only exist for 1 <= K^2 <= 7")
-    if e is not None and ksq != 8:
-        raise CriteriaError("e is only meaningful for K^2 = 8")
+    _check_e(ksq, e)
 
     def res(n: int, case: str) -> MinNResult:
         return MinNResult(n, case, f"Thm 1.23({case})")
@@ -573,8 +584,7 @@ def ampleness_termination(ksq: int, p: int, e: int | None = None,
     if ksq == 0:
         raise CriteriaError("K^2 = 0 supports no termination threshold "
                             "(K is a fiber class there)")
-    if e is not None and ksq != 8:
-        raise CriteriaError("e is only meaningful for K^2 = 8")
+    _check_e(ksq, e)
 
     def above(case: str, q: Fraction) -> TerminationThreshold:
         m_min = q.numerator // q.denominator + 1  # floor(q) + 1: least m > q
@@ -642,8 +652,7 @@ def thm_121_equivalence(ksq: int, summand: str = "other",
         raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
     if summand not in ("minus_k", "other"):
         raise CriteriaError(f"unknown summand tag {summand!r}")
-    if e is not None and ksq != 8:
-        raise CriteriaError("e is only meaningful for K^2 = 8")
+    _check_e(ksq, e)
     tag = "Thm 1.21"
     if ksq == 9:
         return EquivalenceReport(9, True, 0, None, tag)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -131,6 +132,16 @@ class ExampleFamily:
         """The same instance with a perturbed polarization (for robustness
         tests); claims keep their original expected values."""
         return dataclasses.replace(self, A=A)
+
+    def to_json(self) -> dict:
+        return {
+            "id": self.id, "params": dict(self.params),
+            "surface": self.surface.to_json(), "A": list(self.A.coeffs),
+            "claims": {c.quantity: c.expected for c in self.claims},
+            "np_expected": {"status": self.np_expected[0],
+                            "p": self.np_expected[1]},
+            "annotations": dict(self.annotations),
+        }
 
 
 def _claim_dot(name: str, expected: int, d1, d2) -> Claim:
@@ -460,7 +471,8 @@ def _expect_params(params: dict, spec: dict[str, tuple[int, int]]) -> dict:
     return out
 
 
-def build_example(family_id: str, params: dict | None = None) -> ExampleFamily:
+def build_example(family_id: str,
+                  params: Mapping[str, int] | None = None) -> ExampleFamily:
     """Construct one instance of a reference family."""
     if family_id not in _BUILDERS:
         raise FamilyError(f"unknown family id {family_id!r}")
@@ -985,7 +997,7 @@ def fixture_instance(family_id: str, instance_key: str) -> dict | None:
     return fam["instances"].get(instance_key)
 
 
-def verify_example(family_id: str, params: dict | None = None, *,
+def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
                    box: int | None = None, strict: bool = True,
                    check_fixture: bool = True) -> VerifyReport:
     """Recompute every claim of one family instance and cross-check it.

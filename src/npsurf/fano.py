@@ -14,6 +14,7 @@ means "not established".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypedDict
 
 from .criteria import EXACT_MAX, NOT_N0, BoolVerdict, NpVerdict
 
@@ -105,7 +106,15 @@ def primitive_np(f: FanoInput) -> NpVerdict:
 # --- multiples of the polarization -----------------------------------------
 
 
-def multiples_np_surface(B_profile: dict, l: int, p: int) -> BoolVerdict:
+class SurfaceProfile(TypedDict, total=False):
+    """Numeric profile of a polarized surface (S, B); ``minusK_dot_B`` is
+    required, ``is_P2_O1`` marks the plane with its line bundle."""
+
+    minusK_dot_B: int
+    is_P2_O1: bool
+
+
+def multiples_np_surface(B_profile: SurfaceProfile, l: int, p: int) -> BoolVerdict:
     """N_p for l*B on a surface profile: needs -K.B >= 4 (or the plane with
     its line bundle) and l >= p.  Sufficient only."""
     allowed = {"minusK_dot_B", "is_P2_O1"}

@@ -71,10 +71,14 @@ class PointConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointConfig":
-        unknown = set(obj) - set(CONFIG_FLAGS)
+        if not isinstance(obj, dict):
+            raise LatticeError("config JSON must be an object")
+        unknown = obj.keys() - CONFIG_FLAGS
         if unknown:
             raise LatticeError(f"unknown config flags: {sorted(unknown)}")
-        return cls(**{k: bool(v) for k, v in obj.items()})
+        if not {bool}.issuperset(map(type, obj.values())):
+            raise LatticeError("config flags must be JSON booleans")
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ class SurfaceModel:
     # --- divisor helpers --------------------------------------------------
 
     def divisor(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, tuple(int(c) for c in coeffs))
+        return DivisorClass(self, tuple(map(int, coeffs)))
 
     def zero(self) -> "DivisorClass":
         return self.divisor([0] * self.rank)
@@ -185,10 +189,15 @@ class SurfaceModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurfaceModel":
-        allowed = {"kind", "e", "l", "config"}
-        unknown = set(obj) - allowed
+        if not isinstance(obj, dict):
+            raise LatticeError("surface JSON must be an object")
+        unknown = obj.keys() - ("kind", "e", "l", "config")
         if unknown:
             raise LatticeError(f"unknown surface fields: {sorted(unknown)}")
+        if "kind" not in obj:
+            raise LatticeError("surface JSON needs a kind field")
+        if type(obj.get("e", 0)) is not int or type(obj.get("l", 0)) is not int:
+            raise LatticeError("surface fields e and l must be JSON integers")
         config = None
         if "config" in obj or "l" in obj:
             if not ("config" in obj and "l" in obj):
@@ -255,11 +264,17 @@ class DivisorClass:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DivisorClass":
+        if not isinstance(obj, dict):
+            raise LatticeError("divisor JSON must be an object")
         if "coeffs" not in obj:
             raise LatticeError("divisor JSON needs a coeffs field")
-        surface_obj = {k: v for k, v in obj.items() if k != "coeffs"}
+        coeffs = obj["coeffs"]
+        if type(coeffs) is not list or not {int}.issuperset(map(type, coeffs)):
+            raise LatticeError("coeffs must be a JSON array of integers")
+        surface_obj = dict(obj)
+        del surface_obj["coeffs"]
         surface = SurfaceModel.from_json(surface_obj)
-        return surface.divisor(obj["coeffs"])
+        return surface.divisor(coeffs)
 
 
 def from_json(obj: dict):

@@ -1,0 +1,289 @@
+"""The JSON boundary: the op table, strict argument typing, and a fuzz."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import npsurf.criteria
+import npsurf.lattice
+from npsurf import api, cli
+from npsurf.criteria import (
+    CriteriaError,
+    adjoint_np_min_n,
+    ampleness_termination,
+    min_kA_bound,
+    thm_121_equivalence,
+)
+from npsurf.families import FAMILY_IDS, CertificateRefused
+from npsurf.lattice import (
+    CONFIG_FLAGS,
+    DivisorClass,
+    LatticeError,
+    PointConfig,
+    SurfaceModel,
+)
+
+# (required, optional) argument names of every op, as the JSON API has
+# accepted them since the first release
+OP_ARGS = {
+    "intersect": (("d1", "d2"), ()),
+    "canonical_class": (("surface",), ()),
+    "k_squared": (("surface",), ()),
+    "euler_characteristic": (("divisor",), ()),
+    "sectional_genus": (("divisor",), ()),
+    "hodge_index_bound": (("a", "b"), ()),
+    "signature": (("surface",), ()),
+    "blow_up": (("surface", "count", "config"), ()),
+    "np_classify": (("flags",), ("divisor", "t")),
+    "bpf_check": (("divisor", "flags"), ()),
+    "adjoint_very_ample": (("ksq", "summands"), ()),
+    "min_kA_bound": (("ksq",), ("summand", "e", "conic_fibration")),
+    "adjoint_np_min_n": (("ksq", "p"), ("e", "exclude")),
+    "reider_np": (("ksq", "Lsq", "p"),
+                  ("minus_k_dot_L", "cond1_attested", "adjoint_very_ample",
+                   "multiple_of_minus_k")),
+    "lemma_125_bound": (("ksq", "Lsq", "p"),
+                        ("multiple_of_minus_k", "adjoint_effective")),
+    "verify_inequality_chain": (("p", "m", "ksq"), ()),
+    "ampleness_termination": (("ksq", "p"),
+                              ("e", "multiple_of_minus_k",
+                               "np_sharp_attested")),
+    "thm_121_equivalence": (("ksq",), ("summand", "e")),
+    "curve_np_reference": (("genus", "degree"), ()),
+    "build_example": (("id",), ("params",)),
+    "nakai_certificate": (("id",), ("params",)),
+    "brute_force_ample_oracle": (("id",), ("params", "box")),
+    "ample_oracle": (("divisor",), ("box",)),
+    "verify_example": (("id",), ("params", "box", "strict")),
+    "primitive_np": (("n", "m", "Hn"), ("h0H", "morphism")),
+    "multiples_np_surface": (("profile", "l", "p"), ()),
+    "multiples_np_fano": (("n", "m", "Hn", "l", "p"), ("h0H", "morphism")),
+    "index_nm3_n0": (("n", "m", "Hn", "k"), ("h0H", "morphism")),
+    "index_nm3_np": (("n", "m", "Hn", "k", "p"), ("h0H", "morphism")),
+}
+
+PLANE_DIVISOR = {"kind": "P2", "coeffs": [2]}
+
+
+def test_derived_op_table_matches_the_pinned_argument_names():
+    assert sorted(OP_ARGS) == list(api.OPERATIONS)
+    for op, (required, optional) in OP_ARGS.items():
+        call = api._OPS[op]
+        assert set(call.required) == set(required), op
+        assert call.names - set(call.required) == set(optional), op
+
+
+def test_responses_name_the_verdict_kind():
+    cases = [
+        ({"op": "np_classify", "args": {"t": 7, "flags": {
+            "ample": True, "anticanonical": True}}}, "NpVerdict"),
+        ({"op": "reider_np", "args": {"ksq": 3, "Lsq": 24, "p": 2,
+                                      "cond1_attested": True}},
+         "BoolVerdict"),
+        ({"op": "adjoint_np_min_n", "args": {"ksq": 1, "p": 0}},
+         "MinNResult"),
+        ({"op": "k_squared", "args": {"surface": {"kind": "P2"}}}, "value"),
+        ({"op": "signature", "args": {"surface": {"kind": "P2"}}}, "value"),
+        ({"op": "canonical_class", "args": {"surface": {"kind": "P2"}}},
+         "DivisorClass"),
+        ({"op": "lemma_125_bound", "args": {
+            "ksq": 3, "Lsq": 24, "p": 2, "adjoint_effective": True}},
+         "value"),
+        ({"op": "ample_oracle", "args": {"divisor": PLANE_DIVISOR}},
+         "OracleResult"),
+        ({"op": "verify_example", "args": {"id": "1.17",
+                                           "params": {"l": 4}}},
+         "VerifyReport"),
+        ({"op": "build_example", "args": {"id": "1.17",
+                                          "params": {"l": 4}}},
+         "ExampleFamily"),
+    ]
+    for request, kind in cases:
+        out = api.evaluate(request)
+        assert out["kind"] == kind, request["op"]
+        assert set(out) == {"op", "kind", "verdict", "justification"}
+
+
+def test_evaluate_calls_the_library_function_bound_at_call_time(monkeypatch):
+    seen = []
+    real = npsurf.criteria.reider_np
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(npsurf.criteria, "reider_np", spy)
+    out = api.evaluate({"op": "reider_np", "args": {
+        "ksq": 3, "Lsq": 24, "p": 2, "cond1_attested": True}})
+    assert out["verdict"]["value"] is True
+    assert seen == [{"ksq": 3, "Lsq": 24, "p": 2, "cond1_attested": True}]
+
+
+def test_evaluate_parses_divisors_through_the_current_from_json(monkeypatch):
+    parsed = []
+    real = npsurf.lattice.DivisorClass.from_json
+
+    def spy(obj):
+        parsed.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(npsurf.lattice.DivisorClass, "from_json",
+                        staticmethod(spy))
+    api.evaluate({"op": "euler_characteristic",
+                  "args": {"divisor": PLANE_DIVISOR}})
+    assert parsed == [PLANE_DIVISOR]
+
+
+# --- regressions: each request used to be coerced or to crash --------------
+
+REIDER = {"ksq": 3, "Lsq": 24, "p": 2}
+BAD_REQUESTS = {
+    "string attests a hypothesis": {"op": "reider_np", "args": {
+        **REIDER, "cond1_attested": "false"}},
+    "integer for a boolean": {"op": "reider_np", "args": {
+        **REIDER, "cond1_attested": 1}},
+    "float ksq": {"op": "adjoint_np_min_n", "args": {"ksq": 2.7, "p": 0}},
+    "boolean for an integer": {"op": "adjoint_np_min_n", "args": {
+        "ksq": True, "p": 0}},
+    "float coefficient": {"op": "euler_characteristic", "args": {
+        "divisor": {"kind": "P2", "coeffs": [2.5]}}},
+    "args not an object": {"op": "k_squared", "args": [1]},
+    "op not a string": {"op": ["k_squared"], "args": {}},
+    "surface without kind": {"op": "k_squared", "args": {"surface": {}}},
+    "string config flag": {"op": "blow_up", "args": {
+        "surface": {"kind": "P2"}, "count": 2,
+        "config": {"general_position": "false"}}},
+    "string flag value": {"op": "np_classify", "args": {
+        "t": 7, "flags": {"ample": "yes"}}},
+    "summands not an array": {"op": "adjoint_very_ample", "args": {
+        "ksq": 5, "summands": "minus_k"}},
+    "unhashable exclusion": {"op": "adjoint_np_min_n", "args": {
+        "ksq": 3, "p": 0, "exclude": [["minus_k"]]}},
+    "string family parameter": {"op": "build_example", "args": {
+        "id": "1.17", "params": {"l": "4"}}},
+    "string profile degree": {"op": "multiples_np_surface", "args": {
+        "profile": {"minusK_dot_B": "4"}, "l": 3, "p": 3}},
+    "null morphism": {"op": "primitive_np", "args": {
+        "n": 3, "m": 2, "Hn": 8, "morphism": None}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REQUESTS))
+def test_bad_request_is_refused(name, tmp_path, capsys):
+    request = BAD_REQUESTS[name]
+    with pytest.raises(api.ApiError):
+        api.evaluate(request)
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(request))
+    code = cli.main(["--eval-file", str(path)])
+    _, err = capsys.readouterr()
+    assert code == 2 and "error" in err and "Traceback" not in err
+
+
+def test_negative_hirzebruch_invariant_is_a_domain_error(capsys):
+    for call in (lambda: adjoint_np_min_n(8, 0, e=-4),
+                 lambda: min_kA_bound(8, e=-9),
+                 lambda: thm_121_equivalence(8, e=-3),
+                 lambda: ampleness_termination(8, 3, e=-1,
+                                               np_sharp_attested=True)):
+        with pytest.raises(CriteriaError, match="e must be >= 0"):
+            call()
+    with pytest.raises(CriteriaError):
+        api.evaluate({"op": "adjoint_np_min_n",
+                      "args": {"ksq": 8, "p": 0, "e": -4}})
+    code = cli.main(["bounds", "--k2", "8", "--p", "0", "--e", "-4"])
+    _, err = capsys.readouterr()
+    assert code == 2 and "e must be >= 0" in err and "Traceback" not in err
+
+
+def test_lattice_json_parsing_is_strict():
+    with pytest.raises(LatticeError):
+        PointConfig.from_json({"general_position": "false"})
+    assert PointConfig.from_json({"general_position": False}) == PointConfig()
+    with pytest.raises(LatticeError):
+        SurfaceModel.from_json({})
+    with pytest.raises(LatticeError):
+        SurfaceModel.from_json({"kind": "Fe", "e": 1.0})
+    for coeffs in ([2.5], [True], "2", [[2]]):
+        with pytest.raises(LatticeError):
+            DivisorClass.from_json({"kind": "P2", "coeffs": coeffs})
+
+
+def test_divisor_file_with_float_coefficient_exits_two(tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "P2", "coeffs": [2.5],
+                             "flags": {"ample": True,
+                                       "anticanonical": True}}))
+    code = cli.main(["classify", "--surface", str(f)])
+    _, err = capsys.readouterr()
+    assert code == 2 and "coeffs" in err
+
+
+# --- fuzz ------------------------------------------------------------------
+
+# the oracle ops search a box of candidate curves; everything else is cheap
+SEARCH_OPS = {"brute_force_ample_oracle", "ample_oracle", "verify_example"}
+NON_SEARCH_OPS = sorted(set(api.OPERATIONS) - SEARCH_OPS)
+
+WORDS = ("P2", "Fe", "ample", "anticanonical", "bpf", "nef", "minus_k",
+         "minus_2k", "other", "conic_fibration", "unknown",
+         "two_to_one_onto_pn", "x") + FAMILY_IDS
+KEYS = ("kind", "e", "l", "n", "config", "coeffs", "ample", "anticanonical",
+        "bpf", "nef", "minusK_dot_B", "is_P2_O1", "x") + CONFIG_FLAGS
+small = st.integers(-3, 12)
+scalars = st.one_of(st.none(), st.booleans(), small,
+                    st.floats(-3, 12, allow_nan=False), st.sampled_from(WORDS))
+# anything JSON can carry, mostly of the wrong shape for a given argument
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=10)
+configs = st.dictionaries(st.sampled_from(CONFIG_FLAGS), st.booleans())
+surfaces = st.fixed_dictionaries(
+    {"kind": st.sampled_from(("P2", "Fe"))},
+    optional={"e": small, "l": st.integers(0, 9), "config": configs})
+divisors = st.builds(lambda s, c: {**s, "coeffs": c}, surfaces,
+                     st.lists(small, min_size=1, max_size=11))
+# values of the right JSON shape for each argument name
+WELL_TYPED = {
+    **dict.fromkeys(("d1", "d2", "a", "b", "divisor"), divisors),
+    "surface": surfaces,
+    "config": configs,
+    "flags": st.dictionaries(st.sampled_from(
+        ("ample", "anticanonical", "bpf", "nef")), st.booleans()),
+    **dict.fromkeys(("summands", "exclude"),
+                    st.lists(st.sampled_from(WORDS), max_size=4)),
+    **dict.fromkeys(("summand", "morphism", "id"), st.sampled_from(WORDS)),
+    "params": st.dictionaries(st.sampled_from(("e", "n", "l")), small,
+                              max_size=2),
+    "profile": st.fixed_dictionaries({"minusK_dot_B": small},
+                                     optional={"is_P2_O1": st.booleans()}),
+    **dict.fromkeys(("cond1_attested", "adjoint_very_ample",
+                     "multiple_of_minus_k", "adjoint_effective",
+                     "np_sharp_attested", "conic_fibration"), st.booleans()),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzz_evaluate_answers_in_json_or_refuses(data):
+    op = data.draw(st.sampled_from(NON_SEARCH_OPS), label="op")
+    call = api._OPS[op]
+    keys = [k for k in sorted(call.names)
+            if data.draw(st.integers(0, 9), label=f"omit {k}?") > 1]
+    if data.draw(st.booleans(), label="unknown key?"):
+        keys.append("bogus")
+    args = {}
+    for k in keys:
+        well_typed = WELL_TYPED.get(k, small)
+        wrong = data.draw(st.integers(0, 5), label=f"wrong {k}?") == 0
+        args[k] = data.draw(values if wrong else well_typed, label=k)
+    try:
+        out = api.evaluate({"op": op, "args": args})
+    except (ValueError, CertificateRefused):
+        return
+    json.dumps(out)
+    assert out["op"] == op and out["kind"]
