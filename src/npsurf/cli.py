@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import api, fano
 from . import selftest as selftest_mod
 from .families import (
-    FAMILY_IDS,
     FAMILY_SWEEPS,
     CertificateRefused,
     OracleNotApplicable,
@@ -109,6 +109,11 @@ def _parse_params(pairs: list[str]) -> dict | None:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise api.ApiError(f"--param expects K=V, got {item!r}")
+        if key in out:
+            raise api.ApiError(f"--param {key} given more than once")
+        if not re.fullmatch(r"-?[0-9]+", value):
+            raise api.ApiError(f"--param {key} must be an integer, got "
+                               f"{value!r}")
         out[key] = int(value)
     return out or None
 
@@ -209,8 +214,7 @@ def _cmd_terminate(args) -> tuple[int, dict]:
 
 def _cmd_example(args) -> tuple[int, dict | None]:
     if args.action == "list":
-        table = {fid: [dict(ps) for ps in FAMILY_SWEEPS[fid]]
-                 for fid in FAMILY_IDS}
+        table = {fid: list(sweep) for fid, sweep in FAMILY_SWEEPS.items()}
         return 0, {"op": "example_list", "verdict": table,
                    "justification": "family table"}
     params = _parse_params(args.param)

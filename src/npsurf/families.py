@@ -1,19 +1,26 @@
 """Reference families of polarized rational surfaces, with ampleness checks.
 
-Each family builder returns the surface, the polarization, and a table of
-integer claims (intersection numbers, adjoint identities) fixed by closed
-formulas in the family parameters.  ``verify_example`` recomputes every claim
-from the lattice, runs the ampleness certificate and the brute-force oracle
-where the point configuration supports them, classifies the syzygy level, and
-compares everything against the frozen fixture table shipped in
-``data/examples.json``.
+``FAMILIES`` is the one table of reference families.  Each row holds the
+family's builder, its parameter domain as ``range``s (a step of 2 carries a
+parity), and its ampleness route: the certificate body with the
+``PointConfig`` flags that body requires, or None where ampleness is attested
+and both the certificate and the oracle refuse.  ``build_example`` validates
+a request against its row and assembles the instance; ``FAMILY_IDS`` and
+``FAMILY_SWEEPS`` (the product of each row's ranges) derive from the table.
 
-Two independent ampleness routes are provided:
+Each builder returns the surface, the polarization, and a table of integer
+claims (intersection numbers, adjoint identities) fixed by closed formulas in
+the family parameters.  ``verify_example`` recomputes every claim from the
+lattice, runs the ampleness certificate and the brute-force oracle, classifies
+the syzygy level, and compares everything against the frozen fixture table
+shipped in ``data/examples.json``.
+
+Two independent ampleness routes are provided for certified families:
 
 * ``nakai_certificate``: a short list of closed curve-case checks (corner
   and direction margins of linear bounds), sufficient by construction.  It
-  refuses to run when the point configuration lacks the assumptions the
-  case analysis needs.
+  refuses to run when the point configuration lacks a flag the route
+  requires.
 * ``brute_force_ample_oracle``: exhaustive minimization of ``A.T`` over the
   admissible irreducible-curve classes inside a search box — exceptional
   classes, strict transforms of irreducible-capable base classes with all
@@ -28,6 +35,7 @@ minimum is >= 1.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from collections.abc import Mapping
@@ -44,6 +52,7 @@ from .lattice import (
     SurfaceModel,
     blow_up,
     canonical_class,
+    euler_characteristic,
     k_squared,
 )
 
@@ -178,8 +187,7 @@ def _claims_common(ksq: int, a2: int, deg: int) -> list[Claim]:
 # --- builders --------------------------------------------------------------
 
 
-def _build_1_11(params: dict) -> ExampleFamily:
-    _expect_params(params, {})
+def _build_1_11():
     S = SurfaceModel.projective_plane()
     A = S.divisor([1])
     claims = _claims_common(9, 1, 3) + [
@@ -187,16 +195,10 @@ def _build_1_11(params: dict) -> ExampleFamily:
                   lambda S, A: canonical_class(S) + 3 * A,
                   lambda S, A: S.zero()),
     ]
-    return ExampleFamily(
-        "1.11", (), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("ExactMax", 0),
-    )
+    return S, A, claims, ("ExactMax", 0)
 
 
-def _build_1_12(params: dict) -> ExampleFamily:
-    p = _expect_params(params, {"e": (0, 8)})
-    e = p["e"]
+def _build_1_12(e):
     S = SurfaceModel.hirzebruch(e)
     A = S.divisor([1, e + 1])
     claims = _claims_common(8, e + 2, e + 4) + [
@@ -206,11 +208,7 @@ def _build_1_12(params: dict) -> ExampleFamily:
         Claim("oracle_min(K + 2A)", 0,
               lambda S, A: _cone_min(S, canonical_class(S) + 2 * A, 8)[0]),
     ]
-    return ExampleFamily(
-        "1.12", (("e", e),), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("ExactMax", e + 1),
-    )
+    return S, A, claims, ("ExactMax", e + 1)
 
 
 def _del_pezzo(l: int) -> SurfaceModel:
@@ -218,9 +216,7 @@ def _del_pezzo(l: int) -> SurfaceModel:
     return blow_up(SurfaceModel.projective_plane(), l, cfg)
 
 
-def _build_1_13(params: dict) -> ExampleFamily:
-    p = _expect_params(params, {"l": (2, 6)})
-    l = p["l"]
+def _build_1_13(l):
     S = _del_pezzo(l)
     A = -canonical_class(S)
     claims = _claims_common(9 - l, 9 - l, 9 - l) + [
@@ -228,15 +224,10 @@ def _build_1_13(params: dict) -> ExampleFamily:
                   lambda S, A: canonical_class(S) + A,
                   lambda S, A: S.zero()),
     ]
-    return ExampleFamily(
-        "1.13", (("l", l),), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("ExactMax", 6 - l),
-    )
+    return S, A, claims, ("ExactMax", 6 - l)
 
 
-def _build_1_14(params: dict) -> ExampleFamily:
-    _expect_params(params, {})
+def _build_1_14():
     S = _del_pezzo(7)
     A = -canonical_class(S)
     claims = _claims_common(2, 2, 2) + [
@@ -244,15 +235,10 @@ def _build_1_14(params: dict) -> ExampleFamily:
                   lambda S, A: canonical_class(S) + 2 * A,
                   lambda S, A: -canonical_class(S)),
     ]
-    return ExampleFamily(
-        "1.14", (), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("NotN0", None),
-    )
+    return S, A, claims, ("NotN0", None)
 
 
-def _build_1_15(params: dict) -> ExampleFamily:
-    _expect_params(params, {})
+def _build_1_15():
     S = _del_pezzo(8)
     A = -canonical_class(S)
     claims = _claims_common(1, 1, 1) + [
@@ -260,16 +246,10 @@ def _build_1_15(params: dict) -> ExampleFamily:
                   lambda S, A: canonical_class(S) + 3 * A,
                   lambda S, A: -2 * canonical_class(S)),
     ]
-    return ExampleFamily(
-        "1.15", (), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("NotN0", None),
-    )
+    return S, A, claims, ("NotN0", None)
 
 
-def _build_1_16(params: dict) -> ExampleFamily:
-    p = _expect_params(params, {"e": (0, 2), "n": (-1, 8)})
-    e, n = p["e"], p["n"]
+def _build_1_16(e, n):
     l = 8 - n
     cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
                       anticanonical_effective=True)
@@ -284,17 +264,10 @@ def _build_1_16(params: dict) -> ExampleFamily:
                    lambda S, A: canonical_class(S) + A,
                    lambda S, A: canonical_class(S) + A),
     ]
-    status, level = ("ExactMax", n - 1) if n >= 1 else ("NotN0", None)
-    return ExampleFamily(
-        "1.16", (("e", e), ("n", n)), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=(status, level),
-    )
+    return S, A, claims, ("ExactMax", n - 1) if n >= 1 else ("NotN0", None)
 
 
-def _build_1_17(params: dict) -> ExampleFamily:
-    p = _expect_params(params, {"l": (0, 10)})
-    l = p["l"]
+def _build_1_17(l):
     cfg = PointConfig(on_smooth_anticanonical=True, away_from_min_section=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(1), l, cfg)
@@ -308,16 +281,10 @@ def _build_1_17(params: dict) -> ExampleFamily:
                    lambda S, A: -canonical_class(S),
                    lambda S, A: canonical_class(S) + A),
     ]
-    status, level = ("ExactMax", 8 - l) if l <= 8 else ("NotN0", None)
-    return ExampleFamily(
-        "1.17", (("l", l),), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=(status, level),
-    )
+    return S, A, claims, ("ExactMax", 8 - l) if l <= 8 else ("NotN0", None)
 
 
-def _build_1_18(params: dict) -> ExampleFamily:
-    _expect_params(params, {})
+def _build_1_18():
     cfg = PointConfig(complete_intersection_of_cubics=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.projective_plane(), 9, cfg)
@@ -332,18 +299,10 @@ def _build_1_18(params: dict) -> ExampleFamily:
                    lambda S, A: canonical_class(S) + 2 * A,
                    lambda S, A: -canonical_class(S)),
     ]
-    return ExampleFamily(
-        "1.18", (), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("NotN0", None),
-    )
+    return S, A, claims, ("NotN0", None)
 
 
-def _build_1_19(params: dict) -> ExampleFamily:
-    p = _expect_params(params, {"n": (-19, -1)})
-    n = p["n"]
-    if n % 2 == 0:
-        raise FamilyError("1.19 needs odd negative n")
+def _build_1_19(n):
     l = 8 - n
     k = (l - 3) // 2
     cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
@@ -359,18 +318,10 @@ def _build_1_19(params: dict) -> ExampleFamily:
                    lambda S, A: canonical_class(S) + A,
                    lambda S, A: canonical_class(S) + A),
     ]
-    return ExampleFamily(
-        "1.19", (("n", n),), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("NotN0", None),
-    )
+    return S, A, claims, ("NotN0", None)
 
 
-def _build_1_20(params: dict) -> ExampleFamily:
-    p = _expect_params(params, {"n": (-20, -2)})
-    n = p["n"]
-    if n % 2 != 0:
-        raise FamilyError("1.20 needs even negative n")
+def _build_1_20(n):
     l = 8 - n
     k = (l - 4) // 2
     cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
@@ -386,16 +337,10 @@ def _build_1_20(params: dict) -> ExampleFamily:
                    lambda S, A: canonical_class(S) + A,
                    lambda S, A: S.pullback([0, 1]) - S.exceptional(0)),
     ]
-    return ExampleFamily(
-        "1.20", (("n", n),), S, A, tuple(claims),
-        np_flags=(("ample", True), ("anticanonical", True)),
-        np_expected=("NotN0", None),
-    )
+    return S, A, claims, ("NotN0", None)
 
 
-def _build_obs_1_4(params: dict) -> ExampleFamily:
-    p = _expect_params(params, {"n": (4, 12)})
-    n = p["n"]
+def _build_obs_1_4(n):
     cfg = PointConfig(general_position=True)
     S = blow_up(SurfaceModel.hirzebruch(0), 9, cfg)
     L = S.pullback([2, n]) - sum(
@@ -404,79 +349,13 @@ def _build_obs_1_4(params: dict) -> ExampleFamily:
         Claim("K2", -1, lambda S, A: k_squared(S)),
         Claim("-K.L", 2 * n - 5, lambda S, A: -canonical_class(S).dot(A)),
         Claim("chi(-K - L)", 3 - n,
-              lambda S, A: _chi(-canonical_class(S) - A)),
+              lambda S, A: euler_characteristic(-canonical_class(S) - A)),
         _residual("residual(-K - L - pullback((2-n)*fiber2))",
                   lambda S, A: -canonical_class(S) - A,
                   lambda S, A: S.pullback([0, 2 - n])),
     ]
-    return ExampleFamily(
-        "Obs1.4", (("n", n),), S, L, tuple(claims),
-        np_flags=(("ample", True), ("bpf", True), ("anticanonical", False)),
-        np_expected=("AtLeast", 2 * n - 8),
-        annotations=(("h0(-K)", 0), ("h1(-K)", 1), ("h1(-K - L)", n - 3)),
-    )
-
-
-def _chi(d: DivisorClass) -> int:
-    from .lattice import euler_characteristic
-
-    return euler_characteristic(d)
-
-
-_BUILDERS: dict[str, Callable[[dict], ExampleFamily]] = {
-    "1.11": _build_1_11,
-    "1.12": _build_1_12,
-    "1.13": _build_1_13,
-    "1.14": _build_1_14,
-    "1.15": _build_1_15,
-    "1.16": _build_1_16,
-    "1.17": _build_1_17,
-    "1.18": _build_1_18,
-    "1.19": _build_1_19,
-    "1.20": _build_1_20,
-    "Obs1.4": _build_obs_1_4,
-}
-
-# default parameter sweeps covering each family's full stated range
-FAMILY_SWEEPS: dict[str, tuple[dict, ...]] = {
-    "1.11": ({},),
-    "1.12": tuple({"e": e} for e in range(0, 9)),
-    "1.13": tuple({"l": l} for l in range(2, 7)),
-    "1.14": ({},),
-    "1.15": ({},),
-    "1.16": tuple({"e": e, "n": n} for e in range(0, 3) for n in range(-1, 9)),
-    "1.17": tuple({"l": l} for l in range(0, 11)),
-    "1.18": ({},),
-    "1.19": tuple({"n": n} for n in range(-1, -20, -2)),
-    "1.20": tuple({"n": n} for n in range(-2, -21, -2)),
-    "Obs1.4": tuple({"n": n} for n in range(4, 13)),
-}
-
-FAMILY_IDS = tuple(_BUILDERS)
-
-
-def _expect_params(params: dict, spec: dict[str, tuple[int, int]]) -> dict:
-    params = dict(params or {})
-    unknown = set(params) - set(spec)
-    if unknown:
-        raise FamilyError(f"unknown parameters: {sorted(unknown)}")
-    out = {}
-    for name, (lo, hi) in spec.items():
-        if name not in params:
-            raise FamilyError(f"missing parameter {name!r}")
-        value = int(params[name])
-        if not lo <= value <= hi:
-            raise FamilyError(f"parameter {name}={value} outside [{lo}, {hi}]")
-        out[name] = value
-    return out
-
-
-def build_example(family_id: str,
-                  params: Mapping[str, int] | None = None) -> ExampleFamily:
-    """Construct one instance of a reference family."""
-    if family_id not in _BUILDERS:
-        raise FamilyError(f"unknown family id {family_id!r}")
-    return _BUILDERS[family_id](params or {})
+    annotations = (("h0(-K)", 0), ("h1(-K)", 1), ("h1(-K - L)", n - 3))
+    return S, L, claims, ("AtLeast", 2 * n - 8), annotations
 
 
 # --- ampleness certificate -------------------------------------------------
@@ -529,12 +408,6 @@ class AmpleCertificate:
             "assumptions_used": list(self.assumptions_used),
             "valid": self.valid,
         }
-
-
-def _require(ex: ExampleFamily, flag: str) -> None:
-    cfg = ex.surface.config
-    if cfg is None or not getattr(cfg, flag):
-        raise CertificateRefused(ex.id, flag)
 
 
 def _weights(ex_surface: SurfaceModel, A: DivisorClass) -> list[int]:
@@ -599,82 +472,86 @@ def _equals_c_check(S: SurfaceModel, A: DivisorClass,
     return CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)
 
 
+# points on the anticanonical curve, at most one per fiber
+_DISTINCT_ON_C = ("on_smooth_anticanonical", "distinct_fibers")
+
+
 def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
     """Closed-form sufficiency certificate that the polarization is ample.
 
-    Dispatches on the family; every check is recomputed from the instance's
-    actual intersection numbers, so perturbed polarizations get an honest
-    re-evaluation rather than a cached verdict.
+    Runs the certificate body of the family's ampleness route after checking
+    the point-configuration flags the body requires; every check is
+    recomputed from the instance's actual intersection numbers, so perturbed
+    polarizations get an honest re-evaluation rather than a cached verdict.
     """
+    route = FAMILIES[ex.id].route
+    if route is None:
+        raise CertificateRefused(ex.id, "on_smooth_anticanonical")
+    certify, requires = route
+    cfg = ex.surface.config
+    for flag in requires:
+        if cfg is None or not getattr(cfg, flag):
+            raise CertificateRefused(ex.id, flag)
+    return certify(ex)
+
+
+def _plane_certificate(ex: ExampleFamily) -> AmpleCertificate:
+    A = ex.A
+    checks = (CurveCaseCheck("ProperIntersection(1)", 0, A.coeffs[0],
+                             A.coeffs[0] >= 1),)
+    return AmpleCertificate(ex.id, A.dot(A), (), checks, ())
+
+
+def _hirzebruch_certificate(ex: ExampleFamily) -> AmpleCertificate:
     S, A = ex.surface, ex.A
-    fid = ex.id
+    c0 = A.dot(S.divisor([1, 0]))
+    f = A.dot(S.divisor([0, 1]))
+    checks = (
+        CurveCaseCheck("FiberSpecial(C0)", 0, c0, c0 >= 1),
+        CurveCaseCheck("FiberSpecial(f)", 0, f, f >= 1),
+    )
+    return AmpleCertificate(ex.id, A.dot(A), (), checks, ())
 
-    if fid == "1.11":
-        checks = [CurveCaseCheck("ProperIntersection(1)", 0, A.coeffs[0],
-                                 A.coeffs[0] >= 1)]
-        return AmpleCertificate(fid, A.dot(A), (), tuple(checks), ())
 
-    if fid == "1.12":
-        c0 = A.dot(S.divisor([1, 0]))
-        f = A.dot(S.divisor([0, 1]))
-        checks = [
-            CurveCaseCheck("FiberSpecial(C0)", 0, c0, c0 >= 1),
-            CurveCaseCheck("FiberSpecial(f)", 0, f, f >= 1),
-        ]
-        return AmpleCertificate(fid, A.dot(A), (), tuple(checks), ())
+def _p1xp1_cases(S: SurfaceModel, A: DivisorClass, weights: list[int],
+                 wmax: int, extra_load=None) -> list[CurveCaseCheck]:
+    """The cone cases on P1 x P1 and both rulings; with points in distinct
+    fibers, each ruling meets at most one point."""
+    checks = _cone_cases(S, A, wmax, corner=(1, 1), dirs=((1, 0), (0, 1)),
+                         extra_load=extra_load)
+    for (fa, fb), tag in (((1, 0), "f1"), ((0, 1), "f2")):
+        rhs = _pair(S, A, fa, fb)
+        lhs = _top_sum(weights, 1)
+        checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
+                                     rhs - lhs >= 1))
+    return checks
 
-    if fid in ("1.16", "1.17", "1.19", "1.20"):
-        _require(ex, "on_smooth_anticanonical")
-        if fid == "1.17":
-            _require(ex, "away_from_min_section")
-        else:
-            _require(ex, "distinct_fibers")
-        return _points_on_c_certificate(ex)
 
-    if fid == "1.18":
-        _require(ex, "complete_intersection_of_cubics")
-        return _elliptic_pencil_certificate(ex)
-
-    # 1.13/1.14/1.15/Obs1.4: ampleness is attested, not certified here
-    raise CertificateRefused(fid, "on_smooth_anticanonical")
+def _double_point_certificate(ex: ExampleFamily) -> AmpleCertificate:
+    """Points on C in P1 x P1, one of them carrying double weight: bound the
+    heaviest point's load by its fiber cap and everything else by the
+    second-highest weight."""
+    S, A = ex.surface, ex.A
+    weights = _weights(S, A)
+    w1, w2 = sorted(weights, reverse=True)[:2]
+    checks = _p1xp1_cases(S, A, weights, w2,
+                          extra_load=lambda a, b: (w1 - w2) * a)
+    checks.append(_equals_c_check(S, A, weights))
+    return AmpleCertificate(ex.id, A.dot(A), tuple(weights), tuple(checks),
+                            _DISTINCT_ON_C)
 
 
 def _points_on_c_certificate(ex: ExampleFamily) -> AmpleCertificate:
     S, A = ex.surface, ex.A
     e = S.e
-    l = S.l or 0
     weights = _weights(S, A)
     wmax = max(weights, default=0)
     checks: list[CurveCaseCheck] = []
     assumptions = ["on_smooth_anticanonical"]
 
-    if ex.id == "1.20":
-        # one point carries double weight: bound the heaviest point's load by
-        # its fiber cap and everything else by the second-highest weight
-        assumptions.append("distinct_fibers")
-        top = sorted(weights, reverse=True)
-        w1, w2 = top[0], top[1]
-
-        checks += _cone_cases(
-            S, A, w2, corner=(1, 1), dirs=((1, 0), (0, 1)),
-            extra_load=lambda a, b: (w1 - w2) * a)
-        for (fa, fb), tag in (((1, 0), "f1"), ((0, 1), "f2")):
-            rhs = _pair(S, A, fa, fb)
-            lhs = _top_sum(weights, 1)
-            checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
-                                         rhs - lhs >= 1))
-        checks.append(_equals_c_check(S, A, weights))
-        return AmpleCertificate(ex.id, A.dot(A), tuple(weights), tuple(checks),
-                                tuple(assumptions))
-
     if e == 0:
         assumptions.append("distinct_fibers")
-        checks += _cone_cases(S, A, wmax, corner=(1, 1), dirs=((1, 0), (0, 1)))
-        for (fa, fb), tag in (((1, 0), "f1"), ((0, 1), "f2")):
-            rhs = _pair(S, A, fa, fb)
-            lhs = _top_sum(weights, 1)
-            checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
-                                         rhs - lhs >= 1))
+        checks += _p1xp1_cases(S, A, weights, wmax)
     else:
         corner = (1, e)
         checks += _cone_cases(S, A, wmax, corner=corner, dirs=(corner, (0, 1)))
@@ -700,9 +577,8 @@ def _points_on_c_certificate(ex: ExampleFamily) -> AmpleCertificate:
         checks.append(CurveCaseCheck("FiberSpecial(f)", lhs, rhs,
                                      rhs - lhs >= 1))
     checks.append(_equals_c_check(S, A, weights))
-    # dedupe assumption order, keep stable
-    seen = tuple(dict.fromkeys(assumptions))
-    return AmpleCertificate(ex.id, A.dot(A), tuple(weights), tuple(checks), seen)
+    return AmpleCertificate(ex.id, A.dot(A), tuple(weights), tuple(checks),
+                            tuple(assumptions))
 
 
 def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
@@ -741,6 +617,101 @@ def _elliptic_pencil_certificate(ex: ExampleFamily) -> AmpleCertificate:
     )
     return AmpleCertificate(ex.id, A.dot(A), tuple(weights), checks,
                             ("complete_intersection_of_cubics",))
+
+
+# --- the family table ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table.
+
+    ``build`` takes the parameters as keywords and returns ``(surface,
+    polarization, claims, np_expected)``, plus the annotation table where the
+    family states one.  ``params`` maps each parameter to the ``range`` of
+    its allowed values; a step of 2 carries a parity.  ``route`` is the
+    ampleness route: the certificate body with the ``PointConfig`` flags it
+    requires, or None when ampleness is attested, in which case the
+    certificate and the oracle both refuse.
+    """
+
+    build: Callable[..., tuple]
+    params: Mapping[str, range]
+    route: tuple[Callable[[ExampleFamily], AmpleCertificate],
+                 tuple[str, ...]] | None
+    np_flags: tuple[tuple[str, bool], ...] = (("ample", True),
+                                              ("anticanonical", True))
+
+    def validate(self, family_id: str,
+                 params: Mapping[str, int] | None) -> dict[str, int]:
+        """The requested parameters in table order; refuses unknown, missing,
+        non-integer and out-of-domain values."""
+        params = dict(params or {})
+        unknown = set(params) - set(self.params)
+        if unknown:
+            raise FamilyError(f"unknown parameters: {sorted(unknown)}")
+        for name, allowed in self.params.items():
+            if name not in params:
+                raise FamilyError(f"missing parameter {name!r}")
+            value = params[name]
+            if type(value) is not int:
+                raise FamilyError(
+                    f"parameter {name} must be an integer, got {value!r}")
+            lo, hi = min(allowed), max(allowed)
+            if not lo <= value <= hi:
+                raise FamilyError(
+                    f"parameter {name}={value} outside [{lo}, {hi}]")
+            if value not in allowed:
+                parity = "odd" if allowed.start % 2 else "even"
+                sign = " negative" if hi < 0 else ""
+                raise FamilyError(f"{family_id} needs {parity}{sign} {name}")
+        return {name: params[name] for name in self.params}
+
+
+FAMILIES: dict[str, Family] = {
+    "1.11": Family(_build_1_11, {}, (_plane_certificate, ())),
+    "1.12": Family(_build_1_12, {"e": range(0, 9)},
+                   (_hirzebruch_certificate, ())),
+    "1.13": Family(_build_1_13, {"l": range(2, 7)}, None),
+    "1.14": Family(_build_1_14, {}, None),
+    "1.15": Family(_build_1_15, {}, None),
+    "1.16": Family(_build_1_16, {"e": range(0, 3), "n": range(-1, 9)},
+                   (_points_on_c_certificate, _DISTINCT_ON_C)),
+    "1.17": Family(_build_1_17, {"l": range(0, 11)},
+                   (_points_on_c_certificate,
+                    ("on_smooth_anticanonical", "away_from_min_section"))),
+    "1.18": Family(_build_1_18, {},
+                   (_elliptic_pencil_certificate,
+                    ("complete_intersection_of_cubics",))),
+    "1.19": Family(_build_1_19, {"n": range(-1, -20, -2)},
+                   (_points_on_c_certificate, _DISTINCT_ON_C)),
+    "1.20": Family(_build_1_20, {"n": range(-2, -21, -2)},
+                   (_double_point_certificate, _DISTINCT_ON_C)),
+    "Obs1.4": Family(_build_obs_1_4, {"n": range(4, 13)}, None,
+                     np_flags=(("ample", True), ("bpf", True),
+                               ("anticanonical", False))),
+}
+
+FAMILY_IDS = tuple(FAMILIES)
+
+# default parameter sweeps: every combination of a family's parameter ranges
+FAMILY_SWEEPS: dict[str, tuple[dict, ...]] = {
+    fid: tuple(dict(zip(family.params, values))
+               for values in itertools.product(*family.params.values()))
+    for fid, family in FAMILIES.items()
+}
+
+
+def build_example(family_id: str,
+                  params: Mapping[str, int] | None = None) -> ExampleFamily:
+    """Construct one instance of a reference family."""
+    family = FAMILIES.get(family_id)
+    if family is None:
+        raise FamilyError(f"unknown family id {family_id!r}")
+    p = family.validate(family_id, params)
+    surface, A, claims, np_expected, *annotations = family.build(**p)
+    return ExampleFamily(family_id, tuple(p.items()), surface, A,
+                         tuple(claims), family.np_flags, np_expected,
+                         *annotations)
 
 
 # --- brute-force oracle ----------------------------------------------------
@@ -910,7 +881,7 @@ def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> Or
 
 def brute_force_ample_oracle(ex: ExampleFamily, box: int | None = None) -> OracleResult:
     """Family-aware entry point for the exhaustive ampleness search."""
-    if ex.id in ("1.13", "1.14", "1.15", "Obs1.4"):
+    if FAMILIES[ex.id].route is None:
         raise OracleNotApplicable(
             f"{ex.id}: ampleness is attested for this configuration; no "
             "admissible-curve model is available")
@@ -1027,6 +998,13 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
         oracle_note = str(exc)
 
     verdict = np_classify(ex.surface, ex.A, dict(ex.np_flags))
+    report = VerifyReport(
+        family=ex.id, params=ex.params, claims=tuple(claims),
+        certificate=certificate, certificate_refused=refused,
+        oracle=oracle, oracle_note=oracle_note,
+        np_verdict=verdict, np_expected=ex.np_expected,
+        fixture_checked=check_fixture,
+    )
 
     failures = []
     where = f"{ex.id}[{ex.instance_key}]"
@@ -1034,21 +1012,16 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
         if not c.ok:
             failures.append(f"{where}: claim {c.quantity!r} expected "
                             f"{c.expected}, recomputed {c.actual}")
-    if (verdict.status, verdict.p) != ex.np_expected:
+    if not report.np_ok:
         failures.append(f"{where}: syzygy verdict ({verdict.status}, "
                         f"{verdict.p}) != expected {ex.np_expected}")
-    if certificate is not None and oracle is not None:
-        if certificate.valid != (oracle.min_value >= 1):
-            failures.append(
-                f"{where}: certificate validity {certificate.valid} disagrees "
-                f"with oracle minimum {oracle.min_value}")
-        if not certificate.valid:
-            failures.append(f"{where}: certificate failed on the unperturbed "
-                            "polarization")
-
-    ample_verdict = None
-    if certificate is not None and oracle is not None:
-        ample_verdict = certificate.valid and oracle.min_value >= 1
+    if not report.agreement_ok:
+        failures.append(
+            f"{where}: certificate validity {certificate.valid} disagrees "
+            f"with oracle minimum {oracle.min_value}")
+    if report.ample_verdict is not None and not certificate.valid:
+        failures.append(f"{where}: certificate failed on the unperturbed "
+                        "polarization")
 
     if check_fixture:
         pin = fixture_instance(ex.id, ex.instance_key)
@@ -1065,20 +1038,14 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
                 failures.append(
                     f"{where}: fixture syzygy pin {pin['np']} != verdict "
                     f"({verdict.status}, {verdict.p})")
-            if pin.get("ample") is not None and pin["ample"] != ample_verdict:
+            if pin["ample"] != report.ample_verdict:
                 failures.append(f"{where}: fixture ampleness pin "
-                                f"{pin['ample']} != {ample_verdict}")
+                                f"{pin['ample']} != {report.ample_verdict}")
             pinned_ann = pin.get("annotations", {})
             if pinned_ann != {k: v for k, v in ex.annotations}:
                 failures.append(f"{where}: annotation table drifted")
 
-    report = VerifyReport(
-        family=ex.id, params=ex.params, claims=tuple(claims),
-        certificate=certificate, certificate_refused=refused,
-        oracle=oracle, oracle_note=oracle_note,
-        np_verdict=verdict, np_expected=ex.np_expected,
-        fixture_checked=check_fixture, failures=tuple(failures),
-    )
+    report = dataclasses.replace(report, failures=tuple(failures))
     if failures and strict:
         raise VerificationError("; ".join(failures))
     return report

@@ -205,6 +205,22 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "subcommand" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("example", "verify", "1.17", "--sweep", "--param", "l=3",
+      "--param", "l=4"), "--param l given more than once"),
+    (("example", "verify", "1.12", "--param", "e=1_0"),
+     "--param e must be an integer, got '1_0'"),
+    (("example", "show", "1.12", "--param", "e=x"),
+     "--param e must be an integer, got 'x'"),
+    (("oracle", "--id", "1.17", "--param", "l=+4"),
+     "--param l must be an integer, got '+4'"),
+])
+def test_param_values_are_strict(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"npsurf: error: {message}\n"
+
+
 def test_selftest_label_lines_exist():
     # the full selftest run is exercised by the acceptance suite; here just
     # check the registry wiring

@@ -52,6 +52,9 @@ def test_build_validation():
         build_example("1.19", {"n": -21})  # range
     with pytest.raises(FamilyError):
         build_example("1.20", {"n": -3})   # parity
+    for value in (2.7, True, "3"):         # integers only, never coerced
+        with pytest.raises(FamilyError):
+            build_example("1.12", {"e": value})
 
 
 def test_instance_keys_and_parameters():
@@ -244,6 +247,13 @@ def test_verify_strictness_raises_with_the_culprit_named(monkeypatch):
     assert not report.passed and "no fixture entry" in report.failures[0]
     report = verify_example("1.11", check_fixture=False)
     assert report.passed and not report.fixture_checked
+
+
+def test_fixture_ampleness_pin_is_compared_when_null(monkeypatch):
+    pin = {**fixture_instance("1.11", "-"), "ample": None}
+    monkeypatch.setattr(families, "fixture_instance", lambda a, b: pin)
+    report = verify_example("1.11", strict=False)
+    assert report.failures == ("1.11[-]: fixture ampleness pin None != True",)
 
 
 def test_sweeps_cover_the_stated_ranges():
