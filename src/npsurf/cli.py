@@ -114,7 +114,11 @@ def _parse_params(pairs: list[str]) -> dict | None:
         if not re.fullmatch(r"-?[0-9]+", value):
             raise api.ApiError(f"--param {key} must be an integer, got "
                                f"{value!r}")
-        out[key] = int(value)
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise api.ApiError(f"--param {key} is too long to read as an "
+                               f"integer ({len(value)} characters)") from None
     return out or None
 
 
@@ -221,15 +225,15 @@ def _cmd_example(args) -> tuple[int, dict | None]:
     if args.action == "show":
         return 0, _eval("build_example", id=args.id, params=params)
 
-    if not args.sweep or params is not None:
+    if not args.sweep:
         payload = _eval("verify_example", id=args.id, params=params,
                         box=args.box, strict=False)
-        if not args.sweep:
-            return (0 if payload["verdict"]["passed"] else 1), payload
-        instances = [payload["verdict"]]
-    else:
-        instances = [report.to_json() for report in
-                     sweep_family(args.id, box=args.box, strict=False)]
+        return (0 if payload["verdict"]["passed"] else 1), payload
+    if params is not None:
+        raise api.ApiError("--sweep verifies the whole parameter range; "
+                           "drop --param or --sweep")
+    instances = [report.to_json() for report in
+                 sweep_family(args.id, box=args.box, strict=False)]
     code = 0 if all(inst["passed"] for inst in instances) else 1
     if args.json:
         return code, {"op": "example_sweep", "family": args.id,

@@ -22,14 +22,19 @@ Two independent ampleness routes are provided for certified families:
   refuses to run when the point configuration lacks a flag the route
   requires.
 * ``brute_force_ample_oracle``: exhaustive minimization of ``A.T`` over the
-  admissible irreducible-curve classes inside a search box — exceptional
-  classes, strict transforms of irreducible-capable base classes with all
-  worst-case multiplicity assignments, and the strict transform of the
-  curve carrying the blown-up points.
+  admissible irreducible-curve classes inside a search box.  ``_candidates``
+  lists them for the one model that applies: the cone of base classes
+  (bare surfaces and zero-point blow-ups); the exceptional curves, fiber and
+  section/fiber span of the cubic-pencil blow-up; or, for points on the
+  anticanonical curve C, the exceptional curves, the strict transform of
+  every base class with its worst-case point load (a per-point cap, and
+  ``C.T`` points in all), and C itself.
 
-The certificate is conservative for the oracle's model: whenever the
-certificate validates a (possibly perturbed) polarization, the oracle's
-minimum is >= 1.
+On F_e the classes (1,0) and (0,1) take their point budgets from
+``_ruling_budgets``, which the certificate reads too, so both routes share
+one curve model.  The certificate is conservative for that model: whenever
+it validates a (possibly perturbed) polarization, the oracle's minimum is
+>= 1.
 """
 
 from __future__ import annotations
@@ -206,7 +211,8 @@ def _build_1_12(e):
                   lambda S, A: canonical_class(S) + 2 * A,
                   lambda S, A: S.divisor([0, S.e])),
         Claim("oracle_min(K + 2A)", 0,
-              lambda S, A: _cone_min(S, canonical_class(S) + 2 * A, 8)[0]),
+              lambda S, A: ample_oracle(S, canonical_class(S) + 2 * A,
+                                        8).min_value),
     ]
     return S, A, claims, ("ExactMax", e + 1)
 
@@ -425,8 +431,31 @@ def _pair(S: SurfaceModel, A: DivisorClass, a: int, b: int) -> int:
     return A.dot(S.pullback([a, b]))
 
 
-def _base_anticanonical(e: int) -> tuple[int, int]:
-    return (2, e + 2)
+def _bare_base(S: SurfaceModel) -> SurfaceModel:
+    """The bare P2 or F_e that S is (or blows up)."""
+    return (SurfaceModel.projective_plane() if S.kind == KIND_P2
+            else SurfaceModel.hirzebruch(S.e))
+
+
+# the classes (1,0) and (0,1) of F_e: the two rulings of F_0, or the negative
+# section C0 and the fiber
+_RULINGS = ((1, 0), (0, 1))
+
+
+def _ruling_budgets(S: SurfaceModel) -> tuple[int, int]:
+    """How many blown-up points, counted with multiplicity, a curve in each
+    of ``_RULINGS`` can pass through.
+
+    The points lie on the anticanonical curve C, which meets a fiber or a
+    ruling twice, or once per fiber when the points lie in distinct fibers.
+    For e > 0, C meets the negative section C0 in 2 - e points, and in none
+    when the points avoid C0.
+    """
+    cfg = S.config
+    fiber = 1 if cfg.distinct_fibers else 2
+    if S.e == 0:
+        return fiber, fiber
+    return (0 if cfg.away_from_min_section else max(0, 2 - S.e)), fiber
 
 
 def _cone_cases(S: SurfaceModel, A: DivisorClass, wmax: int, corner, dirs,
@@ -439,10 +468,8 @@ def _cone_cases(S: SurfaceModel, A: DivisorClass, wmax: int, corner, dirs,
     corner plus monotonicity along the generating directions bounds the
     whole cone.
     """
-    e = S.e
-    cx, cy = _base_anticanonical(e)
-    base = SurfaceModel.hirzebruch(e)
-    C = base.divisor([cx, cy])
+    base = _bare_base(S)
+    C = -canonical_class(base)
 
     def load(a: int, b: int) -> int:
         bound = wmax * C.dot(base.divisor([a, b]))
@@ -464,11 +491,22 @@ def _cone_cases(S: SurfaceModel, A: DivisorClass, wmax: int, corner, dirs,
     return checks
 
 
+def _ruling_checks(S: SurfaceModel, A: DivisorClass, weights: list[int],
+                   tags: tuple[str, str]) -> list[CurveCaseCheck]:
+    """Each of ``_RULINGS`` against its heaviest admissible point-load."""
+    checks = []
+    for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
+        lhs, rhs = _top_sum(weights, budget), _pair(S, A, a, b)
+        checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
+                                     rhs - lhs >= 1))
+    return checks
+
+
 def _equals_c_check(S: SurfaceModel, A: DivisorClass,
                     weights: list[int]) -> CurveCaseCheck:
-    cx, cy = _base_anticanonical(S.e)
+    C = -canonical_class(_bare_base(S))
     lhs = sum(weights)
-    rhs = _pair(S, A, cx, cy)
+    rhs = _pair(S, A, *C.coeffs)
     return CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)
 
 
@@ -515,16 +553,10 @@ def _hirzebruch_certificate(ex: ExampleFamily) -> AmpleCertificate:
 
 def _p1xp1_cases(S: SurfaceModel, A: DivisorClass, weights: list[int],
                  wmax: int, extra_load=None) -> list[CurveCaseCheck]:
-    """The cone cases on P1 x P1 and both rulings; with points in distinct
-    fibers, each ruling meets at most one point."""
-    checks = _cone_cases(S, A, wmax, corner=(1, 1), dirs=((1, 0), (0, 1)),
-                         extra_load=extra_load)
-    for (fa, fb), tag in (((1, 0), "f1"), ((0, 1), "f2")):
-        rhs = _pair(S, A, fa, fb)
-        lhs = _top_sum(weights, 1)
-        checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
-                                     rhs - lhs >= 1))
-    return checks
+    """The cone cases on P1 x P1 and both rulings."""
+    return (_cone_cases(S, A, wmax, corner=(1, 1), dirs=_RULINGS,
+                        extra_load=extra_load)
+            + _ruling_checks(S, A, weights, ("f1", "f2")))
 
 
 def _double_point_certificate(ex: ExampleFamily) -> AmpleCertificate:
@@ -543,42 +575,21 @@ def _double_point_certificate(ex: ExampleFamily) -> AmpleCertificate:
 
 def _points_on_c_certificate(ex: ExampleFamily) -> AmpleCertificate:
     S, A = ex.surface, ex.A
-    e = S.e
     weights = _weights(S, A)
     wmax = max(weights, default=0)
-    checks: list[CurveCaseCheck] = []
-    assumptions = ["on_smooth_anticanonical"]
-
-    if e == 0:
-        assumptions.append("distinct_fibers")
-        checks += _p1xp1_cases(S, A, weights, wmax)
+    if S.e == 0:
+        checks = _p1xp1_cases(S, A, weights, wmax)
+        assumptions = _DISTINCT_ON_C
     else:
-        corner = (1, e)
-        checks += _cone_cases(S, A, wmax, corner=corner, dirs=(corner, (0, 1)))
-        # the negative section: points on it are capped by C.C0 (or excluded)
-        cfg = S.config
-        if cfg.away_from_min_section:
-            assumptions.append("away_from_min_section")
-            c0_budget = 0
-        else:
-            c0_budget = max(0, 2 - e)
-        lhs = _top_sum(weights, c0_budget)
-        rhs = _pair(S, A, 1, 0)
-        checks.append(CurveCaseCheck("FiberSpecial(C0)", lhs, rhs,
-                                     rhs - lhs >= 1))
-        # a fiber meets C twice, once per fiber if fibers are distinct
-        if cfg.distinct_fibers:
-            assumptions.append("distinct_fibers")
-            fiber_budget = 1
-        else:
-            fiber_budget = 2
-        lhs = _top_sum(weights, fiber_budget)
-        rhs = _pair(S, A, 0, 1)
-        checks.append(CurveCaseCheck("FiberSpecial(f)", lhs, rhs,
-                                     rhs - lhs >= 1))
+        corner = (1, S.e)
+        checks = (_cone_cases(S, A, wmax, corner=corner, dirs=(corner, (0, 1)))
+                  + _ruling_checks(S, A, weights, ("C0", "f")))
+        assumptions = ("on_smooth_anticanonical",) + tuple(
+            flag for flag in ("away_from_min_section", "distinct_fibers")
+            if getattr(S.config, flag))
     checks.append(_equals_c_check(S, A, weights))
     return AmpleCertificate(ex.id, A.dot(A), tuple(weights), tuple(checks),
-                            tuple(assumptions))
+                            assumptions)
 
 
 def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
@@ -729,8 +740,9 @@ class OracleResult:
                 "box": self.box, "candidates": self.candidates}
 
 
-def _greedy_load(weights: list[int], caps: list[int], budget: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum of sum(w_i * m_i) with 0 <= m_i <= cap_i, sum(m_i) <= budget.
+def _greedy_load(weights: list[int], cap: int,
+                 budget: int) -> tuple[int, tuple[int, ...]]:
+    """Maximum of sum(w_i * m_i) with 0 <= m_i <= cap, sum(m_i) <= budget.
 
     Greedy by descending weight (ties by index) is exact here; returns the
     maximum and its canonical assignment.
@@ -740,115 +752,81 @@ def _greedy_load(weights: list[int], caps: list[int], budget: int) -> tuple[int,
     left = budget
     total = 0
     for i in order:
-        if left <= 0:
+        if left <= 0 or weights[i] <= 0:
             break
-        if weights[i] <= 0:
-            break
-        take = min(caps[i], left)
-        if take > 0:
-            m[i] = take
-            left -= take
-            total += weights[i] * take
+        m[i] = min(cap, left)
+        left -= m[i]
+        total += weights[i] * m[i]
     return total, tuple(m)
 
 
-def _cone_min(S_base: SurfaceModel, D: DivisorClass, box: int):
-    """Minimum of D.T over the irreducible-capable classes of a bare base."""
-    cands: list[tuple[int, tuple]] = []
-    if S_base.kind == KIND_P2:
-        line = S_base.divisor([1])
-        for d in range(1, box + 1):
-            cands.append((D.dot(d * line), ("base", d)))
+def _base_classes(base: SurfaceModel, box: int):
+    """The irreducible-capable classes of a bare base inside the box, as
+    ``(coords, class)``: ``d`` lines on P2; on F_e the two ``_RULINGS``,
+    then ``(a, b)`` with ``b >= max(1, a*e)``."""
+    if base.kind == KIND_P2:
+        coords = [(d,) for d in range(1, box + 1)]
     else:
-        e = S_base.e
-        cands.append((D.dot(S_base.divisor([1, 0])), ("base", 1, 0)))
-        cands.append((D.dot(S_base.divisor([0, 1])), ("base", 0, 1)))
-        for a in range(1, box + 1):
-            for b in range(max(1, a * e), box + 1):
-                cands.append((D.dot(S_base.divisor([a, b])), ("base", a, b)))
-    value, key = min(cands)
-    return value, key, len(cands)
+        coords = list(_RULINGS) + [
+            (a, b) for a in range(1, box + 1)
+            for b in range(max(1, a * base.e), box + 1)]
+    return [(c, base.divisor(c)) for c in coords]
 
 
-def _points_candidates(S: SurfaceModel, A: DivisorClass, box: int):
-    """Candidate (value, key) pairs for a blow-up with points on the smooth
-    anticanonical curve of the base."""
-    cfg = S.config
+def _candidates(S: SurfaceModel, D: DivisorClass,
+                box: int) -> list[tuple[int, tuple]]:
+    """``(D.T, key)`` for every admissible curve class T of S in the box.
+
+    A bare surface or a zero-point blow-up has the cone of base classes.
+    The blow-up of P2 at the nine base points of a cubic pencil has the
+    exceptional curves, the fiber and the section/fiber span.  Points on
+    the anticanonical curve C give the exceptional curves, the strict
+    transform of every base class with its worst-case point load, and C.
+    """
+    base = _bare_base(S)
+    D_base = base.divisor(D.coeffs[:base.rank])
     l = S.l or 0
-    weights = _weights(S, A)
-    cands: list[tuple[int, tuple]] = []
-    for i in range(l):
-        cands.append((weights[i], ("E", i)))
-
-    if S.kind == KIND_P2:
-        c_class = (3,)
-        if box < 3:
-            raise OracleBoxError("box must reach the cubic class (>= 3)")
-        for d in range(1, box + 1):
-            caps = [max(1, d - 1)] * l
-            budget = 3 * d
-            load, m = _greedy_load(weights, caps, budget)
-            value = d * A.coeffs[0] - load
-            cands.append((value, ("D", d, 0, m)))
-        load = sum(weights)
-        value = 3 * A.coeffs[0] - load
-        cands.append((value, ("C", tuple([1] * l))))
-        return cands, weights
-
-    e = S.e
-    cx, cy = _base_anticanonical(e)
-    if box < max(2, cy):
-        raise OracleBoxError(
-            f"box must reach the anticanonical base class (>= {max(2, cy)})")
-    base = SurfaceModel.hirzebruch(e)
-    C = base.divisor([cx, cy])
-
-    def add_class(a: int, b: int, caps: list[int], budget: int) -> None:
-        budget = max(0, min(budget, sum(caps)))
-        load, m = _greedy_load(weights, caps, budget)
-        cands.append((_pair(S, A, a, b) - load, ("D", a, b, m)))
-
-    if e == 0:
-        ruling_budget = 1 if cfg.distinct_fibers else 2
-        add_class(1, 0, [1] * l, ruling_budget)
-        add_class(0, 1, [1] * l, ruling_budget)
-        for a in range(1, box + 1):
-            for b in range(1, box + 1):
-                add_class(a, b, [min(a, b)] * l, C.dot(base.divisor([a, b])))
-    else:
-        c0_budget = 0 if cfg.away_from_min_section else max(0, 2 - e)
-        add_class(1, 0, [1] * l, c0_budget)
-        fiber_budget = 1 if cfg.distinct_fibers else 2
-        add_class(0, 1, [1] * l, fiber_budget)
-        for a in range(1, box + 1):
-            for b in range(a * e, box + 1):
-                add_class(a, b, [a] * l, C.dot(base.divisor([a, b])))
-    cands.append((_pair(S, A, cx, cy) - sum(weights), ("C", tuple([1] * l))))
-    return cands, weights
-
-
-def _points_min(S: SurfaceModel, A: DivisorClass, box: int):
-    cands, _ = _points_candidates(S, A, box)
-    value, key = min(cands)
-    return value, key, len(cands)
-
-
-def _pencil_min(S: SurfaceModel, A: DivisorClass, box: int):
-    span = _fibration_span(S, A)
-    if span is None:
+    if l == 0:
+        return [(D_base.dot(T), ("base", *c))
+                for c, T in _base_classes(base, box)]
+    cfg = S.config
+    pencil = (cfg.complete_intersection_of_cubics and S.kind == KIND_P2
+              and l == 9)
+    if not (pencil or cfg.on_smooth_anticanonical):
         raise OracleNotApplicable(
-            "polarization leaves the section/fiber span; the admissible-curve "
-            "model only covers that span")
-    alpha, beta = span
-    cands: list[tuple[int, tuple]] = []
-    for i in range(9):
-        cands.append((A.dot(S.exceptional(i)), ("E", i)))
-    cands.append((A.dot(-canonical_class(S)), ("F",)))
-    for x in range(0, box + 1):
-        for y in range(1, box + 1):
-            cands.append((alpha * x + beta * y, ("T", x, y)))
-    value, key = min(cands)
-    return value, key, len(cands)
+            "no admissible-curve model for this point configuration")
+    weights = _weights(S, D)
+    cands = [(w, ("E", i)) for i, w in enumerate(weights)]
+
+    if pencil:
+        span = _fibration_span(S, D)
+        if span is None:
+            raise OracleNotApplicable(
+                "polarization leaves the section/fiber span; the "
+                "admissible-curve model only covers that span")
+        alpha, beta = span
+        cands.append((D.dot(-canonical_class(S)), ("F",)))
+        cands += [(alpha * x + beta * y, ("T", x, y))
+                  for x in range(box + 1) for y in range(1, box + 1)]
+        return cands
+
+    C = -canonical_class(base)
+    reach = max(C.coeffs)
+    if box < reach:
+        name = "cubic" if S.kind == KIND_P2 else "anticanonical base"
+        raise OracleBoxError(f"box must reach the {name} class (>= {reach})")
+    plane = S.kind == KIND_P2
+    pad = (0,) if plane else ()       # plane keys read ("D", d, 0, m)
+    rulings = {} if plane else dict(zip(_RULINGS, _ruling_budgets(S)))
+    for c, T in _base_classes(base, box):
+        # a curve of class T has multiplicity at most ``cap`` at a point and
+        # passes through at most C.T points of C, counted with multiplicity
+        cap = max(1, c[0] - 1) if plane else max(1, min(c))
+        budget = rulings[c] if c in rulings else C.dot(T)
+        load, m = _greedy_load(weights, cap, budget)
+        cands.append((D_base.dot(T) - load, ("D", *c, *pad, m)))
+    cands.append((D_base.dot(C) - sum(weights), ("C", (1,) * l)))
+    return cands
 
 
 def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> OracleResult:
@@ -860,23 +838,9 @@ def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> Or
     box = default_box() if box is None else box
     if box < 1:
         raise OracleBoxError(f"box must be >= 1, got {box}")
-    if not S.is_blow_up:
-        value, key, count = _cone_min(S, D, box)
-        return OracleResult(value, key, box, count)
-    cfg = S.config
-    if (S.l or 0) == 0:
-        base = (SurfaceModel.projective_plane() if S.kind == KIND_P2
-                else SurfaceModel.hirzebruch(S.e))
-        value, key, count = _cone_min(base, base.divisor(D.coeffs[:base.rank]), box)
-        return OracleResult(value, key, box, count)
-    if cfg.complete_intersection_of_cubics and S.kind == KIND_P2 and S.l == 9:
-        value, key, count = _pencil_min(S, D, box)
-        return OracleResult(value, key, box, count)
-    if cfg.on_smooth_anticanonical:
-        value, key, count = _points_min(S, D, box)
-        return OracleResult(value, key, box, count)
-    raise OracleNotApplicable(
-        "no admissible-curve model for this point configuration")
+    cands = _candidates(S, D, box)
+    value, key = min(cands)
+    return OracleResult(value, key, box, len(cands))
 
 
 def brute_force_ample_oracle(ex: ExampleFamily, box: int | None = None) -> OracleResult:

@@ -649,13 +649,13 @@ def check_oracle_determinism() -> tuple[bool, str]:
     """The oracle's (minimum, argmin) must not depend on enumeration order."""
     failures: list[str] = []
     rng = random.Random(_SEED + 1)
-    probes = [("1.16", {"e": 1, "n": 2}), ("1.17", {"l": 7}),
+    probes = [("1.12", {"e": 1}), ("1.18", {}),
+              ("1.16", {"e": 1, "n": 2}), ("1.17", {"l": 7}),
               ("1.19", {"n": -5}), ("1.20", {"n": -8})]
     for fid, params in probes:
         ex = build_example(fid, params)
         res = brute_force_ample_oracle(ex)
-        cands, _ = families._points_candidates(ex.surface, ex.A,
-                                               families.default_box())
+        cands = families._candidates(ex.surface, ex.A, families.default_box())
         for _ in range(5):
             shuffled = list(cands)
             rng.shuffle(shuffled)

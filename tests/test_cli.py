@@ -214,6 +214,10 @@ def test_usage_errors_exit_two(capsys):
      "--param e must be an integer, got 'x'"),
     (("oracle", "--id", "1.17", "--param", "l=+4"),
      "--param l must be an integer, got '+4'"),
+    (("example", "verify", "1.17", "--sweep", "--param", "l=3"),
+     "--sweep verifies the whole parameter range; drop --param or --sweep"),
+    (("example", "verify", "1.12", "--param", "e=" + "1" * 4400),
+     "--param e is too long to read as an integer (4400 characters)"),
 ])
 def test_param_values_are_strict(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -142,6 +142,55 @@ def test_oracle_box_must_reach_the_anticanonical_class():
     assert ample_oracle(S, A, box=6).min_value >= 1
 
 
+def _polarized(fid, params):
+    ex = build_example(fid, params)
+    return ex.surface, ex.A
+
+
+def _on_cubic(coeffs):
+    """P2 blown up at len(coeffs) - 1 points of a smooth cubic, with a class."""
+    S = blow_up(SurfaceModel.projective_plane(), len(coeffs) - 1,
+                PointConfig(on_smooth_anticanonical=True))
+    return S, S.divisor(coeffs)
+
+
+@pytest.mark.parametrize("S,A,box,pin", [
+    # bare P2 and bare F_1: the cone of base classes
+    (*_polarized("1.11", {}), 12, (1, ("base", 1), 12)),
+    (*_polarized("1.12", {"e": 1}), 12, (1, ("base", 0, 1), 80)),
+    # a blow-up at zero points scans its base's cone
+    (*_polarized("1.17", {"l": 0}), 12, (1, ("base", 1, 0), 80)),
+    # the elliptic pencil
+    (*_polarized("1.18", {}), 12, (1, ("E", 8), 166)),
+    # points on the cubic of P2
+    (*_on_cubic([4, -1, -1]), 6, (1, ("E", 0), 9)),
+    (*_on_cubic([3, -1, -1]), 6, (1, ("D", 1, 0, (1, 1)), 9)),
+    # not ample: the minimum sits where the multiplicity cap d - 1 binds
+    (*_on_cubic([2, -1, -1, -1]), 6, (-3, ("D", 6, 0, (5, 5, 5)), 10)),
+    # points on the anticanonical curve of F_0, and of F_1 with the points
+    # free to lie on the negative section or kept away from it
+    (*_polarized("1.19", {"n": -5}), 12, (1, ("C", (1,) * 13), 160)),
+    (*_polarized("1.16", {"e": 1, "n": 2}), 12,
+     (1, ("D", 0, 1, (1, 0, 0, 0, 0, 0)), 87)),
+    (*_polarized("1.17", {"l": 4}), 12, (1, ("D", 0, 1, (1, 1, 0, 0)), 85)),
+], ids=["P2", "F1", "F1-zero-points", "pencil", "P2-cubic-E", "P2-cubic-D",
+        "P2-cubic-cap", "F0-points", "F1-points", "F1-points-away"])
+def test_oracle_pins_every_model(S, A, box, pin):
+    res = ample_oracle(S, A, box)
+    assert (res.min_value, res.argmin, res.candidates) == pin
+
+
+def test_oracle_box_error_messages():
+    ex = build_example("1.16", {"e": 2, "n": 0})
+    with pytest.raises(OracleBoxError,
+                       match=r"^box must reach the anticanonical base class "
+                             r"\(>= 4\)$"):
+        brute_force_ample_oracle(ex, box=3)
+    with pytest.raises(OracleBoxError,
+                       match=r"^box must reach the cubic class \(>= 3\)$"):
+        ample_oracle(*_on_cubic([4, -1, -1]), box=2)
+
+
 def test_oracle_box_environment_override(monkeypatch):
     monkeypatch.setenv("NP_ORACLE_BOX", "17")
     assert default_box() == 17
