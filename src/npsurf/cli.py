@@ -83,13 +83,10 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"  tag: {tag}")
 
 
-def _augment_query(payload: dict, p_arg) -> dict:
+def _augment_query(payload: dict, p: int | None) -> dict:
     """Resolve an explicit ``--p LEVEL`` query against the verdict."""
-    if p_arg is None or p_arg == "auto":
+    if p is None:
         return payload
-    p = int(p_arg)
-    if p < 0:
-        raise api.ApiError("--p must be >= 0 or 'auto'")
     v = payload["verdict"]
     status, level = v.get("status"), v.get("p")
     if status == "ExactMax":
@@ -103,6 +100,17 @@ def _augment_query(payload: dict, p_arg) -> dict:
     return {**payload, "query": {"p": p, "holds": holds}}
 
 
+def _read_int(name: str, value: str) -> int:
+    """Read a plain decimal integer (``-?[0-9]+``) given for option ``name``."""
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise api.ApiError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise api.ApiError(f"{name} is too long to read as an integer "
+                           f"({len(value)} characters)") from None
+
+
 def _parse_params(pairs: list[str]) -> dict | None:
     out = {}
     for item in pairs:
@@ -111,14 +119,7 @@ def _parse_params(pairs: list[str]) -> dict | None:
             raise api.ApiError(f"--param expects K=V, got {item!r}")
         if key in out:
             raise api.ApiError(f"--param {key} given more than once")
-        if not re.fullmatch(r"-?[0-9]+", value):
-            raise api.ApiError(f"--param {key} must be an integer, got "
-                               f"{value!r}")
-        try:
-            out[key] = int(value)
-        except ValueError:
-            raise api.ApiError(f"--param {key} is too long to read as an "
-                               f"integer ({len(value)} characters)") from None
+        out[key] = _read_int(f"--param {key}", value)
     return out or None
 
 
@@ -142,6 +143,9 @@ def _eval(op: str, **args) -> dict:
 
 
 def _cmd_classify(args) -> tuple[int, dict]:
+    p = None if args.p == "auto" else _read_int("--p", args.p)
+    if p is not None and p < 0:
+        raise api.ApiError("--p must be >= 0 or 'auto'")
     if args.curve_genus is not None or args.curve_degree is not None:
         if args.curve_genus is None or args.curve_degree is None:
             raise api.ApiError(
@@ -149,7 +153,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
                 "--curve-degree")
         payload = _eval("curve_np_reference", genus=args.curve_genus,
                         degree=args.curve_degree)
-        return 0, _augment_query(payload, args.p)
+        return 0, _augment_query(payload, p)
 
     cli_flags = {name: True for name in ("ample", "bpf", "anticanonical",
                                          "nef") if getattr(args, name)}
@@ -163,11 +167,11 @@ def _cmd_classify(args) -> tuple[int, dict]:
         payload = _eval("np_classify", divisor=divisor, flags={
             k: v for k, v in flags.items()
             if k in ("ample", "bpf", "anticanonical")})
-        return 0, _augment_query(payload, args.p)
+        return 0, _augment_query(payload, p)
 
     if args.t is not None:
         payload = _eval("np_classify", t=args.t, flags=cli_flags)
-        return 0, _augment_query(payload, args.p)
+        return 0, _augment_query(payload, p)
 
     raise api.ApiError("nothing to classify: give --surface FILE, --t, or "
                        "--curve-genus/--curve-degree")

@@ -116,6 +116,16 @@ def _require_flags(flags, allowed: frozenset[str]) -> dict[str, bool]:
     return {k: bool(v) for k, v in flags.items()}
 
 
+def _check_ksq(ksq: int) -> None:
+    if ksq > 9:
+        raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
+
+
+def _check_p(p: int) -> None:
+    if p < 0:
+        raise CriteriaError("p must be >= 0")
+
+
 def _check_e(ksq: int, e: int | None) -> None:
     """``e`` is the invariant of a minimal Hirzebruch surface F_e."""
     if e is None:
@@ -239,10 +249,12 @@ class VAVerdict:
                 "justification": self.justification}
 
 
+_SUMMAND_TAGS = frozenset({"minus_k", "minus_2k", "minus_3k", "other"})
+
+
 def _summand_tags(summands) -> tuple[str, ...]:
-    allowed = {"minus_k", "minus_2k", "minus_3k", "other"}
     tags = tuple(summands)
-    unknown = set(tags) - allowed
+    unknown = set(tags) - _SUMMAND_TAGS
     if unknown:
         raise CriteriaError(f"unknown summand tags: {sorted(unknown)}")
     return tags
@@ -257,8 +269,7 @@ def adjoint_very_ample(ksq: int, summands: Sequence[str]) -> VAVerdict:
     K^2; the two listed exception shapes return ``ExceptionListed`` and
     anything below threshold returns ``NotGuaranteed``.
     """
-    if ksq > 9:
-        raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
+    _check_ksq(ksq)
     tags = _summand_tags(summands)
     n = len(tags)
     if n < 1:
@@ -341,9 +352,8 @@ def min_kA_bound(ksq: int, summand: str = "other", e: int | None = None,
     maps onto a pencil of conics.  For minimal Hirzebruch input pass
     ``ksq = 8`` with ``e`` set; ``e = None`` means the blown-up K^2 = 8 case.
     """
-    if ksq > 9:
-        raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
-    if summand not in ("minus_k", "minus_2k", "minus_3k", "other"):
+    _check_ksq(ksq)
+    if summand not in _SUMMAND_TAGS:
         raise CriteriaError(f"unknown summand tag {summand!r}")
     _check_e(ksq, e)
     if ksq == 9:
@@ -401,10 +411,8 @@ def adjoint_np_min_n(ksq: int, p: int, e: int | None = None,
     exclusions can only lower the answer; an exclusion set that does not
     match a stronger table row falls back to the unconditional row.
     """
-    if p < 0:
-        raise CriteriaError("p must be >= 0")
-    if ksq > 9:
-        raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
+    _check_p(p)
+    _check_ksq(ksq)
     exclude = frozenset(exclude)
     unknown = exclude - _EXCLUDE_TAGS
     if unknown:
@@ -450,8 +458,7 @@ def reider_np(ksq: int, Lsq: int, p: int, minus_k_dot_L: int | None = None,
     is not a multiple of -K with K^2 = 1.  For K^2 <= 0 only the degree
     gate -K.L >= p + 3 applies; the quadratic gates are unsound there.
     """
-    if p < 0:
-        raise CriteriaError("p must be >= 0")
+    _check_p(p)
     if not (cond1_attested or adjoint_very_ample):
         raise CriteriaError(
             "entry hypothesis missing: attest cond1 (L.C >= 3 on every curve "
@@ -573,14 +580,12 @@ def ampleness_termination(ksq: int, p: int, e: int | None = None,
     sharpens it.  K^2 = 0 admits no such threshold and is an error, as is
     K^2 = 8 without the Hirzebruch invariant ``e``.
     """
-    if p < 0:
-        raise CriteriaError("p must be >= 0")
+    _check_p(p)
     if not np_sharp_attested:
         raise CriteriaError(
             "needs the sharp syzygy level attested (N_p holds, N_{p+1} fails)"
         )
-    if ksq > 9:
-        raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
+    _check_ksq(ksq)
     if ksq == 0:
         raise CriteriaError("K^2 = 0 supports no termination threshold "
                             "(K is a fiber class there)")
@@ -648,8 +653,7 @@ def thm_121_equivalence(ksq: int, summand: str = "other",
     """
     if ksq < 2:
         raise CriteriaError("needs K^2 >= 2")
-    if ksq > 9:
-        raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
+    _check_ksq(ksq)
     if summand not in ("minus_k", "other"):
         raise CriteriaError(f"unknown summand tag {summand!r}")
     _check_e(ksq, e)

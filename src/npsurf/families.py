@@ -13,7 +13,8 @@ claims (intersection numbers, adjoint identities) fixed by closed formulas in
 the family parameters.  ``verify_example`` recomputes every claim from the
 lattice, runs the ampleness certificate and the brute-force oracle, classifies
 the syzygy level, and compares everything against the frozen fixture table
-shipped in ``data/examples.json``.
+shipped in ``data/examples.json``; a ``null`` ampleness pin holds only where
+both the certificate and the oracle refuse.
 
 Two independent ampleness routes are provided for certified families:
 
@@ -171,14 +172,6 @@ def _residual(name: str, lhs, rhs) -> Claim:
         return max((abs(c) for c in delta.coeffs), default=0)
 
     return Claim(name, 0, compute)
-
-
-def _K(S: SurfaceModel, A: DivisorClass) -> DivisorClass:
-    return canonical_class(S)
-
-
-def _A(S: SurfaceModel, A: DivisorClass) -> DivisorClass:
-    return A
 
 
 def _claims_common(ksq: int, a2: int, deg: int) -> list[Claim]:
@@ -1005,6 +998,11 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
             if pin["ample"] != report.ample_verdict:
                 failures.append(f"{where}: fixture ampleness pin "
                                 f"{pin['ample']} != {report.ample_verdict}")
+            elif pin["ample"] is None:
+                if refused is None:
+                    failures.append(f"{where}: expected certificate refusal")
+                if oracle_note is None:
+                    failures.append(f"{where}: expected oracle abstention")
             pinned_ann = pin.get("annotations", {})
             if pinned_ann != {k: v for k, v in ex.annotations}:
                 failures.append(f"{where}: annotation table drifted")

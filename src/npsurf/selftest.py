@@ -1,9 +1,15 @@
 """Hermetic self-checks covering the package's verification contract.
 
-Each check is a pure function returning (passed, detail); ``run_all`` wraps
-them with timing.  The same functions back the acceptance test suite and the
-``selftest`` CLI subcommand.  Everything is deterministic: fixed seeds, no
-network, no files outside the installed package data.
+Each check is a pure function of no arguments returning (passed, detail);
+``run_all`` wraps them with timing.  The same functions back the acceptance
+test suite and the ``selftest`` CLI subcommand.  A check collects its failure
+messages in one ``_Failures`` list: ``expect`` records a message when a
+condition is false, ``refuses`` when a call that must raise returns instead,
+and ``result`` reports the first five messages, or the detail string when
+there are none.  Everything is deterministic: fixed seeds, fixed sizes
+(``_PAIRS_PER_FAMILY`` sampled pairs per family, ``_MIN_DETECTION_RATE`` for
+the perturbation suite, the default oracle box for the sweeps), no network,
+no files outside the installed package data.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .families import (
 )
 
 _SEED = 20230823
+_PAIRS_PER_FAMILY = 10_000
+_MIN_DETECTION_RATE = 0.9
 
 
 @dataclass(frozen=True)
@@ -47,41 +55,43 @@ class CheckResult:
     seconds: float
 
 
+class _Failures(list):
+    """The failure messages of one check."""
+
+    def expect(self, cond: bool, msg: str) -> None:
+        if not cond:
+            self.append(msg)
+
+    def refuses(self, call, exc: type[Exception], msg: str) -> None:
+        """Record ``msg`` unless ``call()`` raises ``exc``."""
+        try:
+            call()
+        except exc:
+            return
+        self.append(msg)
+
+    def result(self, detail: str, limit: int | None = 5) -> tuple[bool, str]:
+        if self:
+            return False, "; ".join(self[:limit])
+        return True, detail
+
+
 # --- 1: family sweeps ------------------------------------------------------
 
 
-def check_family_sweeps(box: int | None = None) -> tuple[bool, str]:
+def check_family_sweeps() -> tuple[bool, str]:
     """Re-verify every instance of every reference family, including the
-    certificate/oracle agreement and the frozen fixture pins.  Each
-    instance's ampleness route is read from its fixture pin: ``true`` needs
-    a valid certificate and a positive oracle minimum, ``null`` a refused
-    certificate and an abstaining oracle."""
-    failures: list[str] = []
+    certificate/oracle agreement, the ampleness route and the frozen fixture
+    pins, all of which ``verify_example`` compares."""
+    failures = _Failures()
     instances = 0
     for fid in FAMILY_IDS:
         try:
-            reports = sweep_family(fid, box=box, strict=True)
+            instances += len(sweep_family(fid, strict=True))
         except families.VerificationError as exc:
             failures.append(str(exc))
-            continue
-        instances += len(reports)
-        for rep in reports:
-            key = f"{fid}[{dict(rep.params)}]"
-            instance = ",".join(f"{k}={v}" for k, v in rep.params) or "-"
-            if families.fixture_instance(fid, instance)["ample"]:
-                if rep.certificate is None or not rep.certificate.valid:
-                    failures.append(f"{key}: expected a valid certificate")
-                if rep.oracle is None or rep.oracle.min_value < 1:
-                    failures.append(f"{key}: expected oracle minimum >= 1")
-            else:
-                if rep.certificate_refused is None:
-                    failures.append(f"{key}: expected certificate refusal")
-                if rep.oracle_note is None:
-                    failures.append(f"{key}: expected oracle abstention")
-    detail = f"{instances} instances across {len(FAMILY_IDS)} families"
-    if failures:
-        return False, "; ".join(failures[:5])
-    return True, detail
+    return failures.result(
+        f"{instances} instances across {len(FAMILY_IDS)} families")
 
 
 # --- 2: minimal summand-count table ---------------------------------------
@@ -134,7 +144,7 @@ def reconstructed_min_n(ksq: int, p: int, e: int | None = None,
 def check_min_n_table() -> tuple[bool, str]:
     """The closed-form minimal-summand table must equal its reconstruction
     on every regime, and behave monotonically."""
-    failures: list[str] = []
+    failures = _Failures()
     compared = 0
     for ksq in range(-5, 10):
         regimes: list[tuple[int | None, frozenset]] = [(None, frozenset())]
@@ -165,17 +175,11 @@ def check_min_n_table() -> tuple[bool, str]:
         # exclusions may only help
         if 2 <= ksq <= 7:
             for p in range(0, 41):
-                plain = adjoint_np_min_n(ksq, p).n
-                strong = adjoint_np_min_n(
-                    ksq, p, exclude=frozenset(
-                        {"minus_k", "conic_fibration"}
-                        | ({"minus_2k"} if ksq == 2 else set()))).n
-                if strong > plain:
+                if (adjoint_np_min_n(ksq, p, exclude=five).n
+                        > adjoint_np_min_n(ksq, p).n):
                     failures.append(f"ksq={ksq} p={p}: exclusions raised the "
                                     "summand count")
-    if failures:
-        return False, "; ".join(failures[:5])
-    return True, f"{compared} (ksq, p, regime) cells agree"
+    return failures.result(f"{compared} (ksq, p, regime) cells agree")
 
 
 # --- 3: degree-bound inequality chain --------------------------------------
@@ -184,7 +188,7 @@ def check_min_n_table() -> tuple[bool, str]:
 def check_degree_chain() -> tuple[bool, str]:
     """The quadratic-to-degree bound and its proof inequalities over the
     full integer grid, with the exact equality locus."""
-    failures: list[str] = []
+    failures = _Failures()
     cells = 0
     for ksq in range(1, 9):
         p_lo = 2 if ksq == 8 else 1
@@ -214,15 +218,9 @@ def check_degree_chain() -> tuple[bool, str]:
         lambda: lemma_125_bound(3, 100, 1),
         lambda: lemma_125_bound(9, 100, 1, adjoint_effective=True),
     ):
-        try:
-            bad_call()
-        except CriteriaError:
-            pass
-        else:
-            failures.append("an out-of-scope degree-bound call was accepted")
-    if failures:
-        return False, "; ".join(failures[:5])
-    return True, f"{cells} grid cells verified"
+        failures.refuses(bad_call, CriteriaError,
+                         "an out-of-scope degree-bound call was accepted")
+    return failures.result(f"{cells} grid cells verified")
 
 
 # --- 4: sharpness boundaries ----------------------------------------------
@@ -236,11 +234,8 @@ def _fe_ample(e: int, a: int, b: int) -> bool:
 def check_sharpness() -> tuple[bool, str]:
     """Equality-adjacent fixtures: each criterion fires exactly at its
     stated boundary and is silent or reversed one step past it."""
-    failures: list[str] = []
-
-    def expect(cond: bool, msg: str) -> None:
-        if not cond:
-            failures.append(msg)
+    failures = _Failures()
+    expect = failures.expect
 
     # ampleness/very-ampleness/N_p equivalences, lowest interesting degree
     rep = thm_121_equivalence(3)
@@ -253,11 +248,8 @@ def check_sharpness() -> tuple[bool, str]:
            "degree-2 rider off")
     expect(thm_121_equivalence(2, summand="minus_k").np_iff_ample is None,
            "degree-2 anticanonical bundle should be excluded")
-    try:
-        thm_121_equivalence(1)
-        failures.append("degree-1 equivalence should be out of scope")
-    except CriteriaError:
-        pass
+    failures.refuses(lambda: thm_121_equivalence(1), CriteriaError,
+                     "degree-1 equivalence should be out of scope")
 
     # quadratic gates: exact thresholds
     for p in range(0, 11):
@@ -282,11 +274,9 @@ def check_sharpness() -> tuple[bool, str]:
     expect(not trap, "quadratic gate leaked into the nonpositive range")
     expect(bool(reider_np(0, 27, 0, minus_k_dot_L=3, cond1_attested=True)),
            "degree gate failed at its boundary")
-    try:
-        reider_np(0, 27, 2, cond1_attested=True)
-        failures.append("nonpositive range accepted without the degree datum")
-    except CriteriaError:
-        pass
+    failures.refuses(lambda: reider_np(0, 27, 2, cond1_attested=True),
+                     CriteriaError,
+                     "nonpositive range accepted without the degree datum")
 
     # termination thresholds, equality-adjacent on both sides
     for d in range(1, 13):
@@ -332,16 +322,11 @@ def check_sharpness() -> tuple[bool, str]:
            "negative-range threshold off at p=1")
     thr = ampleness_termination(-2, 2, np_sharp_attested=True)
     expect(thr.m_max == -3, "negative-range integral boundary off")
-    try:
-        ampleness_termination(0, 3, np_sharp_attested=True)
-        failures.append("fiber-class regime accepted a threshold")
-    except CriteriaError:
-        pass
-    try:
-        ampleness_termination(9, 3)
-        failures.append("threshold issued without the sharpness attestation")
-    except CriteriaError:
-        pass
+    failures.refuses(
+        lambda: ampleness_termination(0, 3, np_sharp_attested=True),
+        CriteriaError, "fiber-class regime accepted a threshold")
+    failures.refuses(lambda: ampleness_termination(9, 3), CriteriaError,
+                     "threshold issued without the sharpness attestation")
 
     # the curve reference cases pin the surface criterion's shape
     v = curve_np_reference(1, 3)
@@ -353,20 +338,15 @@ def check_sharpness() -> tuple[bool, str]:
     expect(curve_np_reference(3, 6).status == "NotApplicable",
            "curve bound fired below threshold")
 
-    if failures:
-        return False, "; ".join(failures[:5])
-    return True, "all boundary fixtures equality-adjacent"
+    return failures.result("all boundary fixtures equality-adjacent")
 
 
 # --- 5: fano criteria ------------------------------------------------------
 
 
 def check_fano() -> tuple[bool, str]:
-    failures: list[str] = []
-
-    def expect(cond: bool, msg: str) -> None:
-        if not cond:
-            failures.append(msg)
+    failures = _Failures()
+    expect = failures.expect
 
     # pinned twists of projective space; the first is recomputed
     expect(fano.projective_space_twist_max_np(3, 2).p == 5, "P3 O(2) pin off")
@@ -375,11 +355,8 @@ def check_fano() -> tuple[bool, str]:
     v = fano.primitive_np(fano.FanoInput(n=3, m=2, Hn=8))
     expect((v.status, v.p) == ("ExactMax", 5),
            "primitive classification disagrees with the degree-8 pin")
-    try:
-        fano.projective_space_twist_max_np(5, 2)
-        failures.append("unpinned lookup did not error")
-    except fano.FanoError:
-        pass
+    failures.refuses(lambda: fano.projective_space_twist_max_np(5, 2),
+                     fano.FanoError, "unpinned lookup did not error")
 
     # induction base: dimension-2 case must match the surface classifier
     for d in range(1, 10):
@@ -395,11 +372,9 @@ def check_fano() -> tuple[bool, str]:
         "plane line-bundle special case failed")
     expect(not fano.multiples_np_surface({"minusK_dot_B": 3}, 5, 1),
            "surface multiples fired without its degree hypothesis")
-    try:
-        fano.multiples_np_surface({"minusK_dot_B": 4}, 1, 0)
-        failures.append("surface multiples accepted p = 0")
-    except fano.FanoError:
-        pass
+    failures.refuses(
+        lambda: fano.multiples_np_surface({"minusK_dot_B": 4}, 1, 0),
+        fano.FanoError, "surface multiples accepted p = 0")
 
     expect(bool(fano.multiples_np_fano(fano.FanoInput(4, 3, 4), 3, 3)),
            "fano multiples gate failed")
@@ -407,11 +382,9 @@ def check_fano() -> tuple[bool, str]:
            "fano multiples fired at degree 3 with index n-1")
     expect(bool(fano.multiples_np_fano(fano.FanoInput(3, 3, 1), 2, 2)),
            "index above n-1 should not need the degree gate")
-    try:
-        fano.multiples_np_fano(fano.FanoInput(4, 2, 5), 3, 3)
-        failures.append("fano multiples accepted index below n-1")
-    except fano.FanoError:
-        pass
+    failures.refuses(
+        lambda: fano.multiples_np_fano(fano.FanoInput(4, 2, 5), 3, 3),
+        fano.FanoError, "fano multiples accepted index below n-1")
 
     f43 = fano.FanoInput(n=6, m=3, Hn=2)
     expect(fano.index_nm3_n0(f43, 4).status == "N0", "k=4 case off")
@@ -430,11 +403,9 @@ def check_fano() -> tuple[bool, str]:
         n=6, m=3, Hn=2, morphism=fano.MORPHISM_NEITHER), 2
     ).status == "N0", "k=2 generic-morphism case off")
     expect(fano.index_nm3_n0(f43, 1).status == "Silent", "k=1 not silent")
-    try:
-        fano.index_nm3_n0(fano.FanoInput(n=6, m=5, Hn=2), 4)
-        failures.append("index n-3 op accepted the wrong index")
-    except fano.FanoError:
-        pass
+    failures.refuses(
+        lambda: fano.index_nm3_n0(fano.FanoInput(n=6, m=5, Hn=2), 4),
+        fano.FanoError, "index n-3 op accepted the wrong index")
 
     expect(bool(fano.index_nm3_np(fano.FanoInput(4, 1, 2, h0H=6), 3, 1)),
            "index n-3 syzygy gate failed")
@@ -442,45 +413,35 @@ def check_fano() -> tuple[bool, str]:
            "section-count gate leaked")
     expect(not fano.index_nm3_np(fano.FanoInput(4, 1, 2, h0H=6), 2, 1),
            "twist gate leaked")
-    try:
-        fano.index_nm3_np(fano.FanoInput(4, 1, 2), 3, 1)
-        failures.append("missing section count did not error")
-    except fano.FanoError:
-        pass
+    failures.refuses(lambda: fano.index_nm3_np(fano.FanoInput(4, 1, 2), 3, 1),
+                     fano.FanoError, "missing section count did not error")
 
     # monotonicity in each numeric argument
     for p in range(1, 6):
         prev = False
         for l in range(0, 10):
             cur = bool(fano.multiples_np_fano(fano.FanoInput(4, 3, 4), l, p))
-            if prev and not cur:
-                failures.append(f"multiples not monotone in l at p={p}")
+            expect(cur or not prev, f"multiples not monotone in l at p={p}")
             prev = cur
         prev = False
         for k in range(1, 10):
             cur = bool(fano.index_nm3_np(fano.FanoInput(4, 1, 2, h0H=6), k, p))
-            if prev and not cur:
-                failures.append(f"twist criterion not monotone at p={p}")
+            expect(cur or not prev, f"twist criterion not monotone at p={p}")
             prev = cur
     order = {"Silent": 0, "ConditionalN0": 1, "N0": 2}
     prev_rank = -1
     for k in range(1, 7):
-        status = fano.index_nm3_n0(f43, k).status
-        rank = order.get(status, 0)
-        if rank < prev_rank:
-            failures.append(f"normality decision regressed at k={k}")
+        rank = order.get(fano.index_nm3_n0(f43, k).status, 0)
+        expect(rank >= prev_rank, f"normality decision regressed at k={k}")
         prev_rank = rank
 
-    try:
-        fano.FanoInput(n=4, m=3, Hn=2, h0H=4,
-                       morphism=fano.MORPHISM_TWO_TO_ONE_ONTO_PN)
-        failures.append("inconsistent section count accepted")
-    except fano.FanoError:
-        pass
+    failures.refuses(
+        lambda: fano.FanoInput(n=4, m=3, Hn=2, h0H=4,
+                               morphism=fano.MORPHISM_TWO_TO_ONE_ONTO_PN),
+        fano.FanoError, "inconsistent section count accepted")
 
-    if failures:
-        return False, "; ".join(failures[:5])
-    return True, "pins, induction base, gates, and monotonicity verified"
+    return failures.result(
+        "pins, induction base, gates, and monotonicity verified")
 
 
 # --- 6: algebraic property suites ------------------------------------------
@@ -494,11 +455,8 @@ def _slow_dot(d1: lattice.DivisorClass, d2: lattice.DivisorClass) -> int:
 
 
 def _family_surfaces() -> list[tuple[str, lattice.SurfaceModel]]:
-    out = []
-    for fid in FAMILY_IDS:
-        params = FAMILY_SWEEPS[fid][-1]
-        out.append((fid, build_example(fid, params).surface))
-    return out
+    return [(fid, build_example(fid, FAMILY_SWEEPS[fid][-1]).surface)
+            for fid in FAMILY_IDS]
 
 
 def _random_positive(S: lattice.SurfaceModel, rng: random.Random):
@@ -516,9 +474,9 @@ def _random_positive(S: lattice.SurfaceModel, rng: random.Random):
     return S.divisor([a, b, *ms])
 
 
-def check_properties(pairs_per_family: int = 10_000) -> tuple[bool, str]:
+def check_properties() -> tuple[bool, str]:
     """Randomized algebraic invariants, exact on every sampled pair."""
-    failures: list[str] = []
+    failures = _Failures()
     rng = random.Random(_SEED)
 
     for fid, S in _family_surfaces():
@@ -526,7 +484,7 @@ def check_properties(pairs_per_family: int = 10_000) -> tuple[bool, str]:
         if sig != (1, S.rank - 1, 0):
             failures.append(f"{fid}: signature {sig}")
             continue
-        for i in range(pairs_per_family):
+        for i in range(_PAIRS_PER_FAMILY):
             d1 = _random_positive(S, rng)
             a2 = d1.dot(d1)
             if a2 <= 0:
@@ -564,35 +522,26 @@ def check_properties(pairs_per_family: int = 10_000) -> tuple[bool, str]:
         d = S.divisor(list(range(1, S.rank + 1)))
         if lattice.DivisorClass.from_json(d.to_json()) != d:
             failures.append(f"{fid}: divisor JSON round-trip broke")
-    try:
-        lattice.SurfaceModel.from_json({"kind": "P2", "extra": 1})
-        failures.append("unknown surface key accepted")
-    except lattice.LatticeError:
-        pass
+    failures.refuses(
+        lambda: lattice.SurfaceModel.from_json({"kind": "P2", "extra": 1}),
+        lattice.LatticeError, "unknown surface key accepted")
 
     # verdict-shape invariants
-    try:
-        NpVerdict("ExactMax", p=1, justification="x")
-        failures.append("exact level allowed without an exactness hypothesis")
-    except CriteriaError:
-        pass
-    try:
-        NpVerdict("AtLeast", p=-1, justification="x")
-        failures.append("negative level accepted")
-    except CriteriaError:
-        pass
+    failures.refuses(lambda: NpVerdict("ExactMax", p=1, justification="x"),
+                     CriteriaError,
+                     "exact level allowed without an exactness hypothesis")
+    failures.refuses(lambda: NpVerdict("AtLeast", p=-1, justification="x"),
+                     CriteriaError, "negative level accepted")
 
-    if failures:
-        return False, "; ".join(failures[:5])
-    return True, (f"{pairs_per_family} exact pairs per family, "
-                  "round-trips and verdict shapes included")
+    return failures.result(f"{_PAIRS_PER_FAMILY} exact pairs per family, "
+                           "round-trips and verdict shapes included")
 
 
-def check_mutation_robustness(min_rate: float = 0.9) -> tuple[bool, str]:
+def check_mutation_robustness() -> tuple[bool, str]:
     """Perturbing any single exceptional coefficient by +-1 must move a
     claim or flip a certificate check, and a certificate that still
     validates must keep the oracle minimum positive."""
-    failures: list[str] = []
+    failures = _Failures()
     total = detected = 0
     for fid in FAMILY_IDS:
         for params in FAMILY_SWEEPS[fid]:
@@ -622,14 +571,15 @@ def check_mutation_robustness(min_rate: float = 0.9) -> tuple[bool, str]:
                                 f"{fid}{params}: certificate validated a "
                                 "perturbation the oracle cannot model")
                             continue
-                        if res.min_value < 1:
-                            failures.append(
-                                f"{fid}{params}: certificate passed E{i}"
-                                f"{delta:+d} but oracle found "
-                                f"{res.min_value} at {res.argmin}")
+                        failures.expect(
+                            res.min_value >= 1,
+                            f"{fid}{params}: certificate passed E{i}"
+                            f"{delta:+d} but oracle found "
+                            f"{res.min_value} at {res.argmin}")
     rate = detected / total if total else 0.0
-    if rate < min_rate:
-        failures.append(f"mutation detection rate {rate:.3f} < {min_rate}")
+    failures.expect(rate >= _MIN_DETECTION_RATE,
+                    f"mutation detection rate {rate:.3f} < "
+                    f"{_MIN_DETECTION_RATE}")
 
     # a targeted disagreement probe: strengthening one point of the
     # shortest wide family breaks both routes the same way
@@ -637,17 +587,16 @@ def check_mutation_robustness(min_rate: float = 0.9) -> tuple[bool, str]:
     mut = mutate_polarization(ex, 0, -1)
     cert = nakai_certificate(mut)
     res = families.ample_oracle(mut.surface, mut.A)
-    if cert.valid or res.min_value > 0:
-        failures.append("targeted perturbation was not caught by both routes")
+    failures.expect(not cert.valid and res.min_value <= 0,
+                    "targeted perturbation was not caught by both routes")
 
-    if failures:
-        return False, "; ".join(failures[:5])
-    return True, f"{detected}/{total} perturbations detected ({rate:.0%})"
+    return failures.result(
+        f"{detected}/{total} perturbations detected ({rate:.0%})")
 
 
 def check_oracle_determinism() -> tuple[bool, str]:
     """The oracle's (minimum, argmin) must not depend on enumeration order."""
-    failures: list[str] = []
+    failures = _Failures()
     rng = random.Random(_SEED + 1)
     probes = [("1.12", {"e": 1}), ("1.18", {}),
               ("1.16", {"e": 1, "n": 2}), ("1.17", {"l": 7}),
@@ -659,16 +608,15 @@ def check_oracle_determinism() -> tuple[bool, str]:
         for _ in range(5):
             shuffled = list(cands)
             rng.shuffle(shuffled)
-            value, key = min(shuffled)
-            if (value, key) != (res.min_value, res.argmin):
+            if min(shuffled) != (res.min_value, res.argmin):
                 failures.append(f"{fid}{params}: argmin depends on order")
                 break
         again = brute_force_ample_oracle(ex)
-        if (again.min_value, again.argmin) != (res.min_value, res.argmin):
-            failures.append(f"{fid}{params}: oracle not reproducible")
-    if failures:
-        return False, "; ".join(failures)
-    return True, f"{len(probes)} probes stable under reshuffling"
+        failures.expect(
+            (again.min_value, again.argmin) == (res.min_value, res.argmin),
+            f"{fid}{params}: oracle not reproducible")
+    return failures.result(f"{len(probes)} probes stable under reshuffling",
+                           limit=None)
 
 
 # --- runner ----------------------------------------------------------------

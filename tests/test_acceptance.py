@@ -49,6 +49,14 @@ def test_property_suites_mutation_detection_and_determinism():
     assert ok, detail
 
 
+def test_a_check_reports_the_failure_it_found(monkeypatch):
+    real = selftest.thm_121_equivalence
+    monkeypatch.setattr(selftest, "thm_121_equivalence",
+                        lambda ksq, **kw: real(max(ksq, 2), **kw))
+    assert selftest.check_sharpness() == (
+        False, "degree-1 equivalence should be out of scope")
+
+
 def test_selftest_command_is_hermetic_and_fast():
     start = time.perf_counter()
     proc = subprocess.run(

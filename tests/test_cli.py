@@ -218,6 +218,12 @@ def test_usage_errors_exit_two(capsys):
      "--sweep verifies the whole parameter range; drop --param or --sweep"),
     (("example", "verify", "1.12", "--param", "e=" + "1" * 4400),
      "--param e is too long to read as an integer (4400 characters)"),
+    (("classify", "--t", "7", "--ample", "--anticanonical", "--p", "x"),
+     "--p must be an integer, got 'x'"),
+    (("classify", "--t", "7", "--ample", "--anticanonical", "--p", " 3"),
+     "--p must be an integer, got ' 3'"),
+    (("classify", "--t", "7", "--ample", "--anticanonical", "--p", "1" * 4400),
+     "--p is too long to read as an integer (4400 characters)"),
 ])
 def test_param_values_are_strict(capsys, argv, message):
     code, out, err = run(capsys, *argv)

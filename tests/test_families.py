@@ -305,6 +305,20 @@ def test_fixture_ampleness_pin_is_compared_when_null(monkeypatch):
     assert report.failures == ("1.11[-]: fixture ampleness pin None != True",)
 
 
+def test_null_ampleness_pin_needs_both_routes_to_refuse(monkeypatch):
+    # an abstaining oracle alone leaves the verdict None, matching the pin;
+    # the certificate must refuse too
+    pin = {**fixture_instance("1.11", "-"), "ample": None}
+    monkeypatch.setattr(families, "fixture_instance", lambda a, b: pin)
+
+    def abstain(ex, box=None):
+        raise OracleNotApplicable("no admissible-curve model")
+
+    monkeypatch.setattr(families, "brute_force_ample_oracle", abstain)
+    report = verify_example("1.11", strict=False)
+    assert report.failures == ("1.11[-]: expected certificate refusal",)
+
+
 def test_sweeps_cover_the_stated_ranges():
     with pytest.raises(FamilyError):
         sweep_family("nope")
