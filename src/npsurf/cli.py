@@ -16,6 +16,7 @@ import sys
 from . import api, fano
 from . import selftest as selftest_mod
 from .families import (
+    DEFAULT_BOX,
     FAMILY_SWEEPS,
     CertificateRefused,
     OracleNotApplicable,
@@ -111,6 +112,14 @@ def _read_int(name: str, value: str) -> int:
                            f"({len(value)} characters)") from None
 
 
+def _int_option(value: str) -> int:
+    """The argparse ``type`` of every integer option: ``_read_int``'s rule."""
+    try:
+        return _read_int("value", value)
+    except api.ApiError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_params(pairs: list[str]) -> dict | None:
     out = {}
     for item in pairs:
@@ -129,7 +138,9 @@ def _load_divisor_file(path: str) -> tuple[dict, dict]:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise api.ApiError(f"{path}: expected a JSON object")
-    flags = data.pop("flags", {}) or {}
+    flags = data.pop("flags", {})
+    if not isinstance(flags, dict):
+        raise api.ApiError(f"{path}: flags must be a JSON object")
     return data, flags
 
 
@@ -146,6 +157,8 @@ def _cmd_classify(args) -> tuple[int, dict]:
     p = None if args.p == "auto" else _read_int("--p", args.p)
     if p is not None and p < 0:
         raise api.ApiError("--p must be >= 0 or 'auto'")
+    if args.check_bpf and args.surface is None:
+        raise api.ApiError("--check-bpf needs --surface FILE")
     if args.curve_genus is not None or args.curve_degree is not None:
         if args.curve_genus is None or args.curve_degree is None:
             raise api.ApiError(
@@ -334,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_classify)
     c.add_argument("--surface", metavar="FILE",
                    help="flat JSON file: lattice keys, coeffs, optional flags")
-    c.add_argument("--t", type=int, help="anticanonical degree -K.L")
+    c.add_argument("--t", type=_int_option, help="anticanonical degree -K.L")
     c.add_argument("--p", default="auto",
                    help="level to query, or 'auto' for the criterion's level")
     c.add_argument("--ample", action="store_true")
@@ -343,15 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--nef", action="store_true")
     c.add_argument("--check-bpf", action="store_true",
                    help="run the base-point-freeness test instead")
-    c.add_argument("--curve-genus", type=int)
-    c.add_argument("--curve-degree", type=int)
+    c.add_argument("--curve-genus", type=_int_option)
+    c.add_argument("--curve-degree", type=_int_option)
 
     b = sub.add_parser("bounds", help="degree and summand-count bounds")
     b.set_defaults(handler=_cmd_bounds)
-    b.add_argument("--k2", type=int, required=True, dest="ksq")
-    b.add_argument("--p", type=int)
-    b.add_argument("--L2", type=int, dest="Lsq")
-    b.add_argument("--e", type=int)
+    b.add_argument("--k2", type=_int_option, required=True, dest="ksq")
+    b.add_argument("--p", type=_int_option)
+    b.add_argument("--L2", type=_int_option, dest="Lsq")
+    b.add_argument("--e", type=_int_option)
     b.add_argument("--exclude", action="append", default=[], metavar="TAG")
     b.add_argument("--summand", metavar="TAG")
     b.add_argument("--conic", action="store_true",
@@ -363,21 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("adjoint",
                        help="very-ampleness of canonical-plus-ample bundles")
     a.set_defaults(handler=_cmd_adjoint)
-    a.add_argument("--k2", type=int, required=True, dest="ksq")
+    a.add_argument("--k2", type=_int_option, required=True, dest="ksq")
     a.add_argument("--summands", metavar="TAG[,TAG...]",
                    help="shape tags of the ample summands")
     a.add_argument("--equivalence", action="store_true",
                    help="report the ampleness/very-ampleness/syzygy "
                         "equivalence for this K^2 instead")
     a.add_argument("--summand", default="other")
-    a.add_argument("--e", type=int)
+    a.add_argument("--e", type=_int_option)
 
     r = sub.add_parser("reider", help="quadratic and degree gates for N_p")
     r.set_defaults(handler=_cmd_reider)
-    r.add_argument("--k2", type=int, required=True, dest="ksq")
-    r.add_argument("--L2", type=int, required=True, dest="Lsq")
-    r.add_argument("--p", type=int, required=True)
-    r.add_argument("--minus-k-dot-L", type=int, dest="minus_k_dot_L")
+    r.add_argument("--k2", type=_int_option, required=True, dest="ksq")
+    r.add_argument("--L2", type=_int_option, required=True, dest="Lsq")
+    r.add_argument("--p", type=_int_option, required=True)
+    r.add_argument("--minus-k-dot-L", type=_int_option, dest="minus_k_dot_L")
     r.add_argument("--cond1", action="store_true",
                    help="attest L.C >= 3 on every curve and L^2 >= 10")
     r.add_argument("--adjoint-va", action="store_true",
@@ -388,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="twist threshold where the adjoint bundle stops "
                             "being ample")
     t.set_defaults(handler=_cmd_terminate)
-    t.add_argument("--k2", type=int, required=True, dest="ksq")
-    t.add_argument("--p", type=int, required=True)
-    t.add_argument("--e", type=int)
+    t.add_argument("--k2", type=_int_option, required=True, dest="ksq")
+    t.add_argument("--p", type=_int_option, required=True)
+    t.add_argument("--e", type=_int_option)
     t.add_argument("--not-multiple", action="store_true",
                    help="the polarization is not a multiple of -K")
     t.add_argument("--np-sharp", action="store_true",
@@ -405,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--param", action="append", default=[], metavar="K=V")
     ev.add_argument("--sweep", action="store_true",
                     help="verify the whole parameter range")
-    ev.add_argument("--box", type=int, help="oracle search box override")
+    ev.add_argument("--box", type=_int_option,
+                    help="oracle search box override")
     es = exs.add_parser("show", help="print one instance's data")
     es.add_argument("id")
     es.add_argument("--param", action="append", default=[], metavar="K=V")
@@ -415,26 +429,27 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(handler=_cmd_fano)
     fs = f.add_subparsers(dest="action", required=True)
     fc = fs.add_parser("classify", help="classify (X, H) or a twist of it")
-    fc.add_argument("--n", type=int, required=True, help="dimension")
-    fc.add_argument("--index", type=int, required=True, dest="m")
-    fc.add_argument("--deg", type=int, required=True, dest="Hn",
+    fc.add_argument("--n", type=_int_option, required=True, help="dimension")
+    fc.add_argument("--index", type=_int_option, required=True, dest="m")
+    fc.add_argument("--deg", type=_int_option, required=True, dest="Hn",
                     help="top self-intersection H^n")
-    fc.add_argument("--h0", type=int, dest="h0H", help="section count of H")
+    fc.add_argument("--h0", type=_int_option, dest="h0H",
+                    help="section count of H")
     fc.add_argument("--morphism", choices=fano.MORPHISM_KINDS,
                     default=fano.MORPHISM_UNKNOWN)
-    fc.add_argument("--k", type=int, help="twist kH to classify")
-    fc.add_argument("--p", type=int, help="syzygy level to test")
+    fc.add_argument("--k", type=_int_option, help="twist kH to classify")
+    fc.add_argument("--p", type=_int_option, help="syzygy level to test")
     fp = fs.add_parser("surface",
                        help="multiples on an anticanonical surface")
-    fp.add_argument("--minus-k-dot-b", type=int, required=True,
+    fp.add_argument("--minus-k-dot-b", type=_int_option, required=True,
                     dest="minusK_dot_B")
-    fp.add_argument("--l", type=int, required=True, help="multiple lB")
-    fp.add_argument("--p", type=int, required=True)
+    fp.add_argument("--l", type=_int_option, required=True, help="multiple lB")
+    fp.add_argument("--p", type=_int_option, required=True)
     fp.add_argument("--p2-o1", action="store_true", dest="is_P2_O1",
                     help="B is the plane with its line bundle")
     ft = fs.add_parser("twist", help="pinned projective-space twists")
-    ft.add_argument("--dim", type=int, required=True)
-    ft.add_argument("--k", type=int, required=True)
+    ft.add_argument("--dim", type=_int_option, required=True)
+    ft.add_argument("--k", type=_int_option, required=True)
 
     o = sub.add_parser("oracle", help="exhaustive ampleness search")
     o.set_defaults(handler=_cmd_oracle)
@@ -442,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--param", action="append", default=[], metavar="K=V")
     o.add_argument("--divisor", metavar="FILE",
                    help="flat divisor JSON file to test instead")
-    o.add_argument("--box", type=int,
-                   help="search box (env NP_ORACLE_BOX sets the default)")
+    o.add_argument("--box", type=_int_option,
+                   help=f"search box (default {DEFAULT_BOX})")
 
     st = sub.add_parser("selftest", help="run the hermetic check suite")
     st.set_defaults(handler=_cmd_selftest)

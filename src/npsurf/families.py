@@ -21,15 +21,16 @@ Two independent ampleness routes are provided for certified families:
 * ``nakai_certificate``: a short list of closed curve-case checks (corner
   and direction margins of linear bounds), sufficient by construction.  It
   refuses to run when the point configuration lacks a flag the route
-  requires.
+  requires, and records those flags as its assumptions.
 * ``brute_force_ample_oracle``: exhaustive minimization of ``A.T`` over the
-  admissible irreducible-curve classes inside a search box.  ``_candidates``
-  lists them for the one model that applies: the cone of base classes
-  (bare surfaces and zero-point blow-ups); the exceptional curves, fiber and
-  section/fiber span of the cubic-pencil blow-up; or, for points on the
-  anticanonical curve C, the exceptional curves, the strict transform of
-  every base class with its worst-case point load (a per-point cap, and
-  ``C.T`` points in all), and C itself.
+  admissible irreducible-curve classes inside a search box (``DEFAULT_BOX``
+  unless the caller passes one).  ``_candidates`` lists them for the one
+  model that applies: the cone of base classes (bare surfaces and
+  zero-point blow-ups); the exceptional curves, fiber and section/fiber span
+  of the cubic-pencil blow-up; or, for points on the anticanonical curve C,
+  the exceptional curves, the strict transform of every base class with its
+  worst-case point load (a per-point cap, and ``C.T`` points in all), and C
+  itself.
 
 On F_e the classes (1,0) and (0,1) take their point budgets from
 ``_ruling_budgets``, which the certificate reads too, so both routes share
@@ -43,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -63,7 +63,6 @@ from .lattice import (
 )
 
 DEFAULT_BOX = 12
-_BOX_ENV = "NP_ORACLE_BOX"
 
 
 class FamilyError(ValueError):
@@ -92,19 +91,6 @@ class OracleBoxError(ValueError):
 
 class VerificationError(AssertionError):
     """A claim, fixture pin, or cross-check failed; names the culprit."""
-
-
-def default_box() -> int:
-    raw = os.environ.get(_BOX_ENV)
-    if raw is None:
-        return DEFAULT_BOX
-    try:
-        box = int(raw)
-    except ValueError as exc:
-        raise OracleBoxError(f"{_BOX_ENV} must be an integer, got {raw!r}") from exc
-    if box < 1:
-        raise OracleBoxError(f"{_BOX_ENV} must be >= 1, got {box}")
-    return box
 
 
 # --- family data model -----------------------------------------------------
@@ -253,8 +239,7 @@ def _build_1_16(e, n):
     cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(e), l, cfg)
-    A = S.pullback([2, e + 3]) - sum(
-        (S.exceptional(i) for i in range(l)), start=S.zero())
+    A = S.divisor([2, e + 3] + [-1] * l)
     claims = _claims_common(n, n + 4, n + 2) + [
         _residual("residual(K + A - pullback(fiber))",
                   lambda S, A: canonical_class(S) + A,
@@ -270,8 +255,7 @@ def _build_1_17(l):
     cfg = PointConfig(on_smooth_anticanonical=True, away_from_min_section=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(1), l, cfg)
-    A = S.pullback([3, 4]) - sum(
-        (S.exceptional(i) for i in range(l)), start=S.zero())
+    A = S.divisor([3, 4] + [-1] * l)
     claims = _claims_common(8 - l, 15 - l, 11 - l) + [
         _residual("residual(K + A - pullback(C0 + fiber))",
                   lambda S, A: canonical_class(S) + A,
@@ -307,8 +291,7 @@ def _build_1_19(n):
     cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(0), l, cfg)
-    A = S.pullback([2, k]) - sum(
-        (S.exceptional(i) for i in range(l)), start=S.zero())
+    A = S.divisor([2, k] + [-1] * l)
     claims = _claims_common(n, 2 - n, 1) + [
         _residual("residual(K + A - pullback((k-2)*fiber2))",
                   lambda S, A: canonical_class(S) + A,
@@ -326,8 +309,7 @@ def _build_1_20(n):
     cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(0), l, cfg)
-    A = S.pullback([3, k]) - 2 * S.exceptional(0) - sum(
-        (S.exceptional(i) for i in range(1, l)), start=S.zero())
+    A = S.divisor([3, k, -2] + [-1] * (l - 1))
     claims = _claims_common(n, 1 - 2 * n, 1) + [
         _residual("residual(K + A - (pullback(fiber1 + (k-2)*fiber2) - E1))",
                   lambda S, A: canonical_class(S) + A,
@@ -342,8 +324,7 @@ def _build_1_20(n):
 def _build_obs_1_4(n):
     cfg = PointConfig(general_position=True)
     S = blow_up(SurfaceModel.hirzebruch(0), 9, cfg)
-    L = S.pullback([2, n]) - sum(
-        (S.exceptional(i) for i in range(9)), start=S.zero())
+    L = S.divisor([2, n] + [-1] * 9)
     claims = [
         Claim("K2", -1, lambda S, A: k_squared(S)),
         Claim("-K.L", 2 * n - 5, lambda S, A: -canonical_class(S).dot(A)),
@@ -514,34 +495,34 @@ def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
     the point-configuration flags the body requires; every check is
     recomputed from the instance's actual intersection numbers, so perturbed
     polarizations get an honest re-evaluation rather than a cached verdict.
+    The body returns only its curve-case checks; the route's required flags
+    are recorded as the assumptions used.
     """
     route = FAMILIES[ex.id].route
     if route is None:
         raise CertificateRefused(ex.id, "on_smooth_anticanonical")
     certify, requires = route
-    cfg = ex.surface.config
-    for flag in requires:
-        if cfg is None or not getattr(cfg, flag):
-            raise CertificateRefused(ex.id, flag)
-    return certify(ex)
-
-
-def _plane_certificate(ex: ExampleFamily) -> AmpleCertificate:
-    A = ex.A
-    checks = (CurveCaseCheck("ProperIntersection(1)", 0, A.coeffs[0],
-                             A.coeffs[0] >= 1),)
-    return AmpleCertificate(ex.id, A.dot(A), (), checks, ())
-
-
-def _hirzebruch_certificate(ex: ExampleFamily) -> AmpleCertificate:
     S, A = ex.surface, ex.A
+    for flag in requires:
+        if S.config is None or not getattr(S.config, flag):
+            raise CertificateRefused(ex.id, flag)
+    weights = _weights(S, A)
+    return AmpleCertificate(ex.id, A.dot(A), tuple(weights),
+                            tuple(certify(S, A, weights)), requires)
+
+
+def _plane_certificate(S, A, weights) -> list[CurveCaseCheck]:
+    return [CurveCaseCheck("ProperIntersection(1)", 0, A.coeffs[0],
+                           A.coeffs[0] >= 1)]
+
+
+def _hirzebruch_certificate(S, A, weights) -> list[CurveCaseCheck]:
     c0 = A.dot(S.divisor([1, 0]))
     f = A.dot(S.divisor([0, 1]))
-    checks = (
+    return [
         CurveCaseCheck("FiberSpecial(C0)", 0, c0, c0 >= 1),
         CurveCaseCheck("FiberSpecial(f)", 0, f, f >= 1),
-    )
-    return AmpleCertificate(ex.id, A.dot(A), (), checks, ())
+    ]
 
 
 def _p1xp1_cases(S: SurfaceModel, A: DivisorClass, weights: list[int],
@@ -552,37 +533,25 @@ def _p1xp1_cases(S: SurfaceModel, A: DivisorClass, weights: list[int],
             + _ruling_checks(S, A, weights, ("f1", "f2")))
 
 
-def _double_point_certificate(ex: ExampleFamily) -> AmpleCertificate:
+def _double_point_certificate(S, A, weights) -> list[CurveCaseCheck]:
     """Points on C in P1 x P1, one of them carrying double weight: bound the
     heaviest point's load by its fiber cap and everything else by the
     second-highest weight."""
-    S, A = ex.surface, ex.A
-    weights = _weights(S, A)
     w1, w2 = sorted(weights, reverse=True)[:2]
-    checks = _p1xp1_cases(S, A, weights, w2,
-                          extra_load=lambda a, b: (w1 - w2) * a)
-    checks.append(_equals_c_check(S, A, weights))
-    return AmpleCertificate(ex.id, A.dot(A), tuple(weights), tuple(checks),
-                            _DISTINCT_ON_C)
+    return (_p1xp1_cases(S, A, weights, w2,
+                         extra_load=lambda a, b: (w1 - w2) * a)
+            + [_equals_c_check(S, A, weights)])
 
 
-def _points_on_c_certificate(ex: ExampleFamily) -> AmpleCertificate:
-    S, A = ex.surface, ex.A
-    weights = _weights(S, A)
+def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     wmax = max(weights, default=0)
     if S.e == 0:
         checks = _p1xp1_cases(S, A, weights, wmax)
-        assumptions = _DISTINCT_ON_C
     else:
         corner = (1, S.e)
         checks = (_cone_cases(S, A, wmax, corner=corner, dirs=(corner, (0, 1)))
                   + _ruling_checks(S, A, weights, ("C0", "f")))
-        assumptions = ("on_smooth_anticanonical",) + tuple(
-            flag for flag in ("away_from_min_section", "distinct_fibers")
-            if getattr(S.config, flag))
-    checks.append(_equals_c_check(S, A, weights))
-    return AmpleCertificate(ex.id, A.dot(A), tuple(weights), tuple(checks),
-                            assumptions)
+    return checks + [_equals_c_check(S, A, weights)]
 
 
 def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
@@ -600,27 +569,21 @@ def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
     return alpha, beta
 
 
-def _elliptic_pencil_certificate(ex: ExampleFamily) -> AmpleCertificate:
-    S, A = ex.surface, ex.A
-    weights = _weights(S, A)
+def _elliptic_pencil_certificate(S, A, weights) -> list[CurveCaseCheck]:
     span = _fibration_span(S, A)
     if span is None:
-        checks = (CurveCaseCheck("ProperIntersection(span)", 1, 0, False),)
-        return AmpleCertificate(ex.id, A.dot(A), tuple(weights), checks,
-                                ("complete_intersection_of_cubics",))
+        return [CurveCaseCheck("ProperIntersection(span)", 1, 0, False)]
     alpha, beta = span
     fiber_value = A.dot(-canonical_class(S))
     section_value = A.dot(S.exceptional(8))
-    checks = (
+    return [
         CurveCaseCheck("FiberSpecial(F)", 0, fiber_value, fiber_value >= 1),
         CurveCaseCheck("EqualsC", 0, section_value, section_value >= 1),
         # any other irreducible curve T has section.T >= 0 and fiber.T >= 1,
         # so A.T = alpha*(section.T) + beta*(fiber.T) >= beta when alpha >= 0
         CurveCaseCheck("ProperIntersection(0,1)", 0, beta,
                        alpha >= 0 and beta >= 1),
-    )
-    return AmpleCertificate(ex.id, A.dot(A), tuple(weights), checks,
-                            ("complete_intersection_of_cubics",))
+    ]
 
 
 # --- the family table ------------------------------------------------------
@@ -635,12 +598,14 @@ class Family:
     its allowed values; a step of 2 carries a parity.  ``route`` is the
     ampleness route: the certificate body with the ``PointConfig`` flags it
     requires, or None when ampleness is attested, in which case the
-    certificate and the oracle both refuse.
+    certificate and the oracle both refuse.  The body maps ``(surface,
+    polarization, exceptional values)`` to its curve-case checks.
     """
 
     build: Callable[..., tuple]
     params: Mapping[str, range]
-    route: tuple[Callable[[ExampleFamily], AmpleCertificate],
+    route: tuple[Callable[[SurfaceModel, DivisorClass, list[int]],
+                          list[CurveCaseCheck]],
                  tuple[str, ...]] | None
     np_flags: tuple[tuple[str, bool], ...] = (("ample", True),
                                               ("anticanonical", True))
@@ -828,7 +793,7 @@ def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> Or
     A positive minimum certifies ampleness within the model; the search is
     deterministic (canonical tie-breaking) and exact.
     """
-    box = default_box() if box is None else box
+    box = DEFAULT_BOX if box is None else box
     if box < 1:
         raise OracleBoxError(f"box must be >= 1, got {box}")
     cands = _candidates(S, D, box)

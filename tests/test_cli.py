@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, text output, JSON parity."""
 
+import argparse
 import io
 import json
 from importlib import resources
@@ -229,6 +230,61 @@ def test_param_values_are_strict(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"npsurf: error: {message}\n"
+
+
+def _typed_options(parser):
+    """Every option of the parser and its subparsers that has a ``type``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _typed_options(sub)
+        elif action.type is not None:
+            yield action
+
+
+def test_every_integer_option_uses_the_strict_reader():
+    types = [action.type for action in _typed_options(cli.build_parser())]
+    assert int not in types
+    assert types.count(cli._int_option) == 29
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (("bounds", "--k2", "1", "--p", "1_0"), "1_0"),
+    (("bounds", "--k2", "1", "--p", " 2"), " 2"),
+    (("bounds", "--k2", "+4", "--p", "0"), "+4"),
+    (("reider", "--k2", "0", "--L2", "27", "--p", "2",
+      "--minus-k-dot-L", "3 "), "3 "),
+    (("classify", "--t", "7_0", "--ample", "--anticanonical"), "7_0"),
+    (("fano", "twist", "--dim", "3", "--k", "\uff13"), "\uff13"),
+    (("example", "verify", "1.12", "--param", "e=1", "--box", "1_2"), "1_2"),
+    (("oracle", "--id", "1.11", "--box", "+12"), "+12"),
+])
+def test_integer_options_are_strict(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert f"value must be an integer, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--t", "7", "--ample", "--anticanonical", "--check-bpf"),
+    ("classify", "--curve-genus", "1", "--curve-degree", "5", "--check-bpf"),
+])
+def test_check_bpf_needs_a_surface(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "npsurf: error: --check-bpf needs --surface FILE\n"
+
+
+@pytest.mark.parametrize("flags", [[1], None, "ample", True])
+@pytest.mark.parametrize("command", ["classify --surface", "oracle --divisor"])
+def test_file_flags_must_be_an_object(tmp_path, capsys, command, flags):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "P2", "coeffs": [1], "flags": flags}))
+    code, out, err = run(capsys, *command.split(), str(f))
+    assert code == 2 and out == ""
+    assert err == f"npsurf: error: {f}: flags must be a JSON object\n"
 
 
 def test_selftest_label_lines_exist():

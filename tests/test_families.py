@@ -4,6 +4,8 @@ import pytest
 
 from npsurf import families
 from npsurf.families import (
+    DEFAULT_BOX,
+    FAMILIES,
     FAMILY_IDS,
     FAMILY_SWEEPS,
     CertificateRefused,
@@ -14,7 +16,6 @@ from npsurf.families import (
     ample_oracle,
     brute_force_ample_oracle,
     build_example,
-    default_box,
     fixture_instance,
     mutate_polarization,
     nakai_certificate,
@@ -103,6 +104,68 @@ def test_certificate_json_and_flip_signature():
     assert sig[0] is True and all(sig[1])
 
 
+def _cert_json(fid, a2, values, checks, assumptions, valid=True):
+    keys = ("case", "worst_case_lhs", "rhs", "passed")
+    return {"family": fid, "self_intersection": a2,
+            "exceptional_values": values,
+            "checks": [dict(zip(keys, c)) for c in checks],
+            "assumptions_used": assumptions, "valid": valid}
+
+
+_ON_C = ["on_smooth_anticanonical", "distinct_fibers"]
+_PENCIL = ["complete_intersection_of_cubics"]
+
+
+def test_certificate_pins_every_body():
+    pins = [
+        (("1.11", {}), _cert_json(
+            "1.11", 1, [], [("ProperIntersection(1)", 0, 1, True)], [])),
+        (("1.12", {"e": 1}), _cert_json(
+            "1.12", 3, [], [("FiberSpecial(C0)", 0, 1, True),
+                            ("FiberSpecial(f)", 0, 1, True)], [])),
+        (("1.16", {"e": 0, "n": 2}), _cert_json(
+            "1.16", 6, [1] * 6,
+            [("ProperIntersection(1,1)", 4, 5, True),
+             ("ProperIntersection(1,0)", 2, 3, True),
+             ("ProperIntersection(0,1)", 2, 2, True),
+             ("FiberSpecial(f1)", 1, 3, True),
+             ("FiberSpecial(f2)", 1, 2, True),
+             ("EqualsC", 6, 10, True)], _ON_C)),
+        (("1.17", {"l": 4}), _cert_json(
+            "1.17", 11, [1] * 4,
+            [("ProperIntersection(1,1)", 3, 4, True),
+             ("ProperIntersection(0,1)", 2, 3, True),
+             ("FiberSpecial(C0)", 0, 1, True),
+             ("FiberSpecial(f)", 2, 3, True),
+             ("EqualsC", 4, 11, True)],
+            ["on_smooth_anticanonical", "away_from_min_section"])),
+        (("1.20", {"n": -2}), _cert_json(
+            "1.20", 5, [2] + [1] * 9,
+            [("ProperIntersection(1,1)", 5, 6, True),
+             ("ProperIntersection(1,0)", 3, 3, True),
+             ("ProperIntersection(0,1)", 2, 3, True),
+             ("FiberSpecial(f1)", 2, 3, True),
+             ("FiberSpecial(f2)", 2, 3, True),
+             ("EqualsC", 11, 12, True)], _ON_C)),
+        (("1.18", {}), _cert_json(
+            "1.18", 3, [2] * 8 + [1],
+            [("FiberSpecial(F)", 0, 1, True),
+             ("EqualsC", 0, 1, True),
+             ("ProperIntersection(0,1)", 0, 2, True)], _PENCIL)),
+    ]
+    for (fid, params), pin in pins:
+        assert nakai_certificate(build_example(fid, params)).to_json() == pin
+    # E1 + 1 leaves the section/fiber span of the pencil
+    off_span = mutate_polarization(build_example("1.18"), 0, 1)
+    assert nakai_certificate(off_span).to_json() == _cert_json(
+        "1.18", 6, [1] + [2] * 7 + [1],
+        [("ProperIntersection(span)", 1, 0, False)], _PENCIL, valid=False)
+    for fid in CERTIFIED:
+        for params in FAMILY_SWEEPS[fid]:
+            cert = nakai_certificate(build_example(fid, params))
+            assert cert.assumptions_used == FAMILIES[fid].route[1]
+
+
 # --- oracle ----------------------------------------------------------------
 
 
@@ -111,7 +174,7 @@ def test_oracle_on_a_minimal_surface_scans_the_cone():
     res = brute_force_ample_oracle(ex)
     assert res.min_value >= 1
     assert res.argmin[0] == "base"
-    assert res.to_json()["box"] == default_box()
+    assert res.to_json()["box"] == DEFAULT_BOX
 
 
 def test_oracle_refuses_attested_configurations():
@@ -191,17 +254,11 @@ def test_oracle_box_error_messages():
         ample_oracle(*_on_cubic([4, -1, -1]), box=2)
 
 
-def test_oracle_box_environment_override(monkeypatch):
+def test_oracle_box_ignores_the_environment(monkeypatch):
+    # an exact answer must not depend on the environment
     monkeypatch.setenv("NP_ORACLE_BOX", "17")
-    assert default_box() == 17
     ex = build_example("1.17", {"l": 2})
-    assert brute_force_ample_oracle(ex).box == 17
-    monkeypatch.setenv("NP_ORACLE_BOX", "0")
-    with pytest.raises(OracleBoxError):
-        default_box()
-    monkeypatch.setenv("NP_ORACLE_BOX", "twelve")
-    with pytest.raises(OracleBoxError):
-        default_box()
+    assert brute_force_ample_oracle(ex).box == DEFAULT_BOX == 12
 
 
 def test_oracle_is_deterministic():
