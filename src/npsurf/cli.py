@@ -159,7 +159,17 @@ def _cmd_classify(args) -> tuple[int, dict]:
         raise api.ApiError("--p must be >= 0 or 'auto'")
     if args.check_bpf and args.surface is None:
         raise api.ApiError("--check-bpf needs --surface FILE")
-    if args.curve_genus is not None or args.curve_degree is not None:
+    curve = args.curve_genus is not None or args.curve_degree is not None
+    given = [name for name, present in (
+        ("--surface", args.surface is not None), ("--t", args.t is not None),
+        ("--curve-genus/--curve-degree", curve)) if present]
+    if len(given) > 1:
+        raise api.ApiError(f"{' and '.join(given)} name different inputs; "
+                           "give only one")
+    if args.check_bpf and p is not None:
+        raise api.ApiError("--check-bpf answers base-point-freeness only; "
+                           "drop --p")
+    if curve:
         if args.curve_genus is None or args.curve_degree is None:
             raise api.ApiError(
                 "curve classification needs both --curve-genus and "

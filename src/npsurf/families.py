@@ -24,13 +24,15 @@ Two independent ampleness routes are provided for certified families:
   requires, and records those flags as its assumptions.
 * ``brute_force_ample_oracle``: exhaustive minimization of ``A.T`` over the
   admissible irreducible-curve classes inside a search box (``DEFAULT_BOX``
-  unless the caller passes one).  ``_candidates`` lists them for the one
-  model that applies: the cone of base classes (bare surfaces and
-  zero-point blow-ups); the exceptional curves, fiber and section/fiber span
-  of the cubic-pencil blow-up; or, for points on the anticanonical curve C,
-  the exceptional curves, the strict transform of every base class with its
-  worst-case point load (a per-point cap, and ``C.T`` points in all), and C
-  itself.
+  unless the caller passes one, never above ``MAX_BOX``).  ``_candidates``
+  yields them for the one model that applies: the cone of base classes
+  (bare surfaces and zero-point blow-ups); the exceptional curves, fiber and
+  section/fiber span of the cubic-pencil blow-up; or, for points on the
+  anticanonical curve C, the exceptional curves, the strict transform of
+  every base class with its worst-case point load (a per-point cap, and
+  ``C.T`` points in all), and C itself.  ``ample_oracle`` takes the minimum
+  in one streaming pass of integer arithmetic on linear forms and prefix
+  sums computed once per call, so its memory does not grow with the box.
 
 On F_e the classes (1,0) and (0,1) take their point budgets from
 ``_ruling_budgets``, which the certificate reads too, so both routes share
@@ -63,6 +65,7 @@ from .lattice import (
 )
 
 DEFAULT_BOX = 12
+MAX_BOX = 1000
 
 
 class FamilyError(ValueError):
@@ -719,42 +722,55 @@ def _greedy_load(weights: list[int], cap: int,
 
 
 def _base_classes(base: SurfaceModel, box: int):
-    """The irreducible-capable classes of a bare base inside the box, as
-    ``(coords, class)``: ``d`` lines on P2; on F_e the two ``_RULINGS``,
-    then ``(a, b)`` with ``b >= max(1, a*e)``."""
+    """Yield the irreducible-capable classes of a bare base inside the box as
+    ``(a, b)``: the ``d`` lines of P2 as ``(d, 0)``; on F_e the two
+    ``_RULINGS``, then ``(a, b)`` with ``b >= max(1, a*e)``."""
     if base.kind == KIND_P2:
-        coords = [(d,) for d in range(1, box + 1)]
-    else:
-        coords = list(_RULINGS) + [
-            (a, b) for a in range(1, box + 1)
-            for b in range(max(1, a * base.e), box + 1)]
-    return [(c, base.divisor(c)) for c in coords]
+        yield from zip(range(1, box + 1), itertools.repeat(0))
+        return
+    yield from _RULINGS
+    for a in range(1, box + 1):
+        for b in range(max(1, a * base.e), box + 1):
+            yield a, b
 
 
-def _candidates(S: SurfaceModel, D: DivisorClass,
-                box: int) -> list[tuple[int, tuple]]:
-    """``(D.T, key)`` for every admissible curve class T of S in the box.
+def _base_form(base: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
+    """``(p, q)`` with ``X.T = p*a + q*b`` for the base class T that
+    ``_base_classes`` writes as ``(a, b)``."""
+    if base.kind == KIND_P2:
+        return X.dot(base.divisor([1])), 0
+    return X.dot(base.divisor([1, 0])), X.dot(base.divisor([0, 1]))
+
+
+def _candidates(S: SurfaceModel, D: DivisorClass, box: int):
+    """Yield ``(D.T, key)`` for every admissible curve class T of S in the box.
 
     A bare surface or a zero-point blow-up has the cone of base classes.
     The blow-up of P2 at the nine base points of a cubic pencil has the
     exceptional curves, the fiber and the section/fiber span.  Points on
     the anticanonical curve C give the exceptional curves, the strict
     transform of every base class with its worst-case point load, and C.
+
+    Every value is integer arithmetic on precomputed linear forms.  A strict
+    transform's key ``("D", a, b, cap, budget)`` carries the load's inputs
+    where the oracle's key has the multiplicities; ``_full_key`` puts them
+    in.  Coordinates are unique within a tag, so the two keys sort alike.
     """
     base = _bare_base(S)
     D_base = base.divisor(D.coeffs[:base.rank])
     l = S.l or 0
+    plane = S.kind == KIND_P2
     if l == 0:
-        return [(D_base.dot(T), ("base", *c))
-                for c, T in _base_classes(base, box)]
+        p, q = _base_form(base, D_base)
+        for a, b in _base_classes(base, box):
+            yield p * a + q * b, ("base", a) if plane else ("base", a, b)
+        return
     cfg = S.config
-    pencil = (cfg.complete_intersection_of_cubics and S.kind == KIND_P2
-              and l == 9)
+    pencil = cfg.complete_intersection_of_cubics and plane and l == 9
     if not (pencil or cfg.on_smooth_anticanonical):
         raise OracleNotApplicable(
             "no admissible-curve model for this point configuration")
     weights = _weights(S, D)
-    cands = [(w, ("E", i)) for i, w in enumerate(weights)]
 
     if pencil:
         span = _fibration_span(S, D)
@@ -763,46 +779,84 @@ def _candidates(S: SurfaceModel, D: DivisorClass,
                 "polarization leaves the section/fiber span; the "
                 "admissible-curve model only covers that span")
         alpha, beta = span
-        cands.append((D.dot(-canonical_class(S)), ("F",)))
-        cands += [(alpha * x + beta * y, ("T", x, y))
-                  for x in range(box + 1) for y in range(1, box + 1)]
-        return cands
+        yield from ((w, ("E", i)) for i, w in enumerate(weights))
+        yield D.dot(-canonical_class(S)), ("F",)
+        for x in range(box + 1):
+            for y in range(1, box + 1):
+                yield alpha * x + beta * y, ("T", x, y)
+        return
 
     C = -canonical_class(base)
     reach = max(C.coeffs)
     if box < reach:
-        name = "cubic" if S.kind == KIND_P2 else "anticanonical base"
+        name = "cubic" if plane else "anticanonical base"
         raise OracleBoxError(f"box must reach the {name} class (>= {reach})")
-    plane = S.kind == KIND_P2
-    pad = (0,) if plane else ()       # plane keys read ("D", d, 0, m)
+    yield from ((w, ("E", i)) for i, w in enumerate(weights))
+    # ``_greedy_load`` in O(1): with the positive weights sorted once and
+    # their prefix sums, a cap of ``cap`` at each point and ``budget`` points
+    # in all load the top ``budget // cap`` weights fully and the next one
+    # ``budget % cap`` times
+    top = sorted((w for w in weights if w > 0), reverse=True)
+    prefix = list(itertools.accumulate(top, initial=0))
+    n = len(top)
+    top.append(0)          # once every point is full, the rest loads nothing
+    p, q = _base_form(base, D_base)
+    cp, cq = _base_form(base, C)
     rulings = {} if plane else dict(zip(_RULINGS, _ruling_budgets(S)))
-    for c, T in _base_classes(base, box):
+    for a, b in _base_classes(base, box):
         # a curve of class T has multiplicity at most ``cap`` at a point and
         # passes through at most C.T points of C, counted with multiplicity
-        cap = max(1, c[0] - 1) if plane else max(1, min(c))
-        budget = rulings[c] if c in rulings else C.dot(T)
-        load, m = _greedy_load(weights, cap, budget)
-        cands.append((D_base.dot(T) - load, ("D", *c, *pad, m)))
-    cands.append((D_base.dot(C) - sum(weights), ("C", (1,) * l)))
-    return cands
+        cap = max(1, a - 1) if plane else max(1, min(a, b))
+        budget = rulings[a, b] if (a, b) in rulings else cp * a + cq * b
+        k = min(budget // cap, n)
+        load = cap * prefix[k] + budget % cap * top[k]
+        yield p * a + q * b - load, ("D", a, b, cap, budget)
+    yield D_base.dot(C) - sum(weights), ("C", (1,) * l)
+
+
+def _full_key(S: SurfaceModel, D: DivisorClass, key: tuple) -> tuple:
+    """The oracle's argmin key for a key of ``_candidates``: a strict
+    transform's cap and budget become its greedy multiplicities."""
+    if key[0] != "D":
+        return key
+    *head, cap, budget = key
+    return (*head, _greedy_load(_weights(S, D), cap, budget)[1])
+
+
+def _search_box(box: int | None) -> int:
+    """The box a search uses: ``DEFAULT_BOX`` unless given, within 1..MAX_BOX."""
+    box = DEFAULT_BOX if box is None else box
+    if box < 1:
+        raise OracleBoxError(f"box must be >= 1, got {box}")
+    if box > MAX_BOX:
+        raise OracleBoxError(f"box must be <= {MAX_BOX}, got {box}")
+    return box
 
 
 def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> OracleResult:
     """Exhaustively minimize D.T over the admissible curve classes of S.
 
     A positive minimum certifies ampleness within the model; the search is
-    deterministic (canonical tie-breaking) and exact.
+    deterministic (canonical tie-breaking) and exact.  It is one streaming
+    pass: memory does not grow with the box, and ``MAX_BOX`` bounds the work.
     """
-    box = DEFAULT_BOX if box is None else box
-    if box < 1:
-        raise OracleBoxError(f"box must be >= 1, got {box}")
-    cands = _candidates(S, D, box)
-    value, key = min(cands)
-    return OracleResult(value, key, box, len(cands))
+    box = _search_box(box)
+    best, count = None, 0
+    for cand in _candidates(S, D, box):
+        count += 1
+        if best is None or cand < best:
+            best = cand
+    value, key = best
+    return OracleResult(value, _full_key(S, D, key), box, count)
 
 
 def brute_force_ample_oracle(ex: ExampleFamily, box: int | None = None) -> OracleResult:
-    """Family-aware entry point for the exhaustive ampleness search."""
+    """Family-aware entry point for the exhaustive ampleness search.
+
+    The box is checked even where the family's route leaves nothing to
+    search, so a bad box is refused the same way for every family.
+    """
+    box = _search_box(box)
     if FAMILIES[ex.id].route is None:
         raise OracleNotApplicable(
             f"{ex.id}: ampleness is attested for this configuration; no "

@@ -156,7 +156,11 @@ class SurfaceModel:
     # --- divisor helpers --------------------------------------------------
 
     def divisor(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, tuple(map(int, coeffs)))
+        # tuples are built from lists, here and in the arithmetic below:
+        # tuple() over a generator or map resizes a 10-slot tuple, so the
+        # result is freed into another size's free list, and those fill up
+        # until a full collection, which a streaming search seldom triggers
+        return DivisorClass(self, tuple([int(c) for c in coeffs]))
 
     def zero(self) -> "DivisorClass":
         return self.divisor([0] * self.rank)
@@ -237,20 +241,21 @@ class DivisorClass:
         total -= sum(x * y for x, y in zip(a[br:], b[br:]))
         return total
 
-    # componentwise exact arithmetic
+    # componentwise exact arithmetic (tuples from lists: see
+    # SurfaceModel.divisor)
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_surface(other)
-        return DivisorClass(self.surface, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.surface, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_surface(other)
-        return DivisorClass(self.surface, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.surface, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coeffs))
+        return DivisorClass(self.surface, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(scalar * a for a in self.coeffs))
+        return DivisorClass(self.surface, tuple([scalar * a for a in self.coeffs]))
 
     __rmul__ = __mul__
 

@@ -604,7 +604,9 @@ def check_oracle_determinism() -> tuple[bool, str]:
     for fid, params in probes:
         ex = build_example(fid, params)
         res = brute_force_ample_oracle(ex)
-        cands = families._candidates(ex.surface, ex.A, families.DEFAULT_BOX)
+        cands = [(value, families._full_key(ex.surface, ex.A, key))
+                 for value, key in families._candidates(
+                     ex.surface, ex.A, families.DEFAULT_BOX)]
         for _ in range(5):
             shuffled = list(cands)
             rng.shuffle(shuffled)

@@ -16,7 +16,12 @@ from npsurf.criteria import (
     min_kA_bound,
     thm_121_equivalence,
 )
-from npsurf.families import FAMILY_IDS, CertificateRefused
+from npsurf.families import (
+    FAMILY_IDS,
+    CertificateRefused,
+    OracleBoxError,
+    OracleNotApplicable,
+)
 from npsurf.lattice import (
     CONFIG_FLAGS,
     DivisorClass,
@@ -182,6 +187,38 @@ def test_bad_request_is_refused(name, tmp_path, capsys):
     assert code == 2 and "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("request_", [
+    {"op": "ample_oracle", "args": {"divisor": PLANE_DIVISOR, "box": 1001}},
+    {"op": "brute_force_ample_oracle", "args": {"id": "1.11", "box": 1001}},
+    {"op": "verify_example", "args": {"id": "1.11", "box": 1001}},
+    {"op": "verify_example", "args": {"id": "1.13", "params": {"l": 3},
+                                      "box": 1001}},
+], ids=["ample_oracle", "brute_force_ample_oracle", "verify_example",
+        "verify_example-attested"])
+def test_oracle_box_above_the_cap_is_refused(request_, tmp_path, capsys):
+    box = request_["args"]["box"]
+    message = f"box must be <= 1000, got {box}"
+    with pytest.raises(OracleBoxError, match=f"^{message}$"):
+        api.evaluate(request_)
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(request_))
+    assert cli.main(["--eval-file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"npsurf: error: {message}\n")
+
+
+def test_oracle_box_at_the_cap_is_searched(capsys):
+    out = api.evaluate({"op": "ample_oracle",
+                        "args": {"divisor": PLANE_DIVISOR, "box": 1000}})
+    assert out["verdict"]["candidates"] == 1000
+    code = cli.main(["--json", "oracle", "--id", "1.11", "--box", "1000"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["box"] == 1000
+    code = cli.main(["oracle", "--id", "1.11", "--box", "1001"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "npsurf: error: box must be <= 1000, got 1001\n")
+
+
 def test_negative_hirzebruch_invariant_is_a_domain_error(capsys):
     for call in (lambda: adjoint_np_min_n(8, 0, e=-4),
                  lambda: min_kA_bound(8, e=-9),
@@ -223,8 +260,9 @@ def test_divisor_file_with_float_coefficient_exits_two(tmp_path, capsys):
 
 # --- fuzz ------------------------------------------------------------------
 
-# the oracle ops search a box of candidate curves; everything else is cheap
-SEARCH_OPS = {"brute_force_ample_oracle", "ample_oracle", "verify_example"}
+# these ops search the default box of every family instance; a fuzzed
+# ample_oracle request searches at most a box of 12, which is cheap
+SEARCH_OPS = {"brute_force_ample_oracle", "verify_example"}
 NON_SEARCH_OPS = sorted(set(api.OPERATIONS) - SEARCH_OPS)
 
 WORDS = ("P2", "Fe", "ample", "anticanonical", "bpf", "nef", "minus_k",
@@ -281,9 +319,12 @@ def test_fuzz_evaluate_answers_in_json_or_refuses(data):
         well_typed = WELL_TYPED.get(k, small)
         wrong = data.draw(st.integers(0, 5), label=f"wrong {k}?") == 0
         args[k] = data.draw(values if wrong else well_typed, label=k)
+    # the CLI answers each of these refusals with exit 2
+    refusals = (ValueError, CertificateRefused) + (
+        (OracleNotApplicable,) if op == "ample_oracle" else ())
     try:
         out = api.evaluate({"op": op, "args": args})
-    except (ValueError, CertificateRefused):
+    except refusals:
         return
     json.dumps(out)
     assert out["op"] == op and out["kind"]

@@ -277,6 +277,31 @@ def test_check_bpf_needs_a_surface(capsys, argv):
     assert err == "npsurf: error: --check-bpf needs --surface FILE\n"
 
 
+_OBS14 = str(resources.files("npsurf").joinpath("data/obs14.json"))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "--surface", _OBS14, "--t", "99", "--ample"),
+     "--surface and --t name different inputs; give only one"),
+    (("classify", "--t", "7", "--curve-genus", "1", "--curve-degree", "5"),
+     "--t and --curve-genus/--curve-degree name different inputs; give "
+     "only one"),
+    (("classify", "--surface", _OBS14, "--curve-degree", "5"),
+     "--surface and --curve-genus/--curve-degree name different inputs; "
+     "give only one"),
+    (("classify", "--surface", _OBS14, "--t", "7", "--curve-genus", "1",
+      "--curve-degree", "5"),
+     "--surface and --t and --curve-genus/--curve-degree name different "
+     "inputs; give only one"),
+    (("classify", "--surface", _OBS14, "--check-bpf", "--p", "3"),
+     "--check-bpf answers base-point-freeness only; drop --p"),
+])
+def test_classify_refuses_options_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"npsurf: error: {message}\n"
+
+
 @pytest.mark.parametrize("flags", [[1], None, "ample", True])
 @pytest.mark.parametrize("command", ["classify --surface", "oracle --divisor"])
 def test_file_flags_must_be_an_object(tmp_path, capsys, command, flags):

@@ -1,5 +1,8 @@
 """Reference families: construction, certificates, oracle, verification."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from npsurf import families
@@ -22,7 +25,7 @@ from npsurf.families import (
     sweep_family,
     verify_example,
 )
-from npsurf.lattice import PointConfig, SurfaceModel, blow_up
+from npsurf.lattice import PointConfig, SurfaceModel, blow_up, canonical_class
 
 CERTIFIED = ("1.11", "1.12", "1.16", "1.17", "1.18", "1.19", "1.20")
 ATTESTED = ("1.13", "1.14", "1.15", "Obs1.4")
@@ -267,6 +270,180 @@ def test_oracle_is_deterministic():
     b = brute_force_ample_oracle(ex)
     assert (a.min_value, a.argmin, a.candidates) == \
         (b.min_value, b.argmin, b.candidates)
+
+
+def test_oracle_box_is_capped():
+    S, A = _polarized("1.11", {})
+    assert families.MAX_BOX == 1000
+    assert ample_oracle(S, A, 1000).candidates == 1000
+    with pytest.raises(OracleBoxError, match=r"^box must be <= 1000, got 1001$"):
+        ample_oracle(S, A, 1001)
+    with pytest.raises(OracleBoxError, match=r"^box must be <= 1000, got 1001$"):
+        brute_force_ample_oracle(build_example("1.11"), box=1001)
+    with pytest.raises(OracleBoxError, match=r"^box must be <= 1000, got 1001$"):
+        verify_example("1.11", box=1001)
+    # an attested family has nothing to search, but its box is still checked
+    attested = build_example("1.13", {"l": 3})
+    for box, bound in ((1001, "<= 1000"), (0, ">= 1")):
+        with pytest.raises(OracleBoxError,
+                           match=f"^box must be {bound}, got {box}$"):
+            brute_force_ample_oracle(attested, box=box)
+        with pytest.raises(OracleBoxError,
+                           match=f"^box must be {bound}, got {box}$"):
+            verify_example("1.13", {"l": 3}, box=box)
+
+
+def test_oracle_memory_does_not_grow_with_the_box():
+    S = SurfaceModel.hirzebruch(0)
+    A = S.divisor([1, 1])
+    tracemalloc.start()
+    try:
+        res = ample_oracle(S, A, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.candidates == 300 * 300 + 2
+    assert peak < 1_000_000
+
+
+# --- the streaming oracle against the list enumerator it replaced ----------
+
+
+def _reference_greedy_load(weights, cap, budget):
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    m = [0] * len(weights)
+    left = budget
+    total = 0
+    for i in order:
+        if left <= 0 or weights[i] <= 0:
+            break
+        m[i] = min(cap, left)
+        left -= m[i]
+        total += weights[i] * m[i]
+    return total, tuple(m)
+
+
+def _reference_base_classes(base, box):
+    if base.kind == "P2":
+        coords = [(d,) for d in range(1, box + 1)]
+    else:
+        coords = [(1, 0), (0, 1)] + [
+            (a, b) for a in range(1, box + 1)
+            for b in range(max(1, a * base.e), box + 1)]
+    return [(c, base.divisor(c)) for c in coords]
+
+
+def _reference_candidates(S, D, box):
+    """The oracle's candidate list as it was built before the oracle
+    streamed: a divisor class, two pairings and a greedy sort per class."""
+    base = families._bare_base(S)
+    D_base = base.divisor(D.coeffs[:base.rank])
+    l = S.l or 0
+    if l == 0:
+        return [(D_base.dot(T), ("base", *c))
+                for c, T in _reference_base_classes(base, box)]
+    cfg = S.config
+    pencil = (cfg.complete_intersection_of_cubics and S.kind == "P2"
+              and l == 9)
+    if not (pencil or cfg.on_smooth_anticanonical):
+        raise OracleNotApplicable(
+            "no admissible-curve model for this point configuration")
+    weights = families._weights(S, D)
+    cands = [(w, ("E", i)) for i, w in enumerate(weights)]
+    if pencil:
+        span = families._fibration_span(S, D)
+        if span is None:
+            raise OracleNotApplicable(
+                "polarization leaves the section/fiber span; the "
+                "admissible-curve model only covers that span")
+        alpha, beta = span
+        cands.append((D.dot(-canonical_class(S)), ("F",)))
+        cands += [(alpha * x + beta * y, ("T", x, y))
+                  for x in range(box + 1) for y in range(1, box + 1)]
+        return cands
+    C = -canonical_class(base)
+    reach = max(C.coeffs)
+    if box < reach:
+        name = "cubic" if S.kind == "P2" else "anticanonical base"
+        raise OracleBoxError(f"box must reach the {name} class (>= {reach})")
+    plane = S.kind == "P2"
+    pad = (0,) if plane else ()
+    rulings = ({} if plane
+               else dict(zip(((1, 0), (0, 1)), families._ruling_budgets(S))))
+    for c, T in _reference_base_classes(base, box):
+        cap = max(1, c[0] - 1) if plane else max(1, min(c))
+        budget = rulings[c] if c in rulings else C.dot(T)
+        load, m = _reference_greedy_load(weights, cap, budget)
+        cands.append((D_base.dot(T) - load, ("D", *c, *pad, m)))
+    cands.append((D_base.dot(C) - sum(weights), ("C", (1,) * l)))
+    return cands
+
+
+def _outcome(search):
+    try:
+        return search()
+    except (OracleBoxError, OracleNotApplicable) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_surface(rng, model):
+    """A surface of the given oracle model, with a fixed-seed draw."""
+    if model == "pencil":
+        return blow_up(SurfaceModel.projective_plane(), 9,
+                       PointConfig(complete_intersection_of_cubics=True))
+    base = (SurfaceModel.projective_plane() if model.startswith("P2")
+            else SurfaceModel.hirzebruch(rng.randrange(4)))
+    if model.startswith("bare"):
+        return base
+    if model == "zero-point":
+        return blow_up(base, 0, PointConfig())
+    if model == "no-model":
+        return blow_up(base, rng.randrange(1, 5), PointConfig())
+    return blow_up(base, rng.randrange(1, 10), PointConfig(
+        on_smooth_anticanonical=True,
+        distinct_fibers="distinct" in model,
+        away_from_min_section="away" in model))
+
+
+def _random_class(rng, S):
+    if S.l == 9 and S.config.complete_intersection_of_cubics:
+        # mostly inside the section/fiber span, sometimes beside it
+        A = (rng.randrange(-3, 4) * S.exceptional(8)
+             - rng.randrange(-2, 4) * canonical_class(S))
+        return A + S.exceptional(0) if rng.random() < 0.2 else A
+    return S.divisor([rng.randrange(-3, 12) for _ in range(S.base_rank)]
+                     + [rng.randrange(-4, 2) for _ in range(S.l or 0)])
+
+
+@pytest.mark.parametrize("model", [
+    "bare-P2", "bare-Fe", "zero-point", "pencil", "P2-points", "Fe-points",
+    "Fe-points-away", "Fe-points-distinct", "Fe-points-away-distinct",
+    "no-model"])
+def test_streaming_oracle_matches_the_list_enumerator(model):
+    rng = random.Random(f"oracle-{model}")
+    for _ in range(40):
+        S = _random_surface(rng, model)
+        D = _random_class(rng, S)
+        box = rng.randrange(1, 10)
+
+        def reference():
+            cands = _reference_candidates(S, D, box)
+            value, key = min(cands)
+            return value, key, box, len(cands)
+
+        def streamed():
+            res = ample_oracle(S, D, box)
+            return res.min_value, res.argmin, res.box, res.candidates
+
+        assert _outcome(streamed) == _outcome(reference), (S, D, box)
+
+        # every candidate, not only the minimum
+        def listed():
+            return sorted((value, families._full_key(S, D, key))
+                          for value, key in families._candidates(S, D, box))
+
+        assert _outcome(listed) == _outcome(
+            lambda: sorted(_reference_candidates(S, D, box))), (S, D, box)
 
 
 # --- perturbation behaviour ------------------------------------------------

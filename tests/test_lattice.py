@@ -1,6 +1,8 @@
 """Intersection-lattice arithmetic: pairings, invariants, serialization."""
 
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -182,3 +184,30 @@ def test_index_inequality_on_positive_classes(c1, c2):
     a2 = d1.dot(d1)
     if a2 > 0:
         assert d1.dot(d2) ** 2 >= a2 * d2.dot(d2)
+
+
+def test_divisor_arithmetic_does_not_fill_other_tuple_free_lists():
+    # tuple() over a generator or a map starts from a 10-slot tuple and
+    # resizes it, so each result is freed into the free list of another
+    # size; a process that seldom runs a full collection, as one serving
+    # streaming oracle requests does, then keeps megabytes of dead tuples
+    S = blow_up(SurfaceModel.projective_plane(), 12, CFG)
+    A = S.divisor([3] + [-1] * 12)
+
+    def churn():
+        held = [A + A for _ in range(200)] + [A - A for _ in range(200)]
+        held += [-A for _ in range(200)] + [2 * A for _ in range(200)]
+        held += [S.divisor(A.coeffs) for _ in range(200)]
+        return len(held)
+
+    gc.disable()
+    try:
+        gc.collect()
+        churn()
+        before = sys.getallocatedblocks()
+        for _ in range(5):
+            churn()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 100

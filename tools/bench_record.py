@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Record a perf trajectory file (``BENCH_<n>.json``) from two checkouts.
+
+    python3 tools/bench_record.py PARENT CHANGE OUT [--claim WORKLOAD SEED PAIRS]
+
+PARENT and CHANGE are source checkouts of the commit before a change and of
+the change itself.  In each, ``perfbench/run.py`` runs untraced (``--trace
+0``, its default length) on every workload of ``BENCHMARK.json`` for seeds
+1-3, the two sides alternating which goes first.  ``--claim`` adds PAIRS
+alternating untraced pairs of WORKLOAD on SEED, which should be a seed the
+change was not developed on, and one traced run (``--trace 1``, seed 1) of
+that workload on each side.  Every run's ``env`` line and last-line JSON go
+into OUT with a summary: each side's median and quartiles per workload and
+metric, and for the claim the pairs the change won on ``ops_per_s``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+SIDES = ("parent", "change")
+
+
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, timeout=1800)
+    lines = proc.stdout.splitlines()
+    if not lines:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} printed "
+                         f"nothing:\n{proc.stderr}")
+    env = next(json.loads(line[4:]) for line in lines
+               if line.startswith("env "))
+    return {"workload": workload, "seed": seed, "trace": trace, "env": env,
+            "exit": proc.returncode, "result": json.loads(lines[-1])}
+
+
+def pair(checkouts: dict, workload: str, seed: int, trace: int,
+         parent_first: bool) -> list[dict]:
+    order = SIDES if parent_first else SIDES[::-1]
+    runs = []
+    for side in order:
+        rec = run(checkouts[side], workload, seed, trace)
+        runs.append({"side": side, **rec})
+        print(f"{side:6} {workload:13} seed {seed} trace {trace}: "
+              f"{json.dumps(rec['result']['metrics'].get('ops_per_s'))}",
+              flush=True)
+    return runs
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarize(runs: list[dict]) -> dict:
+    table = {}
+    for rec in runs:
+        if rec["trace"] == 0:
+            metrics = rec["result"]["metrics"]
+            for name, m in metrics.items():
+                (table.setdefault(rec["workload"], {}).setdefault(name, {})
+                 .setdefault(rec["side"], []).append(m["value"]))
+    return {w: {name: {side: spread(v) for side, v in sides.items()}
+                for name, sides in metrics.items()}
+            for w, metrics in table.items()}
+
+
+def claim_summary(claim_runs: list[dict]) -> dict:
+    by_pair = [claim_runs[i:i + 2] for i in range(0, len(claim_runs), 2)]
+    ops = [{r["side"]: r["result"]["metrics"]["ops_per_s"]["value"]
+            for r in p} for p in by_pair]
+    parent = spread([o["parent"] for o in ops])
+    change = spread([o["change"] for o in ops])
+    wins = sum(o["change"] > o["parent"] for o in ops)
+    return {"metric": "ops_per_s", "pairs": len(ops), "change_wins": wins,
+            "parent": parent, "change": change,
+            "median_ratio": change["median"] / parent["median"],
+            "parent_iqr": parent["q3"] - parent["q1"],
+            "holds": (wins >= 0.9 * len(ops) and change["median"]
+                      - parent["median"] > parent["q3"] - parent["q1"])}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "SEED",
+                                                     "PAIRS"))
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    workloads = [w["name"] for w in
+                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+    runs = []
+    for i, (seed, workload) in enumerate(
+            (s, w) for s in SEEDS for w in workloads):
+        runs += pair(checkouts, workload, seed, 0, parent_first=i % 2 == 0)
+    doc = {"runs": runs, "summary": summarize(runs)}
+    if args.claim:
+        workload, seed, pairs = args.claim[0], int(args.claim[1]), \
+            int(args.claim[2])
+        claim_runs = []
+        for i in range(pairs):
+            claim_runs += pair(checkouts, workload, seed, 0,
+                               parent_first=i % 2 == 0)
+        traced = pair(checkouts, workload, 1, 1, parent_first=True)
+        doc["claim"] = {"workload": workload, "seed": seed,
+                        "runs": claim_runs, **claim_summary(claim_runs),
+                        "traced": traced}
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
