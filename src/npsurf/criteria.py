@@ -160,6 +160,9 @@ def np_classify_degree(t: int, flags: Mapping[str, bool]) -> NpVerdict:
     ``ExactMax(t - 3)`` for ``t >= 3`` and ``NotN0`` below that.  Without the
     anticanonical flag the same bound is one-sided and needs ``L`` ample and
     base-point free: ``AtLeast(t - 3)`` when ``t >= 3``, otherwise silent.
+    The two attestations together with ``t < 1`` contradict each other (an
+    ample ``L`` meets the nonzero effective ``-K`` positively) and are
+    refused.
     """
     f = _require_flags(flags, _CLASSIFY_FLAGS)
     if not f.get("ample"):
@@ -169,16 +172,18 @@ def np_classify_degree(t: int, flags: Mapping[str, bool]) -> NpVerdict:
         if t >= 3:
             return NpVerdict(EXACT_MAX, p=t - 3, justification="Thm 1.3 iff",
                              assumed=assumed)
+        if t < 1:
+            raise CriteriaError(
+                f"-K.L = {t} < 1 contradicts the ample and anticanonical "
+                "attestations: an ample L meets the nonzero effective -K "
+                "positively")
         # -K restricts to an effective nonzero class on a member of |-K|,
         # so N_{t-2} fails with t - 2 <= 0
-        if t >= 1:
-            return NpVerdict(
-                NOT_N0, justification="Thm 1.3 iff", assumed=assumed,
-                reason=f"-K.L = {t} < 3: N_{green_lazarsfeld_failure(t)} "
-                       "already fails",
-            )
-        return NpVerdict(NOT_N0, justification="Thm 1.3 iff", assumed=assumed,
-                         reason=f"-K.L = {t} < 3")
+        return NpVerdict(
+            NOT_N0, justification="Thm 1.3 iff", assumed=assumed,
+            reason=f"-K.L = {t} < 3: N_{green_lazarsfeld_failure(t)} "
+                   "already fails",
+        )
     if not f.get("bpf"):
         return NpVerdict(
             NOT_APPLICABLE, justification="Thm 1.2",

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 KIND_P2 = "P2"
 KIND_FE = "Fe"
@@ -123,11 +124,11 @@ class SurfaceModel:
     def is_blow_up(self) -> bool:
         return self.l is not None
 
-    @property
+    @cached_property
     def base_rank(self) -> int:
         return 1 if self.kind == KIND_P2 else 2
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return self.base_rank + (self.l or 0)
 
@@ -224,22 +225,24 @@ class DivisorClass:
             )
 
     def _same_surface(self, other: "DivisorClass") -> None:
-        if self.surface != other.surface:
+        # classes built on one surface object share it; equal but distinct
+        # surfaces still pair
+        if self.surface is not other.surface and self.surface != other.surface:
             raise LatticeError("divisor classes live on different surfaces")
 
     def dot(self, other: "DivisorClass") -> int:
         self._same_surface(other)
         S = self.surface
         a, b = self.coeffs, other.coeffs
-        # the gram matrix is a base block plus -identity on the
-        # exceptional part, so the pairing is linear-time in the rank
+        # the gram matrix is -identity plus a correction on the base block,
+        # so the pairing is linear-time in the rank: H^2 = 1 on P2, and on
+        # F_e C0^2 = -e, C0.f = 1, f^2 = 0
+        a0, b0 = a[0], b[0]
         if S.kind == KIND_P2:
-            total = a[0] * b[0]
-        else:
-            total = -S.e * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
-        br = S.base_rank
-        total -= sum(x * y for x, y in zip(a[br:], b[br:]))
-        return total
+            return 2 * a0 * b0 - sum(map(mul, a, b))
+        a1, b1 = a[1], b[1]
+        return ((1 - S.e) * a0 * b0 + a0 * b1 + a1 * b0 + a1 * b1
+                - sum(map(mul, a, b)))
 
     # componentwise exact arithmetic (tuples from lists: see
     # SurfaceModel.divisor)

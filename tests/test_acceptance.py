@@ -5,11 +5,21 @@ Each test delegates to the corresponding hermetic check in
 can never drift apart.
 """
 
+import hashlib
+import random
 import subprocess
 import sys
 import time
 
-from npsurf import selftest
+import pytest
+
+from npsurf import lattice, selftest
+
+# sha256 over repr((d1.coeffs, d2.coeffs, value)) of every pairing that
+# check_properties makes, in call order, as drawn with random.randint
+PAIR_STREAM_SHA256 = (
+    "a5f75f39c5ce66e1b4754523c781fae4884993fe804c97e50f50b833bbc9fd55")
+PAIR_STREAM_CALLS = 363_550
 
 
 def test_family_sweeps_and_ampleness_agreement_under_ten_seconds():
@@ -40,13 +50,43 @@ def test_fano_fixtures_and_surface_induction_base():
     assert ok, detail
 
 
-def test_property_suites_mutation_detection_and_determinism():
-    ok, detail = selftest.check_properties()
+def test_property_suites_mutation_detection_and_determinism(monkeypatch):
+    digest = hashlib.sha256()
+    calls = 0
+    real = lattice.DivisorClass.dot
+
+    def recording_dot(self, other):
+        nonlocal calls
+        value = real(self, other)
+        calls += 1
+        digest.update(repr((self.coeffs, other.coeffs, value)).encode())
+        return value
+
+    with monkeypatch.context() as m:
+        m.setattr(lattice.DivisorClass, "dot", recording_dot)
+        ok, detail = selftest.check_properties()
     assert ok, detail
+    # the sampler may get faster, but must not move a single drawn pair
+    assert (calls, digest.hexdigest()) == (PAIR_STREAM_CALLS,
+                                           PAIR_STREAM_SHA256)
     ok, detail = selftest.check_mutation_robustness()
     assert ok, detail
     ok, detail = selftest.check_oracle_determinism()
     assert ok, detail
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-4, 4), (-9, 9), (0, 9), (1, 6),  # the ranges the property suite draws
+    (3, 3),                            # width 1
+    (-8, 7), (0, 1023),                # widths that are powers of two
+])
+def test_property_sampler_draws_what_randint_draws(lo, hi):
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for k in (0, 1, 2, 7, 30):
+            assert (selftest._randints(rng, lo, hi, k)
+                    == [ref.randint(lo, hi) for _ in range(k)])
+        assert rng.getstate() == ref.getstate()
 
 
 def test_a_check_reports_the_failure_it_found(monkeypatch):

@@ -51,6 +51,12 @@ def test_classify_by_degree_with_level_queries(capsys):
     assert code == 0 and "N_5: fails" in out
 
 
+def test_classify_refuses_contradictory_attestations(capsys):
+    code, out, err = run(capsys, "classify", "--t", "0", "--ample",
+                         "--anticanonical")
+    assert code == 2 and out == "" and "contradicts" in err
+
+
 def test_classify_surface_file(tmp_path, capsys):
     f = tmp_path / "plane.json"
     f.write_text(json.dumps({"kind": "P2", "coeffs": [2],

@@ -34,9 +34,14 @@ def test_equivalence_classification_by_degree():
         v = np_classify_degree(t, ANTI)
         assert (v.status, v.p) == ("ExactMax", t - 3)
         assert v.justification == "Thm 1.3 iff"
-    for t in (2, 1, 0, -4):
+    for t in (2, 1):
         v = np_classify_degree(t, ANTI)
         assert v.status == "NotN0" and v.p is None
+    # an ample L meets the nonzero effective -K positively, so -K.L < 1
+    # contradicts the two attestations
+    for t in (0, -4):
+        with pytest.raises(CriteriaError, match="contradicts"):
+            np_classify_degree(t, ANTI)
 
 
 def test_one_sided_classification_needs_base_point_freeness():

@@ -57,6 +57,59 @@ def test_fast_pairing_matches_gram_matrix():
             assert intersect(d1, d2) == d1.dot(d2)
 
 
+@st.composite
+def surface_and_coefficients(draw):
+    """A bare or blown-up P2/F_e (e in 0..20, l in 0..12) and two
+    coefficient lists on it."""
+    base = draw(st.sampled_from([None, *range(21)]))
+    S = (SurfaceModel.projective_plane() if base is None
+         else SurfaceModel.hirzebruch(base))
+    l = draw(st.none() | st.integers(0, 12))
+    if l is not None:
+        S = blow_up(S, l, CFG)
+    coeffs = st.lists(st.integers(-40, 40), min_size=S.rank, max_size=S.rank)
+    return S, draw(coeffs), draw(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(surface_and_coefficients())
+def test_pairing_matches_gram_matrix_on_every_base_and_blow_up(case):
+    S, c1, c2 = case
+    d1, d2 = S.divisor(c1), S.divisor(c2)
+    assert d1.dot(d2) == gram_dot(d1, d2) == d2.dot(d1)
+
+
+def test_equal_surfaces_built_separately_pair():
+    for make in (SurfaceModel.projective_plane,
+                 lambda: SurfaceModel.hirzebruch(4),
+                 lambda: blow_up(SurfaceModel.hirzebruch(2), 3, CFG)):
+        S, T = make(), make()
+        assert S is not T and S == T
+        d1 = S.divisor(range(1, S.rank + 1))
+        d2 = T.divisor([2] * T.rank)
+        assert d1.dot(d2) == d2.dot(d1) == gram_dot(d1, d2)
+        assert (d1 + d2).coeffs == tuple(c + 2 for c in d1.coeffs)
+        back = from_json(d1.to_json())
+        assert back.surface is not S and back.dot(d1) == d1.dot(d1)
+
+
+def test_pairing_refuses_surfaces_that_differ_only_in_config_or_blow_up():
+    plane = SurfaceModel.projective_plane()
+    general = blow_up(plane, 2, CFG).divisor([1, 0, 0])
+    fibers = blow_up(plane, 2, PointConfig(distinct_fibers=True)).divisor(
+        [1, 0, 0])
+    wrapped = blow_up(plane, 0, CFG).divisor([1])
+    bare = plane.divisor([1])
+    for a, b in ((general, fibers), (wrapped, bare),
+                 (SurfaceModel.hirzebruch(0).divisor([1, 1]),
+                  SurfaceModel.hirzebruch(1).divisor([1, 1]))):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(LatticeError):
+                x.dot(y)
+            with pytest.raises(LatticeError):
+                _ = x - y
+
+
 def test_pairing_is_symmetric_and_bilinear():
     rng = random.Random(11)
     for S in sample_surfaces():
