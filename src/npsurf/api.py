@@ -126,14 +126,12 @@ class _Call:
 def _derive(owner, attr: str, tag: str | None = None,
             rename: dict | None = None) -> _Call:
     """Read one callable's signature; ``rename`` maps a parameter to its
-    JSON key, or to None to keep it out of the JSON API."""
+    JSON key."""
     target = getattr(owner, attr)
     hints = typing.get_type_hints(target)
     fields, nested, required, keys = [], [], [], []
     for name, param in inspect.signature(target).parameters.items():
         key = (rename or {}).get(name, name)
-        if key is None:
-            continue
         if hints[name] in _BUILT_FROM_FIELDS:
             sub = _derive(*_BUILT_FROM_FIELDS[hints[name]])
             nested.append((name, sub))
@@ -212,8 +210,7 @@ _ROWS = {
     "nakai_certificate": (families, "Nakai curve cases"),
     "brute_force_ample_oracle": (families, "exhaustive search"),
     "ample_oracle": (_Adapters, "exhaustive search"),
-    "verify_example": (families, "family verification",
-                       {**_ID, "check_fixture": None}),
+    "verify_example": (families, "family verification", _ID),
     "primitive_np": (fano,),
     "multiples_np_surface": (fano, None, {"B_profile": "profile"}),
     "multiples_np_fano": (fano,),

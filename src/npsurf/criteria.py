@@ -113,7 +113,10 @@ def _require_flags(flags, allowed: frozenset[str]) -> dict[str, bool]:
     unknown = set(flags) - allowed
     if unknown:
         raise CriteriaError(f"unknown flags: {sorted(unknown)}")
-    return {k: bool(v) for k, v in flags.items()}
+    for name, value in flags.items():
+        if type(value) is not bool:
+            raise CriteriaError(f"flag {name!r} must be a bool, got {value!r}")
+    return flags
 
 
 def _check_ksq(ksq: int) -> None:
@@ -685,8 +688,8 @@ def curve_np_reference(genus: int, degree: int) -> NpVerdict:
 
     Elliptic curves give an equivalence: N_p iff degree >= p + 3, hence
     ``ExactMax(degree - 3)`` (or NotN0 below degree 3).  For other genera
-    only the one-sided bound applies: degree >= 2g + 2 + p gives
-    ``AtLeast(degree - 2g - 1)``; below 2g + 1 the procedure is silent.
+    only the one-sided bound applies (Green): degree >= 2g + 1 + p gives N_p,
+    hence ``AtLeast(degree - 2g - 1)``; below 2g + 1 the procedure is silent.
     """
     if genus < 0:
         raise CriteriaError("genus must be >= 0")

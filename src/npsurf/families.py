@@ -8,13 +8,14 @@ and both the certificate and the oracle refuse.  ``build_example`` validates
 a request against its row and assembles the instance; ``FAMILY_IDS`` and
 ``FAMILY_SWEEPS`` (the product of each row's ranges) derive from the table.
 
-Each builder returns the surface, the polarization, and a table of integer
-claims (intersection numbers, adjoint identities) fixed by closed formulas in
-the family parameters.  ``verify_example`` recomputes every claim from the
-lattice, runs the ampleness certificate and the brute-force oracle, classifies
-the syzygy level, and compares everything against the frozen fixture table
-shipped in ``data/examples.json``; a ``null`` ampleness pin holds only where
-both the certificate and the oracle refuse.
+Each builder returns the surface, the polarization, and the family's named
+integer claims (intersection numbers, adjoint identities), each with the
+lattice computation that derives it; the builders hold no expected values.
+The frozen fixture table shipped in ``data/examples.json`` is the only
+expectation: ``verify_example`` recomputes every claim from the lattice, runs
+the ampleness certificate and the brute-force oracle, classifies the syzygy
+level, and diffs the results against the instance's pins; a ``null``
+ampleness pin holds only where both the certificate and the oracle refuse.
 
 Two independent ampleness routes are provided for certified families:
 
@@ -101,13 +102,13 @@ class VerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class Claim:
-    """One integer claim: a named quantity with its expected value.
+    """One named integer quantity of a family instance.
 
-    ``compute`` re-derives the quantity from the lattice data alone.
+    ``compute`` derives the quantity from the lattice data alone; its
+    expected value is the instance's fixture pin.
     """
 
     quantity: str
-    expected: int
     compute: Callable[[SurfaceModel, DivisorClass], int] = field(compare=False)
 
 
@@ -119,12 +120,6 @@ class ExampleFamily:
     A: DivisorClass
     claims: tuple[Claim, ...]
     np_flags: tuple[tuple[str, bool], ...]
-    np_expected: tuple[str, int | None]
-    annotations: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def params_dict(self) -> dict[str, int]:
-        return dict(self.params)
 
     @property
     def instance_key(self) -> str:
@@ -134,23 +129,26 @@ class ExampleFamily:
 
     def with_polarization(self, A: DivisorClass) -> "ExampleFamily":
         """The same instance with a perturbed polarization (for robustness
-        tests); claims keep their original expected values."""
+        tests); id and params, and so the fixture pin, stay the same."""
         return dataclasses.replace(self, A=A)
 
     def to_json(self) -> dict:
+        """The instance with the expectations its fixture pin holds."""
+        pin = fixture_instance(self.id, self.instance_key)
         return {
             "id": self.id, "params": dict(self.params),
             "surface": self.surface.to_json(), "A": list(self.A.coeffs),
-            "claims": {c.quantity: c.expected for c in self.claims},
-            "np_expected": {"status": self.np_expected[0],
-                            "p": self.np_expected[1]},
-            "annotations": dict(self.annotations),
+            "claims": {c.quantity: pin["claims"][c.quantity]
+                       for c in self.claims},
+            "np_expected": {"status": pin["np"]["status"],
+                            "p": pin["np"]["p"]},
+            "annotations": dict(pin.get("annotations", {})),
         }
 
 
-def _claim_dot(name: str, expected: int, d1, d2) -> Claim:
+def _claim_dot(name: str, d1, d2) -> Claim:
     """Claim about a pairing of two derived divisors; d1/d2 are callables."""
-    return Claim(name, expected, lambda S, A: d1(S, A).dot(d2(S, A)))
+    return Claim(name, lambda S, A: d1(S, A).dot(d2(S, A)))
 
 
 def _residual(name: str, lhs, rhs) -> Claim:
@@ -160,15 +158,14 @@ def _residual(name: str, lhs, rhs) -> Claim:
         delta = lhs(S, A) - rhs(S, A)
         return max((abs(c) for c in delta.coeffs), default=0)
 
-    return Claim(name, 0, compute)
+    return Claim(name, compute)
 
 
-def _claims_common(ksq: int, a2: int, deg: int) -> list[Claim]:
-    return [
-        Claim("K2", ksq, lambda S, A: k_squared(S)),
-        Claim("A2", a2, lambda S, A: A.dot(A)),
-        Claim("-K.A", deg, lambda S, A: -canonical_class(S).dot(A)),
-    ]
+_COMMON_CLAIMS = [
+    Claim("K2", lambda S, A: k_squared(S)),
+    Claim("A2", lambda S, A: A.dot(A)),
+    Claim("-K.A", lambda S, A: -canonical_class(S).dot(A)),
+]
 
 
 # --- builders --------------------------------------------------------------
@@ -177,26 +174,26 @@ def _claims_common(ksq: int, a2: int, deg: int) -> list[Claim]:
 def _build_1_11():
     S = SurfaceModel.projective_plane()
     A = S.divisor([1])
-    claims = _claims_common(9, 1, 3) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + 3A)",
                   lambda S, A: canonical_class(S) + 3 * A,
                   lambda S, A: S.zero()),
     ]
-    return S, A, claims, ("ExactMax", 0)
+    return S, A, claims
 
 
 def _build_1_12(e):
     S = SurfaceModel.hirzebruch(e)
     A = S.divisor([1, e + 1])
-    claims = _claims_common(8, e + 2, e + 4) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + 2A - e*fiber)",
                   lambda S, A: canonical_class(S) + 2 * A,
                   lambda S, A: S.divisor([0, S.e])),
-        Claim("oracle_min(K + 2A)", 0,
+        Claim("oracle_min(K + 2A)",
               lambda S, A: ample_oracle(S, canonical_class(S) + 2 * A,
                                         8).min_value),
     ]
-    return S, A, claims, ("ExactMax", e + 1)
+    return S, A, claims
 
 
 def _del_pezzo(l: int) -> SurfaceModel:
@@ -207,34 +204,34 @@ def _del_pezzo(l: int) -> SurfaceModel:
 def _build_1_13(l):
     S = _del_pezzo(l)
     A = -canonical_class(S)
-    claims = _claims_common(9 - l, 9 - l, 9 - l) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + A)",
                   lambda S, A: canonical_class(S) + A,
                   lambda S, A: S.zero()),
     ]
-    return S, A, claims, ("ExactMax", 6 - l)
+    return S, A, claims
 
 
 def _build_1_14():
     S = _del_pezzo(7)
     A = -canonical_class(S)
-    claims = _claims_common(2, 2, 2) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + 2A - (-K))",
                   lambda S, A: canonical_class(S) + 2 * A,
                   lambda S, A: -canonical_class(S)),
     ]
-    return S, A, claims, ("NotN0", None)
+    return S, A, claims
 
 
 def _build_1_15():
     S = _del_pezzo(8)
     A = -canonical_class(S)
-    claims = _claims_common(1, 1, 1) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + 3A - (-2K))",
                   lambda S, A: canonical_class(S) + 3 * A,
                   lambda S, A: -2 * canonical_class(S)),
     ]
-    return S, A, claims, ("NotN0", None)
+    return S, A, claims
 
 
 def _build_1_16(e, n):
@@ -243,15 +240,15 @@ def _build_1_16(e, n):
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(e), l, cfg)
     A = S.divisor([2, e + 3] + [-1] * l)
-    claims = _claims_common(n, n + 4, n + 2) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + A - pullback(fiber))",
                   lambda S, A: canonical_class(S) + A,
                   lambda S, A: S.pullback([0, 1])),
-        _claim_dot("(K+A)^2", 0,
+        _claim_dot("(K+A)^2",
                    lambda S, A: canonical_class(S) + A,
                    lambda S, A: canonical_class(S) + A),
     ]
-    return S, A, claims, ("ExactMax", n - 1) if n >= 1 else ("NotN0", None)
+    return S, A, claims
 
 
 def _build_1_17(l):
@@ -259,15 +256,15 @@ def _build_1_17(l):
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(1), l, cfg)
     A = S.divisor([3, 4] + [-1] * l)
-    claims = _claims_common(8 - l, 15 - l, 11 - l) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + A - pullback(C0 + fiber))",
                   lambda S, A: canonical_class(S) + A,
                   lambda S, A: S.pullback([1, 1])),
-        _claim_dot("-K.(K+A)", 3,
+        _claim_dot("-K.(K+A)",
                    lambda S, A: -canonical_class(S),
                    lambda S, A: canonical_class(S) + A),
     ]
-    return S, A, claims, ("ExactMax", 8 - l) if l <= 8 else ("NotN0", None)
+    return S, A, claims
 
 
 def _build_1_18():
@@ -277,15 +274,15 @@ def _build_1_18():
     F = -canonical_class(S)          # elliptic fiber class
     E = S.exceptional(8)             # a section of the fibration
     A = E + 2 * F
-    claims = _claims_common(0, 3, 1) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + 2A - (2*section + 3*fiber))",
                   lambda S, A: canonical_class(S) + 2 * A,
                   lambda S, A: 2 * S.exceptional(8) - 3 * canonical_class(S)),
-        _claim_dot("(K+2A).fiber", 2,
+        _claim_dot("(K+2A).fiber",
                    lambda S, A: canonical_class(S) + 2 * A,
                    lambda S, A: -canonical_class(S)),
     ]
-    return S, A, claims, ("NotN0", None)
+    return S, A, claims
 
 
 def _build_1_19(n):
@@ -295,15 +292,15 @@ def _build_1_19(n):
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(0), l, cfg)
     A = S.divisor([2, k] + [-1] * l)
-    claims = _claims_common(n, 2 - n, 1) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + A - pullback((k-2)*fiber2))",
                   lambda S, A: canonical_class(S) + A,
                   lambda S, A: S.pullback([0, k - 2])),
-        _claim_dot("(K+A)^2", 0,
+        _claim_dot("(K+A)^2",
                    lambda S, A: canonical_class(S) + A,
                    lambda S, A: canonical_class(S) + A),
     ]
-    return S, A, claims, ("NotN0", None)
+    return S, A, claims
 
 
 def _build_1_20(n):
@@ -313,15 +310,15 @@ def _build_1_20(n):
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(0), l, cfg)
     A = S.divisor([3, k, -2] + [-1] * (l - 1))
-    claims = _claims_common(n, 1 - 2 * n, 1) + [
+    claims = _COMMON_CLAIMS + [
         _residual("residual(K + A - (pullback(fiber1 + (k-2)*fiber2) - E1))",
                   lambda S, A: canonical_class(S) + A,
                   lambda S, A: S.pullback([1, k - 2]) - S.exceptional(0)),
-        _claim_dot("(K+A).(fiber2 through first point)", 0,
+        _claim_dot("(K+A).(fiber2 through first point)",
                    lambda S, A: canonical_class(S) + A,
                    lambda S, A: S.pullback([0, 1]) - S.exceptional(0)),
     ]
-    return S, A, claims, ("NotN0", None)
+    return S, A, claims
 
 
 def _build_obs_1_4(n):
@@ -329,16 +326,15 @@ def _build_obs_1_4(n):
     S = blow_up(SurfaceModel.hirzebruch(0), 9, cfg)
     L = S.divisor([2, n] + [-1] * 9)
     claims = [
-        Claim("K2", -1, lambda S, A: k_squared(S)),
-        Claim("-K.L", 2 * n - 5, lambda S, A: -canonical_class(S).dot(A)),
-        Claim("chi(-K - L)", 3 - n,
+        Claim("K2", lambda S, A: k_squared(S)),
+        Claim("-K.L", lambda S, A: -canonical_class(S).dot(A)),
+        Claim("chi(-K - L)",
               lambda S, A: euler_characteristic(-canonical_class(S) - A)),
         _residual("residual(-K - L - pullback((2-n)*fiber2))",
                   lambda S, A: -canonical_class(S) - A,
                   lambda S, A: S.pullback([0, 2 - n])),
     ]
-    annotations = (("h0(-K)", 0), ("h1(-K)", 1), ("h1(-K - L)", n - 3))
-    return S, L, claims, ("AtLeast", 2 * n - 8), annotations
+    return S, L, claims
 
 
 # --- ampleness certificate -------------------------------------------------
@@ -596,13 +592,13 @@ class Family:
     """One row of the family table.
 
     ``build`` takes the parameters as keywords and returns ``(surface,
-    polarization, claims, np_expected)``, plus the annotation table where the
-    family states one.  ``params`` maps each parameter to the ``range`` of
-    its allowed values; a step of 2 carries a parity.  ``route`` is the
-    ampleness route: the certificate body with the ``PointConfig`` flags it
-    requires, or None when ampleness is attested, in which case the
-    certificate and the oracle both refuse.  The body maps ``(surface,
-    polarization, exceptional values)`` to its curve-case checks.
+    polarization, claims)``.  ``params`` maps each parameter to the
+    ``range`` of its allowed values; a step of 2 carries a parity.
+    ``route`` is the ampleness route: the certificate body with the
+    ``PointConfig`` flags it requires, or None when ampleness is attested,
+    in which case the certificate and the oracle both refuse.  The body
+    maps ``(surface, polarization, exceptional values)`` to its curve-case
+    checks.
     """
 
     build: Callable[..., tuple]
@@ -680,10 +676,9 @@ def build_example(family_id: str,
     if family is None:
         raise FamilyError(f"unknown family id {family_id!r}")
     p = family.validate(family_id, params)
-    surface, A, claims, np_expected, *annotations = family.build(**p)
+    surface, A, claims = family.build(**p)
     return ExampleFamily(family_id, tuple(p.items()), surface, A,
-                         tuple(claims), family.np_flags, np_expected,
-                         *annotations)
+                         tuple(claims), family.np_flags)
 
 
 # --- brute-force oracle ----------------------------------------------------
@@ -869,8 +864,10 @@ def brute_force_ample_oracle(ex: ExampleFamily, box: int | None = None) -> Oracl
 
 @dataclass(frozen=True)
 class ClaimResult:
+    """A recomputed claim against its fixture pin (None where unpinned)."""
+
     quantity: str
-    expected: int
+    expected: int | None
     actual: int
     ok: bool
 
@@ -885,8 +882,7 @@ class VerifyReport:
     oracle: OracleResult | None
     oracle_note: str | None
     np_verdict: NpVerdict
-    np_expected: tuple[str, int | None]
-    fixture_checked: bool
+    np_expected: tuple[str | None, int | None]
     failures: tuple[str, ...] = ()
 
     @property
@@ -925,7 +921,6 @@ class VerifyReport:
             "ample": self.ample_verdict,
             "agreement_ok": self.agreement_ok,
             "passed": self.passed,
-            "fixture_checked": self.fixture_checked,
             "failures": list(self.failures),
         }
 
@@ -945,21 +940,24 @@ def fixture_instance(family_id: str, instance_key: str) -> dict | None:
 
 
 def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
-                   box: int | None = None, strict: bool = True,
-                   check_fixture: bool = True) -> VerifyReport:
-    """Recompute every claim of one family instance and cross-check it.
+                   box: int | None = None, strict: bool = True) -> VerifyReport:
+    """Recompute every claim of one family instance and diff it against the
+    instance's fixture pin.
 
     Raises ``VerificationError`` naming the first failing quantity when
     ``strict`` (the default); otherwise returns the report with failures
     recorded.
     """
     ex = build_example(family_id, params)
+    pin = fixture_instance(ex.id, ex.instance_key)
+    pinned = {} if pin is None else pin["claims"]
 
     claims = []
     for claim in ex.claims:
         actual = claim.compute(ex.surface, ex.A)
-        claims.append(ClaimResult(claim.quantity, claim.expected, actual,
-                                  actual == claim.expected))
+        expected = pinned.get(claim.quantity)
+        claims.append(ClaimResult(claim.quantity, expected, actual,
+                                  actual == expected))
 
     certificate = refused = None
     try:
@@ -978,19 +976,13 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
         family=ex.id, params=ex.params, claims=tuple(claims),
         certificate=certificate, certificate_refused=refused,
         oracle=oracle, oracle_note=oracle_note,
-        np_verdict=verdict, np_expected=ex.np_expected,
-        fixture_checked=check_fixture,
+        np_verdict=verdict,
+        np_expected=((None, None) if pin is None
+                     else (pin["np"]["status"], pin["np"]["p"])),
     )
 
     failures = []
     where = f"{ex.id}[{ex.instance_key}]"
-    for c in claims:
-        if not c.ok:
-            failures.append(f"{where}: claim {c.quantity!r} expected "
-                            f"{c.expected}, recomputed {c.actual}")
-    if not report.np_ok:
-        failures.append(f"{where}: syzygy verdict ({verdict.status}, "
-                        f"{verdict.p}) != expected {ex.np_expected}")
     if not report.agreement_ok:
         failures.append(
             f"{where}: certificate validity {certificate.valid} disagrees "
@@ -999,32 +991,25 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
         failures.append(f"{where}: certificate failed on the unperturbed "
                         "polarization")
 
-    if check_fixture:
-        pin = fixture_instance(ex.id, ex.instance_key)
-        if pin is None:
-            failures.append(f"{where}: no fixture entry")
-        else:
-            for c in claims:
-                pinned = pin["claims"].get(c.quantity)
-                if pinned != c.actual:
-                    failures.append(f"{where}: claim {c.quantity!r} fixture "
-                                    f"pins {pinned}, recomputed {c.actual}")
-            if [pin["np"]["status"], pin["np"]["p"]] != [verdict.status,
-                                                         verdict.p]:
-                failures.append(
-                    f"{where}: fixture syzygy pin {pin['np']} != verdict "
-                    f"({verdict.status}, {verdict.p})")
-            if pin["ample"] != report.ample_verdict:
-                failures.append(f"{where}: fixture ampleness pin "
-                                f"{pin['ample']} != {report.ample_verdict}")
-            elif pin["ample"] is None:
-                if refused is None:
-                    failures.append(f"{where}: expected certificate refusal")
-                if oracle_note is None:
-                    failures.append(f"{where}: expected oracle abstention")
-            pinned_ann = pin.get("annotations", {})
-            if pinned_ann != {k: v for k, v in ex.annotations}:
-                failures.append(f"{where}: annotation table drifted")
+    if pin is None:
+        failures.append(f"{where}: no fixture entry")
+    else:
+        for c in claims:
+            if not c.ok:
+                failures.append(f"{where}: claim {c.quantity!r} fixture "
+                                f"pins {c.expected}, recomputed {c.actual}")
+        if not report.np_ok:
+            failures.append(
+                f"{where}: fixture syzygy pin {pin['np']} != verdict "
+                f"({verdict.status}, {verdict.p})")
+        if pin["ample"] != report.ample_verdict:
+            failures.append(f"{where}: fixture ampleness pin "
+                            f"{pin['ample']} != {report.ample_verdict}")
+        elif pin["ample"] is None:
+            if refused is None:
+                failures.append(f"{where}: expected certificate refusal")
+            if oracle_note is None:
+                failures.append(f"{where}: expected oracle abstention")
 
     report = dataclasses.replace(report, failures=tuple(failures))
     if failures and strict:

@@ -125,8 +125,12 @@ def multiples_np_surface(B_profile: SurfaceProfile, l: int, p: int) -> BoolVerdi
         raise FanoError("profile needs minusK_dot_B")
     if p < 1:
         raise FanoError("needs p >= 1")
-    deg = int(B_profile["minusK_dot_B"])
-    plane = bool(B_profile.get("is_P2_O1", False))
+    deg = B_profile["minusK_dot_B"]
+    plane = B_profile.get("is_P2_O1", False)
+    if type(deg) is not int:
+        raise FanoError(f"minusK_dot_B must be an integer, got {deg!r}")
+    if type(plane) is not bool:
+        raise FanoError(f"is_P2_O1 must be a bool, got {plane!r}")
     assumed = ("ample", "bpf")
     if (deg >= 4 or plane) and l >= p:
         return BoolVerdict(True, "Thm 2.6", assumed)

@@ -262,9 +262,6 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def to_json(self) -> dict:
         obj = self.surface.to_json()
         obj["coeffs"] = list(self.coeffs)

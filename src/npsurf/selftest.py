@@ -573,13 +573,14 @@ def check_mutation_robustness() -> tuple[bool, str]:
                 base_cert = nakai_certificate(ex)
             except families.CertificateRefused:
                 continue
+            pinned = families.fixture_instance(fid, ex.instance_key)["claims"]
             l = ex.surface.l or 0
             for i in range(l):
                 for delta in (1, -1):
                     total += 1
                     mut = mutate_polarization(ex, i, delta)
                     claims_moved = any(
-                        c.compute(mut.surface, mut.A) != c.expected
+                        c.compute(mut.surface, mut.A) != pinned[c.quantity]
                         for c in mut.claims)
                     mut_cert = nakai_certificate(mut)
                     flipped = (mut_cert.flip_signature()

@@ -59,6 +59,17 @@ def test_classification_flag_validation():
         np_classify_degree(5, {"ample": True, "smooth": True})
 
 
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_flags_are_booleans_never_coerced(value):
+    with pytest.raises(CriteriaError, match="must be a bool"):
+        np_classify_degree(7, {"ample": value, "anticanonical": True})
+    with pytest.raises(CriteriaError, match="must be a bool"):
+        np_classify_degree(7, {"ample": True, "anticanonical": value})
+    S = SurfaceModel.hirzebruch(1)
+    with pytest.raises(CriteriaError, match="must be a bool"):
+        bpf_check(S, S.divisor([1, 2]), {"nef": value, "anticanonical": True})
+
+
 def test_classification_from_a_lattice_polarization():
     S = blow_up(SurfaceModel.projective_plane(), 6,
                 PointConfig(general_position=True,

@@ -1,7 +1,12 @@
 """Reference families: construction, certificates, oracle, verification."""
 
+import ast
+import importlib.util
+import json
+import pathlib
 import random
 import tracemalloc
+from importlib import resources
 
 import pytest
 
@@ -65,18 +70,19 @@ def test_instance_keys_and_parameters():
     assert build_example("1.11").instance_key == "-"
     ex = build_example("1.16", {"e": 0, "n": -1})
     assert ex.instance_key == "e=0,n=-1"
-    assert ex.params_dict == {"e": 0, "n": -1}
+    assert dict(ex.params) == {"e": 0, "n": -1}
 
 
 def test_annotations_only_where_stated():
     ex = build_example("Obs1.4", {"n": 7})
-    assert dict(ex.annotations) == {"h0(-K)": 0, "h1(-K)": 1, "h1(-K - L)": 4}
+    assert ex.to_json()["annotations"] == {"h0(-K)": 0, "h1(-K)": 1,
+                                           "h1(-K - L)": 4}
     assert dict(ex.np_flags)["anticanonical"] is False
     for fid in FAMILY_IDS:
         if fid == "Obs1.4":
             continue
         first = dict(FAMILY_SWEEPS[fid][0])
-        assert build_example(fid, first).annotations == ()
+        assert build_example(fid, first).to_json()["annotations"] == {}
 
 
 # --- certificates ----------------------------------------------------------
@@ -485,7 +491,7 @@ def test_mutation_keeps_the_recorded_expectations():
     ex = build_example("1.16", {"e": 0, "n": 4})
     mut = mutate_polarization(ex, 1, 1)
     assert mut.claims == ex.claims
-    assert mut.np_expected == ex.np_expected
+    assert mut.to_json()["np_expected"] == ex.to_json()["np_expected"]
     assert mut.A != ex.A
 
 
@@ -508,7 +514,6 @@ def test_mutation_keeps_the_recorded_expectations():
 def test_verify_passes_on_every_named_instance(fid, params):
     report = verify_example(fid, params)
     assert report.passed and report.np_ok and report.agreement_ok
-    assert report.fixture_checked
     if fid in CERTIFIED:
         assert report.certificate is not None and report.oracle is not None
         assert report.ample_verdict is True
@@ -528,8 +533,6 @@ def test_verify_strictness_raises_with_the_culprit_named(monkeypatch):
     assert "no fixture entry" in str(err.value)
     report = verify_example("1.11", strict=False)
     assert not report.passed and "no fixture entry" in report.failures[0]
-    report = verify_example("1.11", check_fixture=False)
-    assert report.passed and not report.fixture_checked
 
 
 def test_fixture_ampleness_pin_is_compared_when_null(monkeypatch):
@@ -566,3 +569,39 @@ def test_fixture_lookup():
     assert fixture_instance("1.16", "e=0,n=-1") is not None
     assert fixture_instance("1.16", "e=0,n=99") is None
     assert fixture_instance("9.99", "-") is None
+
+
+# the fixture generator: the one place the expected values are written
+GENERATOR = (pathlib.Path(__file__).resolve().parent.parent / "tools"
+             / "make_fixtures.py")
+
+
+def test_fixture_file_is_the_generator_output(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_fixtures", GENERATOR)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "OUT", tmp_path / "examples.json")
+    make_fixtures.main()
+    packaged = resources.files("npsurf").joinpath("data/examples.json")
+    assert (tmp_path / "examples.json").read_bytes() == packaged.read_bytes()
+
+
+def test_fixture_generator_imports_nothing_from_npsurf():
+    imported = []
+    for node in ast.walk(ast.parse(GENERATOR.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0
+            imported.append(node.module)
+    assert imported and not any(name.split(".")[0] == "npsurf"
+                                for name in imported)
+
+
+def test_fixture_instances_are_exactly_the_sweeps():
+    data = resources.files("npsurf").joinpath("data/examples.json")
+    pinned = json.loads(data.read_text())["families"]
+    assert set(pinned) == set(FAMILY_IDS)
+    for fid in FAMILY_IDS:
+        swept = {build_example(fid, p).instance_key for p in FAMILY_SWEEPS[fid]}
+        assert set(pinned[fid]["instances"]) == swept, fid

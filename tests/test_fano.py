@@ -89,6 +89,18 @@ def test_multiples_on_a_surface_profile():
         multiples_np_surface({"minusK_dot_B": 4}, 2, 0)
 
 
+@pytest.mark.parametrize("profile", [
+    {"minusK_dot_B": 4.9},
+    {"minusK_dot_B": "4"},
+    {"minusK_dot_B": True},
+    {"minusK_dot_B": 1, "is_P2_O1": "no"},
+    {"minusK_dot_B": 1, "is_P2_O1": 1},
+])
+def test_surface_profile_values_are_never_coerced(profile):
+    with pytest.raises(FanoError, match="must be"):
+        multiples_np_surface(profile, 2, 2)
+
+
 def test_multiples_on_a_fano_profile():
     assert multiples_np_fano(FanoInput(4, 4, 2), 3, 3)   # index above n-1
     assert multiples_np_fano(FanoInput(4, 3, 4), 2, 2)   # degree rescue
