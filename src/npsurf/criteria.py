@@ -8,7 +8,7 @@ assumptions used.  Tags name the source results and are part of the output
 data contract; nothing else about the sources is encoded here.
 
 A note on the one-sided results: several procedures are sufficient criteria
-only.  Their ``False``/silent outcomes mean "not established by this route",
+only.  Their ``False``/silent outcomes mean "not established by this rule",
 never "disproved".  The only equivalences are the anticanonical degree
 criterion (``np_classify`` with the anticanonical flag), the elliptic-curve
 reference case, and the ampleness/syzygy equivalences reported by

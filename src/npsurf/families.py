@@ -2,11 +2,9 @@
 
 ``FAMILIES`` is the one table of reference families.  Each row holds the
 family's builder, its parameter domain as ``range``s (a step of 2 carries a
-parity), and its ampleness route: the certificate body with the
-``PointConfig`` flags that body requires, or None where ampleness is attested
-and both the certificate and the oracle refuse.  ``build_example`` validates
-a request against its row and assembles the instance; ``FAMILY_IDS`` and
-``FAMILY_SWEEPS`` (the product of each row's ranges) derive from the table.
+parity), and its syzygy flags.  ``build_example`` validates a request against
+its row and assembles the instance; ``FAMILY_IDS`` and ``FAMILY_SWEEPS`` (the
+product of each row's ranges) derive from the table.
 
 Each builder returns the surface, the polarization, and the family's named
 integer claims (intersection numbers, adjoint identities), each with the
@@ -17,29 +15,29 @@ the ampleness certificate and the brute-force oracle, classifies the syzygy
 level, and diffs the results against the instance's pins; a ``null``
 ampleness pin holds only where both the certificate and the oracle refuse.
 
-Two independent ampleness routes are provided for certified families:
+Ampleness is checked twice, against one admissible-curve model per surface.
+``_model`` reads the model off the surface alone: the cone of base classes
+(bare surfaces and zero-point blow-ups); the exceptional curves, fiber and
+section/fiber span of the cubic-pencil blow-up; or, for points on the
+anticanonical curve C, the exceptional curves, the strict transform of every
+base class with its worst-case point load (a per-point cap, and ``C.T``
+points in all), and C itself.  Where no model applies, ampleness is attested
+and both checks refuse.  The two checks are:
 
 * ``nakai_certificate``: a short list of closed curve-case checks (corner
-  and direction margins of linear bounds), sufficient by construction.  It
-  refuses to run when the point configuration lacks a flag the route
-  requires, and records those flags as its assumptions.
+  and direction margins of linear bounds) from the model's certificate body,
+  sufficient by construction.  It records the ``PointConfig`` flags the
+  model reads as its assumptions.
 * ``brute_force_ample_oracle``: exhaustive minimization of ``A.T`` over the
-  admissible irreducible-curve classes inside a search box (``DEFAULT_BOX``
-  unless the caller passes one, never above ``MAX_BOX``).  ``_candidates``
-  yields them for the one model that applies: the cone of base classes
-  (bare surfaces and zero-point blow-ups); the exceptional curves, fiber and
-  section/fiber span of the cubic-pencil blow-up; or, for points on the
-  anticanonical curve C, the exceptional curves, the strict transform of
-  every base class with its worst-case point load (a per-point cap, and
-  ``C.T`` points in all), and C itself.  ``ample_oracle`` takes the minimum
-  in one streaming pass of integer arithmetic on linear forms and prefix
-  sums computed once per call, so its memory does not grow with the box.
+  model's candidate classes inside a search box (``DEFAULT_BOX`` unless the
+  caller passes one, never above ``MAX_BOX``).  ``ample_oracle`` takes the
+  minimum in one streaming pass of integer arithmetic, so its memory does
+  not grow with the box.
 
 On F_e the classes (1,0) and (0,1) take their point budgets from
-``_ruling_budgets``, which the certificate reads too, so both routes share
-one curve model.  The certificate is conservative for that model: whenever
-it validates a (possibly perturbed) polarization, the oracle's minimum is
->= 1.
+``_ruling_budgets``, which both checks read.  The certificate is
+conservative for the model: whenever it validates a (possibly perturbed)
+polarization, the oracle's minimum is >= 1.
 """
 
 from __future__ import annotations
@@ -432,23 +430,19 @@ def _ruling_budgets(S: SurfaceModel) -> tuple[int, int]:
 
 
 def _cone_cases(S: SurfaceModel, A: DivisorClass, wmax: int, corner, dirs,
-                extra_load=None) -> list[CurveCaseCheck]:
+                extra: int = 0) -> list[CurveCaseCheck]:
     """Margin checks for strict transforms over a cone of base classes.
 
     The admissible point-load of a class (a, b) is bounded by
-    ``wmax * (C . (a,b))`` plus an optional extra linear load term; both the
-    available degree and the load bound are linear, so positivity on the
-    corner plus monotonicity along the generating directions bounds the
-    whole cone.
+    ``wmax * (C . (a,b)) + extra * a``; both the available degree and the
+    load bound are linear, so positivity on the corner plus monotonicity
+    along the other generating directions bounds the whole cone.
     """
     base = _bare_base(S)
     C = -canonical_class(base)
 
     def load(a: int, b: int) -> int:
-        bound = wmax * C.dot(base.divisor([a, b]))
-        if extra_load is not None:
-            bound += extra_load(a, b)
-        return bound
+        return wmax * C.dot(base.divisor([a, b])) + extra * a
 
     checks = []
     a0, b0 = corner
@@ -456,8 +450,6 @@ def _cone_cases(S: SurfaceModel, A: DivisorClass, wmax: int, corner, dirs,
         f"ProperIntersection({a0},{b0})", load(a0, b0), _pair(S, A, a0, b0),
         _pair(S, A, a0, b0) - load(a0, b0) >= 1))
     for (da, db) in dirs:
-        if (da, db) == corner:
-            continue
         checks.append(CurveCaseCheck(
             f"ProperIntersection({da},{db})", load(da, db), _pair(S, A, da, db),
             _pair(S, A, da, db) - load(da, db) >= 0))
@@ -483,31 +475,25 @@ def _equals_c_check(S: SurfaceModel, A: DivisorClass,
     return CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)
 
 
-# points on the anticanonical curve, at most one per fiber
-_DISTINCT_ON_C = ("on_smooth_anticanonical", "distinct_fibers")
-
-
 def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
     """Closed-form sufficiency certificate that the polarization is ample.
 
-    Runs the certificate body of the family's ampleness route after checking
-    the point-configuration flags the body requires; every check is
-    recomputed from the instance's actual intersection numbers, so perturbed
-    polarizations get an honest re-evaluation rather than a cached verdict.
-    The body returns only its curve-case checks; the route's required flags
-    are recorded as the assumptions used.
+    Runs the certificate body of the surface's admissible-curve model; every
+    check is recomputed from the instance's actual intersection numbers, so
+    perturbed polarizations get an honest re-evaluation rather than a cached
+    verdict.  The body returns only its curve-case checks; the flags the
+    model reads are recorded as the assumptions used.
     """
-    route = FAMILIES[ex.id].route
-    if route is None:
-        raise CertificateRefused(ex.id, "on_smooth_anticanonical")
-    certify, requires = route
     S, A = ex.surface, ex.A
-    for flag in requires:
-        if S.config is None or not getattr(S.config, flag):
-            raise CertificateRefused(ex.id, flag)
+    model = _model(S)
+    if model is None:
+        raise CertificateRefused(ex.id, "on_smooth_anticanonical")
+    certify, _, flags = model
+    if certify is None:
+        raise CertificateRefused(ex.id, "a Hirzebruch base")
     weights = _weights(S, A)
     return AmpleCertificate(ex.id, A.dot(A), tuple(weights),
-                            tuple(certify(S, A, weights)), requires)
+                            tuple(certify(S, A, weights)), flags)
 
 
 def _plane_certificate(S, A, weights) -> list[CurveCaseCheck]:
@@ -524,31 +510,19 @@ def _hirzebruch_certificate(S, A, weights) -> list[CurveCaseCheck]:
     ]
 
 
-def _p1xp1_cases(S: SurfaceModel, A: DivisorClass, weights: list[int],
-                 wmax: int, extra_load=None) -> list[CurveCaseCheck]:
-    """The cone cases on P1 x P1 and both rulings."""
-    return (_cone_cases(S, A, wmax, corner=(1, 1), dirs=_RULINGS,
-                        extra_load=extra_load)
-            + _ruling_checks(S, A, weights, ("f1", "f2")))
-
-
-def _double_point_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    """Points on C in P1 x P1, one of them carrying double weight: bound the
-    heaviest point's load by its fiber cap and everything else by the
-    second-highest weight."""
-    w1, w2 = sorted(weights, reverse=True)[:2]
-    return (_p1xp1_cases(S, A, weights, w2,
-                         extra_load=lambda a, b: (w1 - w2) * a)
-            + [_equals_c_check(S, A, weights)])
-
-
 def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    wmax = max(weights, default=0)
+    """Points on C in F_e.  On F_0 the heaviest point's load is bounded by
+    its ruling cap and every other load by the second-highest weight (sound
+    while every weight is positive, which a valid certificate requires)."""
     if S.e == 0:
-        checks = _p1xp1_cases(S, A, weights, wmax)
+        w1, *rest = sorted(weights, reverse=True)
+        w2 = rest[0] if rest else w1
+        checks = (_cone_cases(S, A, w2, corner=(1, 1), dirs=_RULINGS,
+                              extra=w1 - w2)
+                  + _ruling_checks(S, A, weights, ("f1", "f2")))
     else:
-        corner = (1, S.e)
-        checks = (_cone_cases(S, A, wmax, corner=corner, dirs=(corner, (0, 1)))
+        checks = (_cone_cases(S, A, max(weights), corner=(1, S.e),
+                              dirs=((0, 1),))
                   + _ruling_checks(S, A, weights, ("C0", "f")))
     return checks + [_equals_c_check(S, A, weights)]
 
@@ -594,18 +568,13 @@ class Family:
     ``build`` takes the parameters as keywords and returns ``(surface,
     polarization, claims)``.  ``params`` maps each parameter to the
     ``range`` of its allowed values; a step of 2 carries a parity.
-    ``route`` is the ampleness route: the certificate body with the
-    ``PointConfig`` flags it requires, or None when ampleness is attested,
-    in which case the certificate and the oracle both refuse.  The body
-    maps ``(surface, polarization, exceptional values)`` to its curve-case
-    checks.
+    ``np_flags`` are the hypotheses the syzygy classification is given.
+    How ampleness is checked is not a property of the row: it follows from
+    the built surface (see ``_model``).
     """
 
     build: Callable[..., tuple]
     params: Mapping[str, range]
-    route: tuple[Callable[[SurfaceModel, DivisorClass, list[int]],
-                          list[CurveCaseCheck]],
-                 tuple[str, ...]] | None
     np_flags: tuple[tuple[str, bool], ...] = (("ample", True),
                                               ("anticanonical", True))
 
@@ -636,25 +605,17 @@ class Family:
 
 
 FAMILIES: dict[str, Family] = {
-    "1.11": Family(_build_1_11, {}, (_plane_certificate, ())),
-    "1.12": Family(_build_1_12, {"e": range(0, 9)},
-                   (_hirzebruch_certificate, ())),
-    "1.13": Family(_build_1_13, {"l": range(2, 7)}, None),
-    "1.14": Family(_build_1_14, {}, None),
-    "1.15": Family(_build_1_15, {}, None),
-    "1.16": Family(_build_1_16, {"e": range(0, 3), "n": range(-1, 9)},
-                   (_points_on_c_certificate, _DISTINCT_ON_C)),
-    "1.17": Family(_build_1_17, {"l": range(0, 11)},
-                   (_points_on_c_certificate,
-                    ("on_smooth_anticanonical", "away_from_min_section"))),
-    "1.18": Family(_build_1_18, {},
-                   (_elliptic_pencil_certificate,
-                    ("complete_intersection_of_cubics",))),
-    "1.19": Family(_build_1_19, {"n": range(-1, -20, -2)},
-                   (_points_on_c_certificate, _DISTINCT_ON_C)),
-    "1.20": Family(_build_1_20, {"n": range(-2, -21, -2)},
-                   (_double_point_certificate, _DISTINCT_ON_C)),
-    "Obs1.4": Family(_build_obs_1_4, {"n": range(4, 13)}, None,
+    "1.11": Family(_build_1_11, {}),
+    "1.12": Family(_build_1_12, {"e": range(0, 9)}),
+    "1.13": Family(_build_1_13, {"l": range(2, 7)}),
+    "1.14": Family(_build_1_14, {}),
+    "1.15": Family(_build_1_15, {}),
+    "1.16": Family(_build_1_16, {"e": range(0, 3), "n": range(-1, 9)}),
+    "1.17": Family(_build_1_17, {"l": range(0, 11)}),
+    "1.18": Family(_build_1_18, {}),
+    "1.19": Family(_build_1_19, {"n": range(-1, -20, -2)}),
+    "1.20": Family(_build_1_20, {"n": range(-2, -21, -2)}),
+    "Obs1.4": Family(_build_obs_1_4, {"n": range(4, 13)},
                      np_flags=(("ample", True), ("bpf", True),
                                ("anticanonical", False))),
 }
@@ -737,55 +698,49 @@ def _base_form(base: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
     return X.dot(base.divisor([1, 0])), X.dot(base.divisor([0, 1]))
 
 
-def _candidates(S: SurfaceModel, D: DivisorClass, box: int):
-    """Yield ``(D.T, key)`` for every admissible curve class T of S in the box.
+def _cone_candidates(S: SurfaceModel, D: DivisorClass, box: int):
+    """The cone of base classes (a bare surface or a zero-point blow-up)."""
+    base = _bare_base(S)
+    p, q = _base_form(base, base.divisor(D.coeffs[:base.rank]))
+    plane = base.kind == KIND_P2
+    for a, b in _base_classes(base, box):
+        yield p * a + q * b, ("base", a) if plane else ("base", a, b)
 
-    A bare surface or a zero-point blow-up has the cone of base classes.
-    The blow-up of P2 at the nine base points of a cubic pencil has the
-    exceptional curves, the fiber and the section/fiber span.  Points on
-    the anticanonical curve C give the exceptional curves, the strict
-    transform of every base class with its worst-case point load, and C.
 
-    Every value is integer arithmetic on precomputed linear forms.  A strict
-    transform's key ``("D", a, b, cap, budget)`` carries the load's inputs
-    where the oracle's key has the multiplicities; ``_full_key`` puts them
-    in.  Coordinates are unique within a tag, so the two keys sort alike.
+def _pencil_candidates(S: SurfaceModel, D: DivisorClass, box: int):
+    """The exceptional curves, the fiber and the section/fiber span of the
+    blow-up of P2 at the nine base points of a cubic pencil."""
+    span = _fibration_span(S, D)
+    if span is None:
+        raise OracleNotApplicable(
+            "polarization leaves the section/fiber span; the "
+            "admissible-curve model only covers that span")
+    alpha, beta = span
+    yield from ((w, ("E", i)) for i, w in enumerate(_weights(S, D)))
+    yield D.dot(-canonical_class(S)), ("F",)
+    for x in range(box + 1):
+        for y in range(1, box + 1):
+            yield alpha * x + beta * y, ("T", x, y)
+
+
+def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
+    """For points on the anticanonical curve C: the exceptional curves, the
+    strict transform of every base class with its worst-case point load,
+    and C.
+
+    A strict transform's key ``("D", a, b, cap, budget)`` carries the load's
+    inputs where the oracle's key has the multiplicities; ``_full_key`` puts
+    them in.  Coordinates are unique within a tag, so the two keys sort
+    alike.
     """
     base = _bare_base(S)
-    D_base = base.divisor(D.coeffs[:base.rank])
-    l = S.l or 0
-    plane = S.kind == KIND_P2
-    if l == 0:
-        p, q = _base_form(base, D_base)
-        for a, b in _base_classes(base, box):
-            yield p * a + q * b, ("base", a) if plane else ("base", a, b)
-        return
-    cfg = S.config
-    pencil = cfg.complete_intersection_of_cubics and plane and l == 9
-    if not (pencil or cfg.on_smooth_anticanonical):
-        raise OracleNotApplicable(
-            "no admissible-curve model for this point configuration")
-    weights = _weights(S, D)
-
-    if pencil:
-        span = _fibration_span(S, D)
-        if span is None:
-            raise OracleNotApplicable(
-                "polarization leaves the section/fiber span; the "
-                "admissible-curve model only covers that span")
-        alpha, beta = span
-        yield from ((w, ("E", i)) for i, w in enumerate(weights))
-        yield D.dot(-canonical_class(S)), ("F",)
-        for x in range(box + 1):
-            for y in range(1, box + 1):
-                yield alpha * x + beta * y, ("T", x, y)
-        return
-
+    plane = base.kind == KIND_P2
     C = -canonical_class(base)
     reach = max(C.coeffs)
     if box < reach:
         name = "cubic" if plane else "anticanonical base"
         raise OracleBoxError(f"box must reach the {name} class (>= {reach})")
+    weights = _weights(S, D)
     yield from ((w, ("E", i)) for i, w in enumerate(weights))
     # ``_greedy_load`` in O(1): with the positive weights sorted once and
     # their prefix sums, a cap of ``cap`` at each point and ``budget`` points
@@ -795,6 +750,7 @@ def _candidates(S: SurfaceModel, D: DivisorClass, box: int):
     prefix = list(itertools.accumulate(top, initial=0))
     n = len(top)
     top.append(0)          # once every point is full, the rest loads nothing
+    D_base = base.divisor(D.coeffs[:base.rank])
     p, q = _base_form(base, D_base)
     cp, cq = _base_form(base, C)
     rulings = {} if plane else dict(zip(_RULINGS, _ruling_budgets(S)))
@@ -806,7 +762,43 @@ def _candidates(S: SurfaceModel, D: DivisorClass, box: int):
         k = min(budget // cap, n)
         load = cap * prefix[k] + budget % cap * top[k]
         yield p * a + q * b - load, ("D", a, b, cap, budget)
-    yield D_base.dot(C) - sum(weights), ("C", (1,) * l)
+    yield D_base.dot(C) - sum(weights), ("C", (1,) * len(weights))
+
+
+def _model(S: SurfaceModel):
+    """The admissible-curve model of S, or None where ampleness is attested.
+
+    A model is ``(certify, candidates, flags)``: the certificate body, mapping
+    ``(S, A, exceptional values)`` to curve-case checks (None for points on
+    the plane cubic, which has no body); the generator of ``(D.T, key)`` over
+    the admissible classes T in a box; and the ``PointConfig`` flags it reads.
+    """
+    plane = S.kind == KIND_P2
+    if not S.l:
+        return ((_plane_certificate if plane else _hirzebruch_certificate),
+                _cone_candidates, ())
+    cfg = S.config
+    if cfg.complete_intersection_of_cubics and plane and S.l == 9:
+        return (_elliptic_pencil_certificate, _pencil_candidates,
+                ("complete_intersection_of_cubics",))
+    if not cfg.on_smooth_anticanonical:
+        return None
+    if plane:
+        return None, _points_on_c_candidates, ("on_smooth_anticanonical",)
+    # the flags ``_ruling_budgets`` reads
+    read = ("distinct_fibers",) + (("away_from_min_section",) if S.e else ())
+    return (_points_on_c_certificate, _points_on_c_candidates,
+            ("on_smooth_anticanonical", *(f for f in read if getattr(cfg, f))))
+
+
+def _candidates(S: SurfaceModel, D: DivisorClass, box: int):
+    """``(D.T, key)`` for every admissible curve class T of S in the box, in
+    integer arithmetic on precomputed linear forms."""
+    model = _model(S)
+    if model is None:
+        raise OracleNotApplicable(
+            "no admissible-curve model for this point configuration")
+    return model[1](S, D, box)
 
 
 def _full_key(S: SurfaceModel, D: DivisorClass, key: tuple) -> tuple:
@@ -848,11 +840,11 @@ def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> Or
 def brute_force_ample_oracle(ex: ExampleFamily, box: int | None = None) -> OracleResult:
     """Family-aware entry point for the exhaustive ampleness search.
 
-    The box is checked even where the family's route leaves nothing to
-    search, so a bad box is refused the same way for every family.
+    The box is checked even where no model leaves anything to search, so a
+    bad box is refused the same way for every family.
     """
     box = _search_box(box)
-    if FAMILIES[ex.id].route is None:
+    if _model(ex.surface) is None:
         raise OracleNotApplicable(
             f"{ex.id}: ampleness is attested for this configuration; no "
             "admissible-curve model is available")
@@ -998,6 +990,9 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
             if not c.ok:
                 failures.append(f"{where}: claim {c.quantity!r} fixture "
                                 f"pins {c.expected}, recomputed {c.actual}")
+        computed = {c.quantity for c in claims}
+        failures += [f"{where}: pinned claim {name!r} not computed"
+                     for name in pinned if name not in computed]
         if not report.np_ok:
             failures.append(
                 f"{where}: fixture syzygy pin {pin['np']} != verdict "

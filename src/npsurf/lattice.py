@@ -161,14 +161,17 @@ class SurfaceModel:
         # tuple() over a generator or map resizes a 10-slot tuple, so the
         # result is freed into another size's free list, and those fill up
         # until a full collection, which a streaming search seldom triggers
-        return DivisorClass(self, tuple([int(c) for c in coeffs]))
+        coeffs = [*coeffs]
+        if not {int}.issuperset(map(type, coeffs)):
+            raise LatticeError(f"coefficients must be integers, got {coeffs}")
+        return DivisorClass(self, tuple(coeffs))
 
     def zero(self) -> "DivisorClass":
         return self.divisor([0] * self.rank)
 
     def pullback(self, base_coeffs) -> "DivisorClass":
         """Pull a base class back to this blow-up (exceptional parts zero)."""
-        base_coeffs = [int(c) for c in base_coeffs]
+        base_coeffs = [*base_coeffs]
         if len(base_coeffs) != self.base_rank:
             raise LatticeError("pullback expects base-rank coefficients")
         return self.divisor(base_coeffs + [0] * (self.l or 0))

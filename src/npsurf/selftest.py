@@ -82,8 +82,8 @@ class _Failures(list):
 
 def check_family_sweeps() -> tuple[bool, str]:
     """Re-verify every instance of every reference family, including the
-    certificate/oracle agreement, the ampleness route and the frozen fixture
-    pins, all of which ``verify_example`` compares."""
+    certificate/oracle agreement, the attested refusals and the frozen
+    fixture pins, all of which ``verify_example`` compares."""
     failures = _Failures()
     instances = 0
     for fid in FAMILY_IDS:
@@ -606,13 +606,13 @@ def check_mutation_robustness() -> tuple[bool, str]:
                     f"{_MIN_DETECTION_RATE}")
 
     # a targeted disagreement probe: strengthening one point of the
-    # shortest wide family breaks both routes the same way
+    # shortest wide family breaks both checks the same way
     ex = build_example("1.17", {"l": 4})
     mut = mutate_polarization(ex, 0, -1)
     cert = nakai_certificate(mut)
     res = families.ample_oracle(mut.surface, mut.A)
     failures.expect(not cert.valid and res.min_value <= 0,
-                    "targeted perturbation was not caught by both routes")
+                    "targeted perturbation was not caught by both checks")
 
     return failures.result(
         f"{detected}/{total} perturbations detected ({rate:.0%})")

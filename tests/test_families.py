@@ -1,6 +1,7 @@
 """Reference families: construction, certificates, oracle, verification."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -124,6 +125,18 @@ def _cert_json(fid, a2, values, checks, assumptions, valid=True):
 _ON_C = ["on_smooth_anticanonical", "distinct_fibers"]
 _PENCIL = ["complete_intersection_of_cubics"]
 
+# the point-configuration flags each family's model reads; a blow-up at zero
+# points has the bare base's model and assumes nothing
+_ASSUMED = {
+    "1.11": (),
+    "1.12": (),
+    "1.16": ("on_smooth_anticanonical", "distinct_fibers"),
+    "1.17": ("on_smooth_anticanonical", "away_from_min_section"),
+    "1.18": ("complete_intersection_of_cubics",),
+    "1.19": ("on_smooth_anticanonical", "distinct_fibers"),
+    "1.20": ("on_smooth_anticanonical", "distinct_fibers"),
+}
+
 
 def test_certificate_pins_every_body():
     pins = [
@@ -140,6 +153,9 @@ def test_certificate_pins_every_body():
              ("FiberSpecial(f1)", 1, 3, True),
              ("FiberSpecial(f2)", 1, 2, True),
              ("EqualsC", 6, 10, True)], _ON_C)),
+        (("1.17", {"l": 0}), _cert_json(
+            "1.17", 15, [], [("FiberSpecial(C0)", 0, 1, True),
+                             ("FiberSpecial(f)", 0, 3, True)], [])),
         (("1.17", {"l": 4}), _cert_json(
             "1.17", 11, [1] * 4,
             [("ProperIntersection(1,1)", 3, 4, True),
@@ -169,10 +185,22 @@ def test_certificate_pins_every_body():
     assert nakai_certificate(off_span).to_json() == _cert_json(
         "1.18", 6, [1] + [2] * 7 + [1],
         [("ProperIntersection(span)", 1, 0, False)], _PENCIL, valid=False)
+    # two weights on F_0: the heaviest point loads a curve (a, b) at most a
+    # times, every other point at most the second-highest weight
+    heavy = mutate_polarization(build_example("1.19", {"n": -1}), 0, -1)
+    assert nakai_certificate(heavy).to_json() == _cert_json(
+        "1.19", 0, [2] + [1] * 8,
+        [("ProperIntersection(1,1)", 5, 5, False),
+         ("ProperIntersection(1,0)", 3, 3, True),
+         ("ProperIntersection(0,1)", 2, 2, True),
+         ("FiberSpecial(f1)", 2, 3, True),
+         ("FiberSpecial(f2)", 2, 2, False),
+         ("EqualsC", 10, 10, False)], _ON_C, valid=False)
     for fid in CERTIFIED:
         for params in FAMILY_SWEEPS[fid]:
-            cert = nakai_certificate(build_example(fid, params))
-            assert cert.assumptions_used == FAMILIES[fid].route[1]
+            ex = build_example(fid, params)
+            expected = () if ex.surface.l == 0 else _ASSUMED[fid]
+            assert nakai_certificate(ex).assumptions_used == expected
 
 
 # --- oracle ----------------------------------------------------------------
@@ -421,10 +449,12 @@ def _random_class(rng, S):
                      + [rng.randrange(-4, 2) for _ in range(S.l or 0)])
 
 
-@pytest.mark.parametrize("model", [
-    "bare-P2", "bare-Fe", "zero-point", "pencil", "P2-points", "Fe-points",
-    "Fe-points-away", "Fe-points-distinct", "Fe-points-away-distinct",
-    "no-model"])
+_MODELS = ["bare-P2", "bare-Fe", "zero-point", "pencil", "P2-points",
+           "Fe-points", "Fe-points-away", "Fe-points-distinct",
+           "Fe-points-away-distinct", "no-model"]
+
+
+@pytest.mark.parametrize("model", _MODELS)
 def test_streaming_oracle_matches_the_list_enumerator(model):
     rng = random.Random(f"oracle-{model}")
     for _ in range(40):
@@ -450,6 +480,39 @@ def test_streaming_oracle_matches_the_list_enumerator(model):
 
         assert _outcome(listed) == _outcome(
             lambda: sorted(_reference_candidates(S, D, box))), (S, D, box)
+
+
+@pytest.mark.parametrize("model", _MODELS)
+def test_certificate_and_oracle_share_one_model(model):
+    # the certificate refuses exactly where the oracle has no model, with
+    # two exceptions: the pencil off its span, which the certificate rejects
+    # and the oracle cannot search, and points on the plane cubic, which
+    # the oracle searches and no certificate body covers
+    rng = random.Random(f"parity-{model}")
+    seen = set()
+    for _ in range(20):
+        S = _random_surface(rng, model)
+        D = _random_class(rng, S)
+        try:
+            cert = nakai_certificate(
+                families.ExampleFamily("probe", (), S, D, (), ()))
+        except CertificateRefused:
+            cert = None
+        try:
+            ample_oracle(S, D, 6)
+            modeled = True
+        except OracleNotApplicable:
+            modeled = False
+        seen.add(modeled)
+        if model == "P2-points":
+            assert cert is None and modeled, (S, D)
+        elif model == "pencil" and not modeled:
+            assert [c.case for c in cert.curve_case_checks] == [
+                "ProperIntersection(span)"] and not cert.valid, D
+        else:
+            assert (cert is not None) == modeled, (S, D)
+    assert seen == ({True, False} if model == "pencil"
+                    else {model != "no-model"})
 
 
 # --- perturbation behaviour ------------------------------------------------
@@ -533,6 +596,20 @@ def test_verify_strictness_raises_with_the_culprit_named(monkeypatch):
     assert "no fixture entry" in str(err.value)
     report = verify_example("1.11", strict=False)
     assert not report.passed and "no fixture entry" in report.failures[0]
+
+
+def test_verify_fails_on_a_pinned_claim_no_builder_computes(monkeypatch):
+    family = FAMILIES["1.17"]
+
+    def without_claim(**params):
+        S, A, claims = family.build(**params)
+        return S, A, [c for c in claims if c.quantity != "-K.(K+A)"]
+
+    monkeypatch.setitem(FAMILIES, "1.17",
+                        dataclasses.replace(family, build=without_claim))
+    report = verify_example("1.17", {"l": 3}, strict=False)
+    assert report.failures == (
+        "1.17[l=3]: pinned claim '-K.(K+A)' not computed",)
 
 
 def test_fixture_ampleness_pin_is_compared_when_null(monkeypatch):

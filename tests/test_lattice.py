@@ -201,6 +201,16 @@ def test_divisor_classes_refuse_mixed_surfaces():
         SurfaceModel.projective_plane().divisor([1, 2])
 
 
+@pytest.mark.parametrize("bad", [2.7, "3", True])
+def test_divisor_and_pullback_refuse_non_integer_coefficients(bad):
+    # never coerced: int() would turn these into 2, 3 and 1
+    S = blow_up(SurfaceModel.hirzebruch(1), 1, CFG)
+    with pytest.raises(LatticeError, match="must be integers"):
+        S.divisor([1, bad, 0])
+    with pytest.raises(LatticeError, match="must be integers"):
+        S.pullback([bad, 1])
+
+
 def test_json_round_trips():
     for S in sample_surfaces():
         assert SurfaceModel.from_json(S.to_json()) == S
