@@ -20,19 +20,23 @@ JSON schema (lossless round-trip)::
     divisor: surface fields + {"coeffs": [ints]}
 
 ``l``/``config`` are present exactly when the surface is a blow-up (``l`` may
-be 0: a blow-up wrapper at zero points is distinct from its base).  ``config``
-lists only the flags that are set.
+be 0: a blow-up wrapper at zero points is distinct from its base; it is at
+most ``MAX_POINTS``).  ``config`` lists only the flags that are set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
 KIND_P2 = "P2"
 KIND_FE = "Fe"
+
+# the most points a surface may blow up: every class is a tuple of rank
+# l + 1 or l + 2 and the gram matrix has rank**2 entries, so l bounds the
+# memory and work of any request; the family table goes up to l = 28
+MAX_POINTS = 100
 
 CONFIG_FLAGS = (
     "on_smooth_anticanonical",
@@ -86,14 +90,18 @@ class PointConfig:
 class SurfaceModel:
     """A rational surface presented by its Picard lattice data.
 
-    ``l is None`` means the surface is a bare P2/F_e; ``l >= 0`` (with a
-    config) means a single-stage blow-up of the base at ``l`` points.
+    ``l is None`` means the surface is a bare P2/F_e; ``0 <= l <=
+    MAX_POINTS`` (with a config) means a single-stage blow-up of the base at
+    ``l`` points.  ``base_rank`` and ``rank`` are derived once, here, and are
+    neither compared nor shown.
     """
 
     kind: str
     e: int | None = None
     l: int | None = None
     config: PointConfig | None = None
+    base_rank: int = field(init=False, repr=False, compare=False)
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_P2, KIND_FE):
@@ -107,6 +115,12 @@ class SurfaceModel:
             raise LatticeError("blow-ups carry both l and config")
         if self.l is not None and self.l < 0:
             raise LatticeError("cannot blow up a negative number of points")
+        if self.l is not None and self.l > MAX_POINTS:
+            raise LatticeError(
+                f"cannot blow up more than {MAX_POINTS} points, got {self.l}")
+        base_rank = 1 if self.kind == KIND_P2 else 2
+        object.__setattr__(self, "base_rank", base_rank)
+        object.__setattr__(self, "rank", base_rank + (self.l or 0))
 
     # --- constructors -----------------------------------------------------
 
@@ -123,14 +137,6 @@ class SurfaceModel:
     @property
     def is_blow_up(self) -> bool:
         return self.l is not None
-
-    @cached_property
-    def base_rank(self) -> int:
-        return 1 if self.kind == KIND_P2 else 2
-
-    @cached_property
-    def rank(self) -> int:
-        return self.base_rank + (self.l or 0)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -281,8 +287,7 @@ class DivisorClass:
             raise LatticeError("coeffs must be a JSON array of integers")
         surface_obj = dict(obj)
         del surface_obj["coeffs"]
-        surface = SurfaceModel.from_json(surface_obj)
-        return surface.divisor(coeffs)
+        return cls(SurfaceModel.from_json(surface_obj), tuple(coeffs))
 
 
 def from_json(obj: dict):
@@ -347,11 +352,24 @@ def blow_up(surface: SurfaceModel, count: int, config: PointConfig) -> SurfaceMo
 def signature(surface: SurfaceModel) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of the gram matrix.
 
-    Computed by symmetric (congruence) elimination over exact rationals, so
-    the answer carries no rounding caveats.
+    Computed exactly over the integers by ``_inertia``, so the answer carries
+    no rounding caveats.
     """
-    n = surface.rank
-    m = [[Fraction(x) for x in row] for row in surface.gram]
+    return _inertia(surface.gram)
+
+
+def _inertia(rows) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric integer matrix.
+
+    Fraction-free symmetric elimination (cf. Bareiss 1968, with no division):
+    clearing entry ``(j, i)`` with pivot ``p`` replaces row and then column
+    ``j`` by ``p * (row|column j) - m[j][i] * (row|column i)``.  That is the
+    congruence ``E M E^T`` with ``E`` the identity except ``E[j][j] = p`` and
+    ``E[j][i] = -m[j][i]``; ``E`` is invertible, so by Sylvester's law of
+    inertia the signs of the pivots count the inertia.
+    """
+    n = len(rows)
+    m = [list(row) for row in rows]
     pos = neg = zero = 0
 
     def swap_rowcol(a: int, b: int) -> None:
@@ -382,10 +400,9 @@ def signature(surface: SurfaceModel) -> tuple[int, int, int]:
         else:
             neg += 1
         for j in range(i + 1, n):
-            if m[j][i]:
-                f = m[j][i] / pivot
-                for kk in range(n):
-                    m[j][kk] -= f * m[i][kk]
-                for kk in range(n):
-                    m[kk][j] -= f * m[kk][i]
+            a = m[j][i]
+            if a:
+                m[j] = [pivot * x - a * y for x, y in zip(m[j], m[i])]
+                for row in m:
+                    row[j] = pivot * row[j] - a * row[i]
     return pos, neg, zero

@@ -24,6 +24,7 @@ from npsurf.families import (
 )
 from npsurf.lattice import (
     CONFIG_FLAGS,
+    MAX_POINTS,
     DivisorClass,
     LatticeError,
     PointConfig,
@@ -172,6 +173,8 @@ BAD_REQUESTS = {
         "profile": {"minusK_dot_B": "4"}, "l": 3, "p": 3}},
     "null morphism": {"op": "primitive_np", "args": {
         "n": 3, "m": 2, "Hn": 8, "morphism": None}},
+    "blow-up above the point bound": {"op": "k_squared", "args": {
+        "surface": {"kind": "P2", "l": MAX_POINTS + 1, "config": {}}}},
 }
 
 
@@ -256,6 +259,26 @@ def test_divisor_file_with_float_coefficient_exits_two(tmp_path, capsys):
     code = cli.main(["classify", "--surface", str(f)])
     _, err = capsys.readouterr()
     assert code == 2 and "coeffs" in err
+
+
+def test_blow_up_above_the_point_bound_exits_two(tmp_path, capsys):
+    message = f"cannot blow up more than {MAX_POINTS} points, got {MAX_POINTS + 1}"
+    request = {"op": "blow_up", "args": {
+        "surface": {"kind": "P2"}, "count": MAX_POINTS + 1, "config": {}}}
+    with pytest.raises(LatticeError, match=message):
+        api.evaluate(request)
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(request))
+    assert cli.main(["--eval-file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"npsurf: error: {message}\n")
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "P2", "l": MAX_POINTS + 1, "config": {},
+                             "coeffs": [3] + [-1] * (MAX_POINTS + 1),
+                             "flags": {"ample": True,
+                                       "anticanonical": True}}))
+    code = cli.main(["classify", "--surface", str(f)])
+    _, err = capsys.readouterr()
+    assert code == 2 and message in err and "Traceback" not in err
 
 
 # --- fuzz ------------------------------------------------------------------

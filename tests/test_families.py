@@ -31,7 +31,13 @@ from npsurf.families import (
     sweep_family,
     verify_example,
 )
-from npsurf.lattice import PointConfig, SurfaceModel, blow_up, canonical_class
+from npsurf.lattice import (
+    MAX_POINTS,
+    PointConfig,
+    SurfaceModel,
+    blow_up,
+    canonical_class,
+)
 
 CERTIFIED = ("1.11", "1.12", "1.16", "1.17", "1.18", "1.19", "1.20")
 ATTESTED = ("1.13", "1.14", "1.15", "Obs1.4")
@@ -304,6 +310,14 @@ def test_oracle_is_deterministic():
     b = brute_force_ample_oracle(ex)
     assert (a.min_value, a.argmin, a.candidates) == \
         (b.min_value, b.argmin, b.candidates)
+
+
+def test_every_family_instance_is_within_the_point_bound():
+    points = [build_example(fid, p).surface.l or 0
+              for fid, sweep in FAMILY_SWEEPS.items() for p in sweep]
+    assert len(points) == 88
+    assert max(points) == build_example("1.20", {"n": -20}).surface.l == 28
+    assert max(points) <= MAX_POINTS
 
 
 def test_oracle_box_is_capped():

@@ -1,14 +1,17 @@
 """Intersection-lattice arithmetic: pairings, invariants, serialization."""
 
+import dataclasses
 import gc
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npsurf.lattice import (
+    MAX_POINTS,
     DivisorClass,
     LatticeError,
     PointConfig,
@@ -22,6 +25,7 @@ from npsurf.lattice import (
     k_squared,
     sectional_genus,
     signature,
+    _inertia,
 )
 
 CFG = PointConfig(general_position=True)
@@ -125,6 +129,100 @@ def test_signature_is_lorentzian_for_every_surface():
         assert signature(S) == (1, S.rank - 1, 0)
 
 
+def test_signature_is_lorentzian_over_the_table_range():
+    # every base the table uses, bare and blown up at up to 28 points
+    for base in (SurfaceModel.projective_plane(),
+                 *map(SurfaceModel.hirzebruch, range(21))):
+        assert signature(base) == (1, base.rank - 1, 0)
+        for l in range(29):
+            S = blow_up(base, l, CFG)
+            assert signature(S) == (1, S.rank - 1, 0)
+
+
+def _reference_inertia(rows) -> tuple[int, int, int]:
+    """Symmetric elimination over the rationals, with the same pivoting as
+    ``_inertia``; frozen here as the reference the integer version must
+    match."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = zero = 0
+
+    def swap_rowcol(a, b):
+        m[a], m[b] = m[b], m[a]
+        for row in m:
+            row[a], row[b] = row[b], row[a]
+
+    def add_rowcol(dst, src):
+        for j in range(n):
+            m[dst][j] += m[src][j]
+        for j in range(n):
+            m[j][dst] += m[j][src]
+
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                swap_rowcol(i, j)
+            else:
+                k = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
+                if k is None:
+                    zero += 1
+                    continue
+                add_rowcol(i, k)
+        pivot = m[i][i]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if m[j][i]:
+                f = m[j][i] / pivot
+                for kk in range(n):
+                    m[j][kk] -= f * m[i][kk]
+                for kk in range(n):
+                    m[kk][j] -= f * m[kk][i]
+    return pos, neg, zero
+
+
+def _random_symmetric(rng, n, zero_diagonal=False, repeat_row=False):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-3, 3)
+        if zero_diagonal:
+            m[i][i] = 0
+    if repeat_row and n > 1:
+        # row and column b copy a, so the matrix is singular
+        a, b = rng.sample(range(n), 2)
+        for k in range(n):
+            m[b][k] = m[k][b] = m[a][k]
+        m[b][b] = m[a][a]
+    return m
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inertia_matches_the_rational_reference(n):
+    rng = random.Random(n)
+    for zero_diagonal in (False, True):
+        for repeat_row in (False, True):
+            for _ in range(40):
+                m = _random_symmetric(rng, n, zero_diagonal, repeat_row)
+                pos, neg, zero = _inertia(m)
+                assert (pos, neg, zero) == _reference_inertia(m)
+                assert pos + neg + zero == n
+                if repeat_row and n > 1:
+                    assert zero >= 1
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[0, 1], [1, 0]], (1, 1, 0)),
+    ([[1, 1], [1, 1]], (1, 0, 1)),
+    ([[0] * 4 for _ in range(4)], (0, 0, 4)),
+])
+def test_inertia_hand_cases(rows, expected):
+    assert _inertia(rows) == expected == _reference_inertia(rows)
+
+
 def test_gram_matrix_blocks():
     S = blow_up(SurfaceModel.hirzebruch(2), 3, CFG)
     g = S.gram
@@ -180,6 +278,52 @@ def test_blow_up_validation():
         SurfaceModel.hirzebruch(-1)
     with pytest.raises(LatticeError):
         SurfaceModel(kind="K3")
+
+
+def test_blow_up_above_the_point_bound_is_refused():
+    assert MAX_POINTS >= 28  # the family table goes up to l = 28
+    message = f"cannot blow up more than {MAX_POINTS} points, got {MAX_POINTS + 1}"
+    with pytest.raises(LatticeError, match=message):
+        blow_up(SurfaceModel.projective_plane(), MAX_POINTS + 1, CFG)
+    with pytest.raises(LatticeError, match=message):
+        SurfaceModel.from_json({"kind": "Fe", "e": 1, "l": MAX_POINTS + 1,
+                                "config": {}})
+
+
+def test_blow_up_at_the_point_bound_is_accepted():
+    assert k_squared(blow_up(SurfaceModel.projective_plane(), MAX_POINTS,
+                             CFG)) == 9 - MAX_POINTS
+    S = SurfaceModel.from_json({"kind": "Fe", "e": 1, "l": MAX_POINTS,
+                                "config": {}})
+    assert S.rank == MAX_POINTS + 2 and k_squared(S) == 8 - MAX_POINTS
+
+
+def test_ranks_are_set_once_and_stay_out_of_equality_and_repr():
+    S = blow_up(SurfaceModel.hirzebruch(2), 3, CFG)
+    assert repr(S) == (
+        "SurfaceModel(kind='Fe', e=2, l=3, config=PointConfig("
+        "on_smooth_anticanonical=False, distinct_fibers=False, "
+        "away_from_min_section=False, anticanonical_effective=False, "
+        "general_position=True, complete_intersection_of_cubics=False))")
+    compared = [f.name for f in dataclasses.fields(S) if f.compare]
+    assert compared == ["kind", "e", "l", "config"]
+    assert hash(S) == hash((S.kind, S.e, S.l, S.config))
+    assert (S.base_rank, S.rank) == (2, 5)
+    assert dataclasses.replace(S, l=3) == S
+    for l in (0, 3, 7):
+        assert dataclasses.replace(S, l=l).rank == S.base_rank + l
+    for T in sample_surfaces():
+        back = SurfaceModel.from_json(T.to_json())
+        assert back == T and hash(back) == hash(T)
+        assert (back.base_rank, back.rank) == (T.base_rank, T.rank)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 2.7], [1, "3"], [True, 1], [1, 2, 3],
+                                    [1]])
+def test_divisor_json_refuses_non_integer_coefficients_and_wrong_length(
+        coeffs):
+    with pytest.raises(LatticeError):
+        DivisorClass.from_json({"kind": "Fe", "e": 1, "coeffs": coeffs})
 
 
 def test_zero_point_blow_up_is_distinct_from_the_bare_base():
