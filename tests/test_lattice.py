@@ -281,7 +281,6 @@ def test_blow_up_validation():
 
 
 def test_blow_up_above_the_point_bound_is_refused():
-    assert MAX_POINTS >= 28  # the family table goes up to l = 28
     message = f"cannot blow up more than {MAX_POINTS} points, got {MAX_POINTS + 1}"
     with pytest.raises(LatticeError, match=message):
         blow_up(SurfaceModel.projective_plane(), MAX_POINTS + 1, CFG)
