@@ -45,7 +45,6 @@ from .families import (
     VerificationError,
     VerifyReport,
     ample_oracle,
-    brute_force_ample_oracle,
     build_example,
     mutate_polarization,
     nakai_certificate,
@@ -90,8 +89,8 @@ __all__ = [
     "OracleNotApplicable", "OracleResult", "PointConfig", "SurfaceModel",
     "TerminationThreshold", "VAVerdict", "VerificationError", "VerifyReport",
     "adjoint_np_min_n", "adjoint_very_ample", "ample_oracle",
-    "ampleness_termination", "blow_up", "bpf_check",
-    "brute_force_ample_oracle", "build_example", "canonical_class",
+    "ampleness_termination", "blow_up", "bpf_check", "build_example",
+    "canonical_class",
     "curve_np_reference", "euler_characteristic", "green_lazarsfeld_failure",
     "hodge_index_bound", "index_nm3_n0", "index_nm3_np", "intersect",
     "k_squared", "lemma_125_bound", "min_kA_bound", "multiples_np_fano",

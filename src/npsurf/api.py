@@ -157,9 +157,8 @@ _BUILT_FROM_FIELDS = {
 
 
 class _Adapters:
-    """Ops whose JSON shape differs from the library call: the surface of a
-    divisor op is the divisor's own, and np_classify takes a divisor or its
-    anticanonical degree ``t``."""
+    """Ops whose JSON shape differs from the library call: np_classify takes
+    a divisor or its anticanonical degree ``t``."""
 
     @staticmethod
     def np_classify(flags: Mapping[str, bool],
@@ -169,17 +168,7 @@ class _Adapters:
             raise ApiError("pass exactly one of divisor or t")
         if divisor is None:
             return criteria.np_classify_degree(t, flags)
-        return criteria.np_classify(divisor.surface, divisor, flags)
-
-    @staticmethod
-    def bpf_check(divisor: DivisorClass,
-                  flags: Mapping[str, bool]) -> criteria.BoolVerdict:
-        return criteria.bpf_check(divisor.surface, divisor, flags)
-
-    @staticmethod
-    def ample_oracle(divisor: DivisorClass,
-                     box: int | None = None) -> families.OracleResult:
-        return families.ample_oracle(divisor.surface, divisor, box)
+        return criteria.np_classify(divisor, flags)
 
 
 _ARITH_TAG = "exact lattice arithmetic"
@@ -196,7 +185,7 @@ _ROWS = {
     "signature": (lattice,),
     "blow_up": (lattice,),
     "np_classify": (_Adapters,),
-    "bpf_check": (_Adapters,),
+    "bpf_check": (criteria, None, {"L": "divisor"}),
     "adjoint_very_ample": (criteria,),
     "min_kA_bound": (criteria,),
     "adjoint_np_min_n": (criteria,),
@@ -208,8 +197,7 @@ _ROWS = {
     "curve_np_reference": (criteria,),
     "build_example": (families, "family table", _ID),
     "nakai_certificate": (families, "Nakai curve cases"),
-    "brute_force_ample_oracle": (families, "exhaustive search"),
-    "ample_oracle": (_Adapters, "exhaustive search"),
+    "ample_oracle": (families, "exhaustive search", {"D": "divisor"}),
     "verify_example": (families, "family verification", _ID),
     "primitive_np": (fano,),
     "multiples_np_surface": (fano, None, {"B_profile": "profile"}),

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from . import api, fano
+from . import api, criteria, fano
 from . import selftest as selftest_mod
 from .families import (
     DEFAULT_BOX,
@@ -21,8 +21,12 @@ from .families import (
     CertificateRefused,
     OracleNotApplicable,
     VerificationError,
+    build_example,
     sweep_family,
 )
+
+# every attested flag of the two divisor ops, each a ``classify`` option
+_FLAGS = sorted(criteria.CLASSIFY_FLAGS | criteria.BPF_FLAGS)
 
 # --- output ----------------------------------------------------------------
 
@@ -178,18 +182,18 @@ def _cmd_classify(args) -> tuple[int, dict]:
                         degree=args.curve_degree)
         return 0, _augment_query(payload, p)
 
-    cli_flags = {name: True for name in ("ample", "bpf", "anticanonical",
-                                         "nef") if getattr(args, name)}
+    # a command-line flag the chosen op does not read is refused by the op
+    cli_flags = {name: True for name in _FLAGS if getattr(args, name)}
     if args.surface is not None:
         divisor, flags = _load_divisor_file(args.surface)
-        flags = {**flags, **cli_flags}
-        if args.check_bpf:
-            return 0, _eval("bpf_check", divisor=divisor, flags={
-                k: v for k, v in flags.items()
-                if k in ("nef", "anticanonical")})
-        payload = _eval("np_classify", divisor=divisor, flags={
-            k: v for k, v in flags.items()
-            if k in ("ample", "bpf", "anticanonical")})
+        unknown = sorted(set(flags).difference(_FLAGS))
+        if unknown:
+            raise api.ApiError(f"{args.surface}: unknown flags: {unknown}")
+        # a file may hold both ops' flags; the chosen op gets its own
+        op, reads = (("bpf_check", criteria.BPF_FLAGS) if args.check_bpf
+                     else ("np_classify", criteria.CLASSIFY_FLAGS))
+        flags = {k: v for k, v in flags.items() if k in reads}
+        payload = _eval(op, divisor=divisor, flags={**flags, **cli_flags})
         return 0, _augment_query(payload, p)
 
     if args.t is not None:
@@ -254,13 +258,13 @@ def _cmd_example(args) -> tuple[int, dict | None]:
 
     if not args.sweep:
         payload = _eval("verify_example", id=args.id, params=params,
-                        box=args.box, strict=False)
+                        strict=False)
         return (0 if payload["verdict"]["passed"] else 1), payload
     if params is not None:
         raise api.ApiError("--sweep verifies the whole parameter range; "
                            "drop --param or --sweep")
     instances = [report.to_json() for report in
-                 sweep_family(args.id, box=args.box, strict=False)]
+                 sweep_family(args.id, strict=False)]
     code = 0 if all(inst["passed"] for inst in instances) else 1
     if args.json:
         return code, {"op": "example_sweep", "family": args.id,
@@ -312,9 +316,10 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     if (args.family_id is None) == (args.divisor is None):
         raise api.ApiError("give exactly one of --id FAMILY or --divisor FILE")
     if args.family_id is not None:
-        return 0, _eval("brute_force_ample_oracle", id=args.family_id,
-                        params=_parse_params(args.param), box=args.box)
-    divisor, _ = _load_divisor_file(args.divisor)
+        divisor = build_example(args.family_id,
+                                _parse_params(args.param)).A.to_json()
+    else:
+        divisor, _ = _load_divisor_file(args.divisor)
     return 0, _eval("ample_oracle", divisor=divisor, box=args.box)
 
 
@@ -360,10 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=_int_option, help="anticanonical degree -K.L")
     c.add_argument("--p", default="auto",
                    help="level to query, or 'auto' for the criterion's level")
-    c.add_argument("--ample", action="store_true")
-    c.add_argument("--bpf", action="store_true")
-    c.add_argument("--anticanonical", action="store_true")
-    c.add_argument("--nef", action="store_true")
+    for name in _FLAGS:
+        c.add_argument(f"--{name}", action="store_true")
     c.add_argument("--check-bpf", action="store_true",
                    help="run the base-point-freeness test instead")
     c.add_argument("--curve-genus", type=_int_option)
@@ -428,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--param", action="append", default=[], metavar="K=V")
     ev.add_argument("--sweep", action="store_true",
                     help="verify the whole parameter range")
-    ev.add_argument("--box", type=_int_option,
-                    help="oracle search box override")
     es = exs.add_parser("show", help="print one instance's data")
     es.add_argument("id")
     es.add_argument("--param", action="append", default=[], metavar="K=V")

@@ -21,7 +21,7 @@ from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import DivisorClass, SurfaceModel, canonical_class
+from .lattice import DivisorClass, canonical_class
 
 
 class CriteriaError(ValueError):
@@ -152,7 +152,9 @@ def green_lazarsfeld_failure(effective_degree: int) -> int:
 
 # --- np_classify -----------------------------------------------------------
 
-_CLASSIFY_FLAGS = frozenset({"ample", "bpf", "anticanonical"})
+# the attested flags each op reads; any other flag name is refused
+CLASSIFY_FLAGS = frozenset({"ample", "bpf", "anticanonical"})
+BPF_FLAGS = frozenset({"nef", "anticanonical"})
 
 
 def np_classify_degree(t: int, flags: Mapping[str, bool]) -> NpVerdict:
@@ -167,7 +169,7 @@ def np_classify_degree(t: int, flags: Mapping[str, bool]) -> NpVerdict:
     ample ``L`` meets the nonzero effective ``-K`` positively) and are
     refused.
     """
-    f = _require_flags(flags, _CLASSIFY_FLAGS)
+    f = _require_flags(flags, CLASSIFY_FLAGS)
     if not f.get("ample"):
         raise CriteriaError("np_classify requires the ample flag")
     if f.get("anticanonical"):
@@ -201,31 +203,26 @@ def np_classify_degree(t: int, flags: Mapping[str, bool]) -> NpVerdict:
     )
 
 
-def np_classify(surface: SurfaceModel, L: DivisorClass,
-                flags: Mapping[str, bool]) -> NpVerdict:
-    """Classify the syzygy level of ``(surface, L)`` from ``-K.L``."""
-    if L.surface != surface:
-        raise CriteriaError("L does not live on the given surface")
-    t = -canonical_class(surface).dot(L)
-    return np_classify_degree(t, flags)
+def np_classify(L: DivisorClass, flags: Mapping[str, bool]) -> NpVerdict:
+    """Classify the syzygy level of ``L`` on its surface from ``-K.L``."""
+    return np_classify_degree(-canonical_class(L.surface).dot(L), flags)
 
 
 # --- bpf_check -------------------------------------------------------------
 
 
-def bpf_check(surface: SurfaceModel, L: DivisorClass,
-              flags: Mapping[str, bool]) -> BoolVerdict:
+def bpf_check(L: DivisorClass, flags: Mapping[str, bool]) -> BoolVerdict:
     """Sufficient base-point-freeness test on an anticanonical surface.
 
     Needs ``L`` nef (attested) and the anticanonical flag; then ``-K.L >= 2``
     guarantees base-point freedom.  ``False`` means not established.
     """
-    f = _require_flags(flags, frozenset({"nef", "anticanonical"}))
+    f = _require_flags(flags, BPF_FLAGS)
     if not f.get("anticanonical"):
         raise CriteriaError("bpf_check applies to anticanonical surfaces only")
     if not f.get("nef"):
         raise CriteriaError("bpf_check requires L nef (attested)")
-    t = -canonical_class(surface).dot(L)
+    t = -canonical_class(L.surface).dot(L)
     if t >= 2:
         return BoolVerdict(True, justification="Harbourne bpf",
                            assumed=("nef", "anticanonical"))
@@ -467,6 +464,7 @@ def reider_np(ksq: int, Lsq: int, p: int, minus_k_dot_L: int | None = None,
     gate -K.L >= p + 3 applies; the quadratic gates are unsound there.
     """
     _check_p(p)
+    _check_ksq(ksq)
     if not (cond1_attested or adjoint_very_ample):
         raise CriteriaError(
             "entry hypothesis missing: attest cond1 (L.C >= 3 on every curve "

@@ -28,11 +28,12 @@ and both checks refuse.  The two checks are:
   and direction margins of linear bounds) from the model's certificate body,
   sufficient by construction.  It records the ``PointConfig`` flags the
   model reads as its assumptions.
-* ``brute_force_ample_oracle``: exhaustive minimization of ``A.T`` over the
-  model's candidate classes inside a search box (``DEFAULT_BOX`` unless the
-  caller passes one, never above ``MAX_BOX``).  ``ample_oracle`` takes the
-  minimum in one streaming pass of integer arithmetic, so its memory does
-  not grow with the box.
+* ``ample_oracle``: exhaustive minimization of ``D.T`` over the model of
+  the divisor's own surface, for candidate classes inside a search box
+  (``DEFAULT_BOX`` unless the caller passes one, never above ``MAX_BOX``).
+  It takes the minimum in one streaming pass of integer arithmetic, so its
+  memory does not grow with the box.  Verification always searches
+  ``DEFAULT_BOX``.
 
 On F_e the classes (1,0) and (0,1) take their point budgets from
 ``_ruling_budgets``, which both checks read.  The certificate is
@@ -188,7 +189,7 @@ def _build_1_12(e):
                   lambda S, A: canonical_class(S) + 2 * A,
                   lambda S, A: S.divisor([0, S.e])),
         Claim("oracle_min(K + 2A)",
-              lambda S, A: ample_oracle(S, canonical_class(S) + 2 * A,
+              lambda S, A: ample_oracle(canonical_class(S) + 2 * A,
                                         8).min_value),
     ]
     return S, A, claims
@@ -820,14 +821,18 @@ def _search_box(box: int | None) -> int:
     return box
 
 
-def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> OracleResult:
-    """Exhaustively minimize D.T over the admissible curve classes of S.
+def ample_oracle(D: DivisorClass, box: int | None = None) -> OracleResult:
+    """Exhaustively minimize D.T over the admissible curve classes of D's
+    surface.
 
     A positive minimum certifies ampleness within the model; the search is
     deterministic (canonical tie-breaking) and exact.  It is one streaming
     pass: memory does not grow with the box, and ``MAX_BOX`` bounds the work.
+    The box is checked before the model, so a bad box is refused the same
+    way on every surface.
     """
     box = _search_box(box)
+    S = D.surface
     best, count = None, 0
     for cand in _candidates(S, D, box):
         count += 1
@@ -835,20 +840,6 @@ def ample_oracle(S: SurfaceModel, D: DivisorClass, box: int | None = None) -> Or
             best = cand
     value, key = best
     return OracleResult(value, _full_key(S, D, key), box, count)
-
-
-def brute_force_ample_oracle(ex: ExampleFamily, box: int | None = None) -> OracleResult:
-    """Family-aware entry point for the exhaustive ampleness search.
-
-    The box is checked even where no model leaves anything to search, so a
-    bad box is refused the same way for every family.
-    """
-    box = _search_box(box)
-    if _model(ex.surface) is None:
-        raise OracleNotApplicable(
-            f"{ex.id}: ampleness is attested for this configuration; no "
-            "admissible-curve model is available")
-    return ample_oracle(ex.surface, ex.A, box)
 
 
 # --- verification ----------------------------------------------------------
@@ -932,9 +923,9 @@ def fixture_instance(family_id: str, instance_key: str) -> dict | None:
 
 
 def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
-                   box: int | None = None, strict: bool = True) -> VerifyReport:
+                   strict: bool = True) -> VerifyReport:
     """Recompute every claim of one family instance and diff it against the
-    instance's fixture pin.
+    instance's fixture pin; the oracle searches ``DEFAULT_BOX``.
 
     Raises ``VerificationError`` naming the first failing quantity when
     ``strict`` (the default); otherwise returns the report with failures
@@ -959,11 +950,11 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
 
     oracle = oracle_note = None
     try:
-        oracle = brute_force_ample_oracle(ex, box)
+        oracle = ample_oracle(ex.A)
     except OracleNotApplicable as exc:
         oracle_note = str(exc)
 
-    verdict = np_classify(ex.surface, ex.A, dict(ex.np_flags))
+    verdict = np_classify(ex.A, dict(ex.np_flags))
     report = VerifyReport(
         family=ex.id, params=ex.params, claims=tuple(claims),
         certificate=certificate, certificate_refused=refused,
@@ -1012,12 +1003,11 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
     return report
 
 
-def sweep_family(family_id: str, *, box: int | None = None,
-                 strict: bool = True) -> list[VerifyReport]:
+def sweep_family(family_id: str, *, strict: bool = True) -> list[VerifyReport]:
     """Verify every instance of a family over its full stated range."""
     if family_id not in FAMILY_SWEEPS:
         raise FamilyError(f"unknown family id {family_id!r}")
-    return [verify_example(family_id, params, box=box, strict=strict)
+    return [verify_example(family_id, params, strict=strict)
             for params in FAMILY_SWEEPS[family_id]]
 
 

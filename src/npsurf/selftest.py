@@ -36,7 +36,7 @@ from .criteria import (
 from .families import (
     FAMILY_IDS,
     FAMILY_SWEEPS,
-    brute_force_ample_oracle,
+    ample_oracle,
     build_example,
     mutate_polarization,
     nakai_certificate,
@@ -589,7 +589,7 @@ def check_mutation_robustness() -> tuple[bool, str]:
                         detected += 1
                     if mut_cert.valid:
                         try:
-                            res = brute_force_ample_oracle(mut)
+                            res = ample_oracle(mut.A)
                         except families.OracleNotApplicable:
                             failures.append(
                                 f"{fid}{params}: certificate validated a "
@@ -610,7 +610,7 @@ def check_mutation_robustness() -> tuple[bool, str]:
     ex = build_example("1.17", {"l": 4})
     mut = mutate_polarization(ex, 0, -1)
     cert = nakai_certificate(mut)
-    res = families.ample_oracle(mut.surface, mut.A)
+    res = ample_oracle(mut.A)
     failures.expect(not cert.valid and res.min_value <= 0,
                     "targeted perturbation was not caught by both checks")
 
@@ -627,7 +627,7 @@ def check_oracle_determinism() -> tuple[bool, str]:
               ("1.19", {"n": -5}), ("1.20", {"n": -8})]
     for fid, params in probes:
         ex = build_example(fid, params)
-        res = brute_force_ample_oracle(ex)
+        res = ample_oracle(ex.A)
         cands = [(value, families._full_key(ex.surface, ex.A, key))
                  for value, key in families._candidates(
                      ex.surface, ex.A, families.DEFAULT_BOX)]
@@ -637,7 +637,7 @@ def check_oracle_determinism() -> tuple[bool, str]:
             if min(shuffled) != (res.min_value, res.argmin):
                 failures.append(f"{fid}{params}: argmin depends on order")
                 break
-        again = brute_force_ample_oracle(ex)
+        again = ample_oracle(ex.A)
         failures.expect(
             (again.min_value, again.argmin) == (res.min_value, res.argmin),
             f"{fid}{params}: oracle not reproducible")

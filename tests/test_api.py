@@ -17,10 +17,12 @@ from npsurf.criteria import (
     thm_121_equivalence,
 )
 from npsurf.families import (
+    DEFAULT_BOX,
     FAMILY_IDS,
     CertificateRefused,
     OracleBoxError,
     OracleNotApplicable,
+    build_example,
 )
 from npsurf.lattice import (
     CONFIG_FLAGS,
@@ -60,9 +62,8 @@ OP_ARGS = {
     "curve_np_reference": (("genus", "degree"), ()),
     "build_example": (("id",), ("params",)),
     "nakai_certificate": (("id",), ("params",)),
-    "brute_force_ample_oracle": (("id",), ("params", "box")),
     "ample_oracle": (("divisor",), ("box",)),
-    "verify_example": (("id",), ("params", "box", "strict")),
+    "verify_example": (("id",), ("params", "strict")),
     "primitive_np": (("n", "m", "Hn"), ("h0H", "morphism")),
     "multiples_np_surface": (("profile", "l", "p"), ()),
     "multiples_np_fano": (("n", "m", "Hn", "l", "p"), ("h0H", "morphism")),
@@ -190,14 +191,15 @@ def test_bad_request_is_refused(name, tmp_path, capsys):
     assert code == 2 and "error" in err and "Traceback" not in err
 
 
+# a divisor of the attested family 1.13: no model, but its box is checked
+ATTESTED_DIVISOR = build_example("1.13", {"l": 3}).A.to_json()
+
+
 @pytest.mark.parametrize("request_", [
     {"op": "ample_oracle", "args": {"divisor": PLANE_DIVISOR, "box": 1001}},
-    {"op": "brute_force_ample_oracle", "args": {"id": "1.11", "box": 1001}},
-    {"op": "verify_example", "args": {"id": "1.11", "box": 1001}},
-    {"op": "verify_example", "args": {"id": "1.13", "params": {"l": 3},
-                                      "box": 1001}},
-], ids=["ample_oracle", "brute_force_ample_oracle", "verify_example",
-        "verify_example-attested"])
+    {"op": "ample_oracle", "args": {"divisor": ATTESTED_DIVISOR,
+                                    "box": 1001}},
+], ids=["ample_oracle", "ample_oracle-attested"])
 def test_oracle_box_above_the_cap_is_refused(request_, tmp_path, capsys):
     box = request_["args"]["box"]
     message = f"box must be <= 1000, got {box}"
@@ -220,6 +222,18 @@ def test_oracle_box_at_the_cap_is_searched(capsys):
     assert code == 2
     assert capsys.readouterr() == (
         "", "npsurf: error: box must be <= 1000, got 1001\n")
+
+
+def test_verification_always_searches_the_default_box(capsys):
+    out = api.evaluate({"op": "verify_example", "args": {"id": "1.11"}})
+    assert out["verdict"]["oracle"]["box"] == DEFAULT_BOX
+    with pytest.raises(api.ApiError, match=r"^unknown args: \['box'\]$"):
+        api.evaluate({"op": "verify_example",
+                      "args": {"id": "1.11", "box": 40}})
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["example", "verify", "1.11", "--box", "40"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --box 40" in capsys.readouterr().err
 
 
 def test_negative_hirzebruch_invariant_is_a_domain_error(capsys):
@@ -283,9 +297,9 @@ def test_blow_up_above_the_point_bound_exits_two(tmp_path, capsys):
 
 # --- fuzz ------------------------------------------------------------------
 
-# these ops search the default box of every family instance; a fuzzed
+# this op searches the default box of a family instance; a fuzzed
 # ample_oracle request searches at most a box of 12, which is cheap
-SEARCH_OPS = {"brute_force_ample_oracle", "verify_example"}
+SEARCH_OPS = {"verify_example"}
 NON_SEARCH_OPS = sorted(set(api.OPERATIONS) - SEARCH_OPS)
 
 WORDS = ("P2", "Fe", "ample", "anticanonical", "bpf", "nef", "minus_k",

@@ -105,6 +105,11 @@ def test_reider_degree_gate(capsys):
     code, out, _ = run(capsys, "reider", "--k2", "0", "--L2", "27",
                        "--p", "2", "--minus-k-dot-L", "3", "--cond1")
     assert code == 0 and out.startswith("reider_np: no")
+    code, out, err = run(capsys, "reider", "--k2", "10", "--L2", "26",
+                         "--p", "2", "--cond1")
+    assert (code, out) == (2, "")
+    assert err == ("npsurf: error: K^2 = 10 exceeds the rational-surface "
+                   "range\n")
 
 
 def test_terminate_threshold(capsys):
@@ -130,7 +135,7 @@ def test_fano_routes(capsys):
 
 def test_oracle_minimum_and_refusal(capsys):
     code, out, _ = run(capsys, "oracle", "--id", "1.17", "--param", "l=4")
-    assert code == 0 and "minimum 1 at" in out
+    assert code == 0 and out.startswith("ample_oracle: minimum 1 at")
     code, _, err = run(capsys, "oracle", "--id", "1.13", "--param", "l=3")
     assert code == 2 and "not applicable" in err
 
@@ -251,7 +256,7 @@ def _typed_options(parser):
 def test_every_integer_option_uses_the_strict_reader():
     types = [action.type for action in _typed_options(cli.build_parser())]
     assert int not in types
-    assert types.count(cli._int_option) == 29
+    assert types.count(cli._int_option) == 28
 
 
 @pytest.mark.parametrize("argv,bad", [
@@ -262,7 +267,7 @@ def test_every_integer_option_uses_the_strict_reader():
       "--minus-k-dot-L", "3 "), "3 "),
     (("classify", "--t", "7_0", "--ample", "--anticanonical"), "7_0"),
     (("fano", "twist", "--dim", "3", "--k", "\uff13"), "\uff13"),
-    (("example", "verify", "1.12", "--param", "e=1", "--box", "1_2"), "1_2"),
+    (("fano", "classify", "--n", "1_2", "--index", "1", "--deg", "1"), "1_2"),
     (("oracle", "--id", "1.11", "--box", "+12"), "+12"),
 ])
 def test_integer_options_are_strict(capsys, argv, bad):
@@ -325,3 +330,50 @@ def test_selftest_label_lines_exist():
 
     assert len(selftest.CHECKS) == 8
     assert all(callable(fn) for _, fn in selftest.CHECKS)
+
+
+def test_oracle_by_id_searches_the_family_divisor(tmp_path, capsys):
+    divisor = npsurf.families.build_example("1.17", {"l": 4}).A.to_json()
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(divisor))
+    by_id = run_json(capsys, "oracle", "--id", "1.17", "--param", "l=4",
+                     "--box", "20")
+    by_file = run_json(capsys, "oracle", "--divisor", str(f), "--box", "20")
+    assert by_id == by_file
+    assert by_id[1]["op"] == "ample_oracle"
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (("--nef",), "nef"),
+    (("--check-bpf", "--bpf"), "bpf"),
+    (("--check-bpf", "--ample"), "ample"),
+])
+def test_classify_refuses_flags_the_chosen_op_does_not_read(
+        tmp_path, capsys, argv, unread):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "P2", "coeffs": [2], "flags": {
+        "ample": True, "anticanonical": True, "nef": True}}))
+    code, out, err = run(capsys, "classify", "--surface", str(f), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"npsurf: error: unknown flags: [{unread!r}]\n"
+
+
+def test_classify_refuses_file_flags_no_op_reads(tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "P2", "coeffs": [3], "flags": {
+        "ample": True, "anticanonical": True, "bpff": True, "ampel": False}}))
+    for extra in ((), ("--check-bpf",)):
+        code, out, err = run(capsys, "classify", "--surface", str(f), *extra)
+        assert (code, out) == (2, "")
+        assert err == (f"npsurf: error: {f}: unknown flags: "
+                       "['ampel', 'bpff']\n")
+
+
+def test_classify_file_may_hold_both_ops_flags(tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "P2", "coeffs": [2], "flags": {
+        "ample": True, "anticanonical": True, "nef": True}}))
+    code, out, _ = run(capsys, "classify", "--surface", str(f))
+    assert code == 0 and out.startswith("np_classify: ExactMax(p = 3)")
+    code, out, _ = run(capsys, "classify", "--surface", str(f), "--check-bpf")
+    assert code == 0 and out.startswith("bpf_check: yes")

@@ -67,7 +67,7 @@ def test_flags_are_booleans_never_coerced(value):
         np_classify_degree(7, {"ample": True, "anticanonical": value})
     S = SurfaceModel.hirzebruch(1)
     with pytest.raises(CriteriaError, match="must be a bool"):
-        bpf_check(S, S.divisor([1, 2]), {"nef": value, "anticanonical": True})
+        bpf_check(S.divisor([1, 2]), {"nef": value, "anticanonical": True})
 
 
 def test_classification_from_a_lattice_polarization():
@@ -75,10 +75,11 @@ def test_classification_from_a_lattice_polarization():
                 PointConfig(general_position=True,
                             anticanonical_effective=True))
     A = -S.canonical
-    v = np_classify(S, A, ANTI)
+    v = np_classify(A, ANTI)
     assert (v.status, v.p) == ("ExactMax", 0)
-    with pytest.raises(CriteriaError):
-        np_classify(S, SurfaceModel.projective_plane().divisor([1]), ANTI)
+    # the surface is the divisor's own: a line of P2 has -K.L = 3
+    v = np_classify(SurfaceModel.projective_plane().divisor([1]), ANTI)
+    assert (v.status, v.p) == ("ExactMax", 0)
 
 
 def test_exact_level_requires_an_exactness_hypothesis():
@@ -105,13 +106,13 @@ def test_failure_level_for_effective_twists():
 def test_base_point_free_threshold():
     S = SurfaceModel.hirzebruch(1)
     flags = {"nef": True, "anticanonical": True}
-    assert bpf_check(S, S.divisor([1, 2]), flags)          # -K.L = 4
-    low = bpf_check(S, S.divisor([0, 0]), flags)
+    assert bpf_check(S.divisor([1, 2]), flags)             # -K.L = 4
+    low = bpf_check(S.divisor([0, 0]), flags)
     assert not low and low.reason
     with pytest.raises(CriteriaError):
-        bpf_check(S, S.divisor([1, 2]), {"nef": True})
+        bpf_check(S.divisor([1, 2]), {"nef": True})
     with pytest.raises(CriteriaError):
-        bpf_check(S, S.divisor([1, 2]), {"anticanonical": True})
+        bpf_check(S.divisor([1, 2]), {"anticanonical": True})
 
 
 # --- very ampleness of adjoint sums ---------------------------------------
@@ -250,6 +251,17 @@ def test_gate_entry_hypotheses():
         reider_np(3, 100, -1, cond1_attested=True)
     v = reider_np(3, 100, 1, cond1_attested=True, adjoint_very_ample=True)
     assert set(v.assumed) >= {"cond1", "adjoint_very_ample"}
+
+
+@pytest.mark.parametrize("ksq", [10, 250])
+def test_quadratic_gates_refuse_ksq_above_the_rational_range(ksq):
+    # L^2 = 26 would pass gate 2a at p = 2 if K^2 were not checked
+    with pytest.raises(CriteriaError,
+                       match=rf"^K\^2 = {ksq} exceeds the rational-surface "
+                             "range$"):
+        reider_np(ksq, 26, 2, cond1_attested=True)
+    assert reider_np(9, 26, 2, cond1_attested=True).justification == \
+        "Thm 1.24 gate 2a"
 
 
 # --- quadratic-to-degree bound and its proof chain -------------------------

@@ -23,7 +23,6 @@ from npsurf.families import (
     OracleNotApplicable,
     VerificationError,
     ample_oracle,
-    brute_force_ample_oracle,
     build_example,
     fixture_instance,
     mutate_polarization,
@@ -214,7 +213,7 @@ def test_certificate_pins_every_body():
 
 def test_oracle_on_a_minimal_surface_scans_the_cone():
     ex = build_example("1.12", {"e": 1})
-    res = brute_force_ample_oracle(ex)
+    res = ample_oracle(ex.A)
     assert res.min_value >= 1
     assert res.argmin[0] == "base"
     assert res.to_json()["box"] == DEFAULT_BOX
@@ -224,7 +223,7 @@ def test_oracle_refuses_attested_configurations():
     for fid, params in (("1.13", {"l": 3}), ("1.14", {}), ("1.15", {}),
                         ("Obs1.4", {"n": 5})):
         with pytest.raises(OracleNotApplicable):
-            brute_force_ample_oracle(build_example(fid, params))
+            ample_oracle(build_example(fid, params).A)
 
 
 def test_oracle_agrees_with_certificate_on_certified_instances():
@@ -233,56 +232,53 @@ def test_oracle_agrees_with_certificate_on_certified_instances():
                         ("1.20", {"n": -10})):
         ex = build_example(fid, params)
         assert nakai_certificate(ex).valid
-        assert brute_force_ample_oracle(ex).min_value >= 1
+        assert ample_oracle(ex.A).min_value >= 1
 
 
 def test_oracle_box_must_reach_the_anticanonical_class():
     ex = build_example("1.16", {"e": 2, "n": 0})   # base class needs b = 4
     with pytest.raises(OracleBoxError):
-        brute_force_ample_oracle(ex, box=3)
-    S = blow_up(SurfaceModel.projective_plane(), 2,
-                PointConfig(on_smooth_anticanonical=True))
-    A = S.divisor([4, -1, -1])
+        ample_oracle(ex.A, box=3)
+    A = _on_cubic([4, -1, -1])
     with pytest.raises(OracleBoxError):
-        ample_oracle(S, A, box=2)                  # cannot reach the cubic
-    assert ample_oracle(S, A, box=6).min_value >= 1
+        ample_oracle(A, box=2)                     # cannot reach the cubic
+    assert ample_oracle(A, box=6).min_value >= 1
 
 
 def _polarized(fid, params):
-    ex = build_example(fid, params)
-    return ex.surface, ex.A
+    return build_example(fid, params).A
 
 
 def _on_cubic(coeffs):
-    """P2 blown up at len(coeffs) - 1 points of a smooth cubic, with a class."""
+    """A class on P2 blown up at len(coeffs) - 1 points of a smooth cubic."""
     S = blow_up(SurfaceModel.projective_plane(), len(coeffs) - 1,
                 PointConfig(on_smooth_anticanonical=True))
-    return S, S.divisor(coeffs)
+    return S.divisor(coeffs)
 
 
-@pytest.mark.parametrize("S,A,box,pin", [
+@pytest.mark.parametrize("A,box,pin", [
     # bare P2 and bare F_1: the cone of base classes
-    (*_polarized("1.11", {}), 12, (1, ("base", 1), 12)),
-    (*_polarized("1.12", {"e": 1}), 12, (1, ("base", 0, 1), 80)),
+    (_polarized("1.11", {}), 12, (1, ("base", 1), 12)),
+    (_polarized("1.12", {"e": 1}), 12, (1, ("base", 0, 1), 80)),
     # a blow-up at zero points scans its base's cone
-    (*_polarized("1.17", {"l": 0}), 12, (1, ("base", 1, 0), 80)),
+    (_polarized("1.17", {"l": 0}), 12, (1, ("base", 1, 0), 80)),
     # the elliptic pencil
-    (*_polarized("1.18", {}), 12, (1, ("E", 8), 166)),
+    (_polarized("1.18", {}), 12, (1, ("E", 8), 166)),
     # points on the cubic of P2
-    (*_on_cubic([4, -1, -1]), 6, (1, ("E", 0), 9)),
-    (*_on_cubic([3, -1, -1]), 6, (1, ("D", 1, 0, (1, 1)), 9)),
+    (_on_cubic([4, -1, -1]), 6, (1, ("E", 0), 9)),
+    (_on_cubic([3, -1, -1]), 6, (1, ("D", 1, 0, (1, 1)), 9)),
     # not ample: the minimum sits where the multiplicity cap d - 1 binds
-    (*_on_cubic([2, -1, -1, -1]), 6, (-3, ("D", 6, 0, (5, 5, 5)), 10)),
+    (_on_cubic([2, -1, -1, -1]), 6, (-3, ("D", 6, 0, (5, 5, 5)), 10)),
     # points on the anticanonical curve of F_0, and of F_1 with the points
     # free to lie on the negative section or kept away from it
-    (*_polarized("1.19", {"n": -5}), 12, (1, ("C", (1,) * 13), 160)),
-    (*_polarized("1.16", {"e": 1, "n": 2}), 12,
+    (_polarized("1.19", {"n": -5}), 12, (1, ("C", (1,) * 13), 160)),
+    (_polarized("1.16", {"e": 1, "n": 2}), 12,
      (1, ("D", 0, 1, (1, 0, 0, 0, 0, 0)), 87)),
-    (*_polarized("1.17", {"l": 4}), 12, (1, ("D", 0, 1, (1, 1, 0, 0)), 85)),
+    (_polarized("1.17", {"l": 4}), 12, (1, ("D", 0, 1, (1, 1, 0, 0)), 85)),
 ], ids=["P2", "F1", "F1-zero-points", "pencil", "P2-cubic-E", "P2-cubic-D",
         "P2-cubic-cap", "F0-points", "F1-points", "F1-points-away"])
-def test_oracle_pins_every_model(S, A, box, pin):
-    res = ample_oracle(S, A, box)
+def test_oracle_pins_every_model(A, box, pin):
+    res = ample_oracle(A, box)
     assert (res.min_value, res.argmin, res.candidates) == pin
 
 
@@ -291,23 +287,23 @@ def test_oracle_box_error_messages():
     with pytest.raises(OracleBoxError,
                        match=r"^box must reach the anticanonical base class "
                              r"\(>= 4\)$"):
-        brute_force_ample_oracle(ex, box=3)
+        ample_oracle(ex.A, box=3)
     with pytest.raises(OracleBoxError,
                        match=r"^box must reach the cubic class \(>= 3\)$"):
-        ample_oracle(*_on_cubic([4, -1, -1]), box=2)
+        ample_oracle(_on_cubic([4, -1, -1]), box=2)
 
 
 def test_oracle_box_ignores_the_environment(monkeypatch):
     # an exact answer must not depend on the environment
     monkeypatch.setenv("NP_ORACLE_BOX", "17")
     ex = build_example("1.17", {"l": 2})
-    assert brute_force_ample_oracle(ex).box == DEFAULT_BOX == 12
+    assert ample_oracle(ex.A).box == DEFAULT_BOX == 12
 
 
 def test_oracle_is_deterministic():
     ex = build_example("1.17", {"l": 5})
-    a = brute_force_ample_oracle(ex)
-    b = brute_force_ample_oracle(ex)
+    a = ample_oracle(ex.A)
+    b = ample_oracle(ex.A)
     assert (a.min_value, a.argmin, a.candidates) == \
         (b.min_value, b.argmin, b.candidates)
 
@@ -321,24 +317,17 @@ def test_every_family_instance_is_within_the_point_bound():
 
 
 def test_oracle_box_is_capped():
-    S, A = _polarized("1.11", {})
+    A = _polarized("1.11", {})
     assert families.MAX_BOX == 1000
-    assert ample_oracle(S, A, 1000).candidates == 1000
+    assert ample_oracle(A, 1000).candidates == 1000
     with pytest.raises(OracleBoxError, match=r"^box must be <= 1000, got 1001$"):
-        ample_oracle(S, A, 1001)
-    with pytest.raises(OracleBoxError, match=r"^box must be <= 1000, got 1001$"):
-        brute_force_ample_oracle(build_example("1.11"), box=1001)
-    with pytest.raises(OracleBoxError, match=r"^box must be <= 1000, got 1001$"):
-        verify_example("1.11", box=1001)
+        ample_oracle(A, 1001)
     # an attested family has nothing to search, but its box is still checked
-    attested = build_example("1.13", {"l": 3})
+    attested = _polarized("1.13", {"l": 3})
     for box, bound in ((1001, "<= 1000"), (0, ">= 1")):
         with pytest.raises(OracleBoxError,
                            match=f"^box must be {bound}, got {box}$"):
-            brute_force_ample_oracle(attested, box=box)
-        with pytest.raises(OracleBoxError,
-                           match=f"^box must be {bound}, got {box}$"):
-            verify_example("1.13", {"l": 3}, box=box)
+            ample_oracle(attested, box=box)
 
 
 def test_oracle_memory_does_not_grow_with_the_box():
@@ -346,7 +335,7 @@ def test_oracle_memory_does_not_grow_with_the_box():
     A = S.divisor([1, 1])
     tracemalloc.start()
     try:
-        res = ample_oracle(S, A, 300)
+        res = ample_oracle(A, 300)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -482,7 +471,7 @@ def test_streaming_oracle_matches_the_list_enumerator(model):
             return value, key, box, len(cands)
 
         def streamed():
-            res = ample_oracle(S, D, box)
+            res = ample_oracle(D, box)
             return res.min_value, res.argmin, res.box, res.candidates
 
         assert _outcome(streamed) == _outcome(reference), (S, D, box)
@@ -513,7 +502,7 @@ def test_certificate_and_oracle_share_one_model(model):
         except CertificateRefused:
             cert = None
         try:
-            ample_oracle(S, D, 6)
+            ample_oracle(D, 6)
             modeled = True
         except OracleNotApplicable:
             modeled = False
@@ -536,7 +525,7 @@ def test_targeted_mutation_is_caught_by_both_sides():
     ex = build_example("1.17", {"l": 4})
     bad = mutate_polarization(ex, 0, -1)
     assert not nakai_certificate(bad).valid
-    assert ample_oracle(bad.surface, bad.A).min_value <= 0
+    assert ample_oracle(bad.A).min_value <= 0
 
 
 def test_valid_mutant_certificates_are_never_contradicted():
@@ -550,7 +539,7 @@ def test_valid_mutant_certificates_are_never_contradicted():
             mut = mutate_polarization(strong, index, delta)
             cert = nakai_certificate(mut)
             if cert.valid:
-                assert ample_oracle(mut.surface, mut.A).min_value >= 1
+                assert ample_oracle(mut.A).min_value >= 1
                 checked += 1
     assert checked >= 1
 
@@ -597,7 +586,8 @@ def test_verify_passes_on_every_named_instance(fid, params):
     else:
         assert report.certificate is None and report.oracle is None
         assert "refused" in report.certificate_refused
-        assert "attested" in report.oracle_note
+        assert report.oracle_note == ("no admissible-curve model for this "
+                                      "point configuration")
         assert report.ample_verdict is None
     obj = report.to_json()
     assert obj["passed"] is True and obj["family"] == fid
@@ -639,10 +629,10 @@ def test_null_ampleness_pin_needs_both_routes_to_refuse(monkeypatch):
     pin = {**fixture_instance("1.11", "-"), "ample": None}
     monkeypatch.setattr(families, "fixture_instance", lambda a, b: pin)
 
-    def abstain(ex, box=None):
+    def abstain(D, box=None):
         raise OracleNotApplicable("no admissible-curve model")
 
-    monkeypatch.setattr(families, "brute_force_ample_oracle", abstain)
+    monkeypatch.setattr(families, "ample_oracle", abstain)
     report = verify_example("1.11", strict=False)
     assert report.failures == ("1.11[-]: expected certificate refusal",)
 
