@@ -5,23 +5,24 @@
 class name, or ``"value"`` for plain integers, booleans and lists.
 
 Each op is one row of ``_ROWS`` naming a library callable, whose signature
-and annotations, read once at import, give the argument names, which are
-required, and a strict converter per argument: ``int`` takes a JSON integer
-only, ``bool`` a JSON boolean only, null is accepted only where the
-annotation allows None, and ``FanoInput``/``ExampleFamily`` parameters are
-built from their own flat fields.  Bad requests raise ``ApiError``; nothing
+and annotations, read on the op's first request, give the argument names,
+which are required, and a strict converter per argument: ``int`` takes a
+JSON integer only, ``bool`` a JSON boolean only, null is accepted only where
+the annotation allows None, and ``FanoInput``/``ExampleFamily`` parameters
+are built from their own flat fields.  Bad requests raise ``ApiError``; nothing
 is coerced.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import types
 import typing
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 
-from . import criteria, families, fano, lattice
+from . import criteria, lattice
 from .lattice import DivisorClass, PointConfig, SurfaceModel
 
 
@@ -29,7 +30,7 @@ class ApiError(ValueError):
     """Unknown op, unknown or missing argument, or a wrongly typed value."""
 
 
-# --- converters: one per annotation, built at import -------------------------
+# --- converters: one per annotation, built when an op is derived -------------
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
                list: "array", dict: "object", types.NoneType: "null"}
@@ -125,15 +126,18 @@ class _Call:
 
 def _derive(owner, attr: str, tag: str | None = None,
             rename: dict | None = None) -> _Call:
-    """Read one callable's signature; ``rename`` maps a parameter to its
-    JSON key."""
+    """Read one callable's signature; ``owner`` is a class or the name of an
+    npsurf module, and ``rename`` maps a parameter to its JSON key."""
+    if isinstance(owner, str):
+        owner = importlib.import_module(f".{owner}", __package__)
     target = getattr(owner, attr)
     hints = typing.get_type_hints(target)
     fields, nested, required, keys = [], [], [], []
     for name, param in inspect.signature(target).parameters.items():
         key = (rename or {}).get(name, name)
-        if hints[name] in _BUILT_FROM_FIELDS:
-            sub = _derive(*_BUILT_FROM_FIELDS[hints[name]])
+        built = _BUILT_FROM_FIELDS.get(getattr(hints[name], "__name__", None))
+        if built is not None:
+            sub = _derive(*built)
             nested.append((name, sub))
             required += sub.required
             keys += sub.names
@@ -150,9 +154,10 @@ def _derive(owner, attr: str, tag: str | None = None,
 
 
 _ID = {"family_id": "id"}
+# parameter class name -> the call that builds it from its own flat fields
 _BUILT_FROM_FIELDS = {
-    fano.FanoInput: (fano, "FanoInput"),
-    families.ExampleFamily: (families, "build_example", None, _ID),
+    "FanoInput": ("fano", "FanoInput"),
+    "ExampleFamily": ("families", "build_example", None, _ID),
 }
 
 
@@ -174,40 +179,50 @@ class _Adapters:
 _ARITH_TAG = "exact lattice arithmetic"
 
 # op -> (owner of the callable of that name, fixed justification tag or None
-# to read the verdict's own, JSON keys of renamed parameters)
+# to read the verdict's own, JSON keys of renamed parameters); an owner module
+# is imported when its first op is derived
 _ROWS = {
-    "intersect": (lattice,),
-    "canonical_class": (lattice,),
-    "k_squared": (lattice,),
-    "euler_characteristic": (lattice, None, {"d": "divisor"}),
-    "sectional_genus": (lattice, None, {"d": "divisor"}),
-    "hodge_index_bound": (lattice,),
-    "signature": (lattice,),
-    "blow_up": (lattice,),
+    "intersect": ("lattice",),
+    "canonical_class": ("lattice",),
+    "k_squared": ("lattice",),
+    "euler_characteristic": ("lattice", None, {"d": "divisor"}),
+    "sectional_genus": ("lattice", None, {"d": "divisor"}),
+    "hodge_index_bound": ("lattice",),
+    "signature": ("lattice",),
+    "blow_up": ("lattice",),
     "np_classify": (_Adapters,),
-    "bpf_check": (criteria, None, {"L": "divisor"}),
-    "adjoint_very_ample": (criteria,),
-    "min_kA_bound": (criteria,),
-    "adjoint_np_min_n": (criteria,),
-    "reider_np": (criteria,),
-    "lemma_125_bound": (criteria, "Lem 1.25"),
-    "verify_inequality_chain": (criteria, "Lem 1.25 chain"),
-    "ampleness_termination": (criteria,),
-    "thm_121_equivalence": (criteria,),
-    "curve_np_reference": (criteria,),
-    "build_example": (families, "family table", _ID),
-    "nakai_certificate": (families, "Nakai curve cases"),
-    "ample_oracle": (families, "exhaustive search", {"D": "divisor"}),
-    "verify_example": (families, "family verification", _ID),
-    "primitive_np": (fano,),
-    "multiples_np_surface": (fano, None, {"B_profile": "profile"}),
-    "multiples_np_fano": (fano,),
-    "index_nm3_n0": (fano,),
-    "index_nm3_np": (fano,),
+    "bpf_check": ("criteria", None, {"L": "divisor"}),
+    "adjoint_very_ample": ("criteria",),
+    "min_kA_bound": ("criteria",),
+    "adjoint_np_min_n": ("criteria",),
+    "reider_np": ("criteria",),
+    "lemma_125_bound": ("criteria", "Lem 1.25"),
+    "verify_inequality_chain": ("criteria", "Lem 1.25 chain"),
+    "ampleness_termination": ("criteria",),
+    "thm_121_equivalence": ("criteria",),
+    "curve_np_reference": ("criteria",),
+    "build_example": ("families", "family table", _ID),
+    "nakai_certificate": ("families", "Nakai curve cases"),
+    "ample_oracle": ("families", "exhaustive search", {"D": "divisor"}),
+    "verify_example": ("families", "family verification", _ID),
+    "primitive_np": ("fano",),
+    "multiples_np_surface": ("fano", None, {"B_profile": "profile"}),
+    "multiples_np_fano": ("fano",),
+    "index_nm3_n0": ("fano",),
+    "index_nm3_np": ("fano",),
 }
-_OPS = {op: _derive(owner, op, *rest) for op, (owner, *rest) in _ROWS.items()}
-OPERATIONS = tuple(sorted(_OPS))
+OPERATIONS = tuple(sorted(_ROWS))
+_OPS: dict[str, _Call] = {}     # the ops derived so far
 _REQUEST_FIELDS = frozenset({"op", "args"})
+
+
+def _call(op: str) -> _Call:
+    """A known op's call, derived from its row on first use."""
+    call = _OPS.get(op)
+    if call is None:
+        owner, *rest = _ROWS[op]
+        call = _OPS[op] = _derive(owner, op, *rest)
+    return call
 
 
 def evaluate(request: dict) -> dict:
@@ -219,6 +234,8 @@ def evaluate(request: dict) -> dict:
                        f"{sorted(request.keys() - _REQUEST_FIELDS)}")
     op = request.get("op")
     call = _OPS.get(op) if isinstance(op, str) else None
+    if call is None and op in OPERATIONS:
+        call = _call(op)
     if call is None:
         raise ApiError(f"unknown op {op!r}; known ops: {', '.join(OPERATIONS)}")
     args = request.get("args", {})

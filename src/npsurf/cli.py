@@ -10,20 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
 from . import api, criteria, fano
-from . import selftest as selftest_mod
-from .families import (
-    DEFAULT_BOX,
-    FAMILY_SWEEPS,
-    CertificateRefused,
-    OracleNotApplicable,
-    VerificationError,
-    build_example,
-    sweep_family,
-)
 
 # every attested flag of the two divisor ops, each a ``classify`` option
 _FLAGS = sorted(criteria.CLASSIFY_FLAGS | criteria.BPF_FLAGS)
@@ -63,7 +54,10 @@ _HEADLINES = {
 }
 
 
-def _emit(payload: dict, as_json: bool) -> None:
+def _emit(payload: dict | list[str], as_json: bool) -> None:
+    if isinstance(payload, list):       # a command's own text lines
+        print("\n".join(payload))
+        return
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
@@ -137,7 +131,8 @@ def _parse_params(pairs: list[str]) -> dict | None:
 
 
 def _load_divisor_file(path: str) -> tuple[dict, dict]:
-    """Read a flat divisor JSON file; returns (divisor_json, flags)."""
+    """Read a flat divisor JSON file; returns (divisor_json, flags).  A flag
+    that no divisor op reads is refused."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -145,6 +140,9 @@ def _load_divisor_file(path: str) -> tuple[dict, dict]:
     flags = data.pop("flags", {})
     if not isinstance(flags, dict):
         raise api.ApiError(f"{path}: flags must be a JSON object")
+    unknown = sorted(set(flags).difference(_FLAGS))
+    if unknown:
+        raise api.ApiError(f"{path}: unknown flags: {unknown}")
     return data, flags
 
 
@@ -186,9 +184,6 @@ def _cmd_classify(args) -> tuple[int, dict]:
     cli_flags = {name: True for name in _FLAGS if getattr(args, name)}
     if args.surface is not None:
         divisor, flags = _load_divisor_file(args.surface)
-        unknown = sorted(set(flags).difference(_FLAGS))
-        if unknown:
-            raise api.ApiError(f"{args.surface}: unknown flags: {unknown}")
         # a file may hold both ops' flags; the chosen op gets its own
         op, reads = (("bpf_check", criteria.BPF_FLAGS) if args.check_bpf
                      else ("np_classify", criteria.CLASSIFY_FLAGS))
@@ -247,7 +242,9 @@ def _cmd_terminate(args) -> tuple[int, dict]:
                     np_sharp_attested=args.np_sharp)
 
 
-def _cmd_example(args) -> tuple[int, dict | None]:
+def _cmd_example(args) -> tuple[int, dict | list[str]]:
+    from .families import FAMILY_SWEEPS, sweep_family
+
     if args.action == "list":
         table = {fid: list(sweep) for fid, sweep in FAMILY_SWEEPS.items()}
         return 0, {"op": "example_list", "verdict": table,
@@ -270,17 +267,18 @@ def _cmd_example(args) -> tuple[int, dict | None]:
         return code, {"op": "example_sweep", "family": args.id,
                       "verdict": instances,
                       "justification": "family verification"}
+    lines = []
     for inst in instances:
         key = ",".join(f"{k}={v}" for k, v in inst["params"].items())
         name = f"{inst['family']}[{key}]" if key else inst["family"]
         if inst["passed"]:
             np_v = inst["np_verdict"]
-            print(f"ok   {name}: {_status(np_v)} [{np_v['justification']}]")
+            lines.append(f"ok   {name}: {_status(np_v)} "
+                         f"[{np_v['justification']}]")
         else:
-            print(f"FAIL {name}: {inst['failures'][0]}")
+            lines.append(f"FAIL {name}: {inst['failures'][0]}")
     verdict = "all passed" if code == 0 else "FAILURES above"
-    print(f"{len(instances)} instance(s): {verdict}")
-    return code, None
+    return code, [*lines, f"{len(instances)} instance(s): {verdict}"]
 
 
 def _cmd_fano(args) -> tuple[int, dict]:
@@ -316,15 +314,22 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     if (args.family_id is None) == (args.divisor is None):
         raise api.ApiError("give exactly one of --id FAMILY or --divisor FILE")
     if args.family_id is not None:
+        from .families import build_example
+
         divisor = build_example(args.family_id,
                                 _parse_params(args.param)).A.to_json()
+    elif args.param:
+        raise api.ApiError("--param sets family parameters; it needs --id "
+                           "FAMILY, not --divisor FILE")
     else:
         divisor, _ = _load_divisor_file(args.divisor)
     return 0, _eval("ample_oracle", divisor=divisor, box=args.box)
 
 
-def _cmd_selftest(args) -> tuple[int, dict | None]:
-    results = selftest_mod.run_all()
+def _cmd_selftest(args) -> tuple[int, dict | list[str]]:
+    from .selftest import run_all
+
+    results = run_all()
     code = 0 if all(r.passed for r in results) else 1
     if args.json:
         return code, {"op": "selftest",
@@ -334,16 +339,25 @@ def _cmd_selftest(args) -> tuple[int, dict | None]:
                                   for r in results],
                       "passed": code == 0,
                       "justification": "hermetic check suite"}
-    for r in results:
-        mark = "ok  " if r.passed else "FAIL"
-        print(f"[{mark}] {r.name}: {r.detail} ({r.seconds:.2f}s)")
+    lines = [f"[{'ok  ' if r.passed else 'FAIL'}] {r.name}: {r.detail} "
+             f"({r.seconds:.2f}s)" for r in results]
     total = sum(r.seconds for r in results)
     good = sum(1 for r in results if r.passed)
-    print(f"{good}/{len(results)} checks passed in {total:.2f}s")
-    return code, None
+    return code, [*lines, f"{good}/{len(results)} checks passed in "
+                  f"{total:.2f}s"]
 
 
 # --- parser ----------------------------------------------------------------
+
+
+class _BoxHelp(str):
+    """``oracle --box`` help; argparse fills it in with ``%`` only when it
+    prints help, so ``families`` is imported only then."""
+
+    def __mod__(self, params):
+        from .families import DEFAULT_BOX
+
+        return f"{self} (default {DEFAULT_BOX})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,46 +483,58 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--divisor", metavar="FILE",
                    help="flat divisor JSON file to test instead")
     o.add_argument("--box", type=_int_option,
-                   help=f"search box (default {DEFAULT_BOX})")
+                   help=_BoxHelp("search box"))
 
     st = sub.add_parser("selftest", help="run the hermetic check suite")
     st.set_defaults(handler=_cmd_selftest)
     return parser
 
 
+def _cmd_eval_file(args) -> tuple[int, dict]:
+    if args.eval_file == "-":
+        request = json.load(sys.stdin)
+    else:
+        with open(args.eval_file) as fh:
+            request = json.load(fh)
+    return 0, api.evaluate(request)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.eval_file is not None:
+        args.handler, args.json = _cmd_eval_file, True
+    elif args.command is None:
+        parser.print_usage(sys.stderr)
+        print("npsurf: error: a subcommand (or --eval-file) is required",
+              file=sys.stderr)
+        return 2
 
     try:
-        if args.eval_file is not None:
-            if args.eval_file == "-":
-                request = json.load(sys.stdin)
-            else:
-                with open(args.eval_file) as fh:
-                    request = json.load(fh)
-            _emit(api.evaluate(request), True)
-            return 0
-
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            print("npsurf: error: a subcommand (or --eval-file) is required",
-                  file=sys.stderr)
-            return 2
-
         code, payload = args.handler(args)
-        if payload is not None:
-            _emit(payload, args.json)
-        return code
-    except VerificationError as exc:
-        print(f"npsurf: verification failed: {exc}", file=sys.stderr)
-        return 1
-    except (OracleNotApplicable, CertificateRefused) as exc:
-        print(f"npsurf: not applicable: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"npsurf: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # the other refusals are families' own, so it is loaded already
+        from . import families
+
+        if isinstance(exc, families.VerificationError):
+            print(f"npsurf: verification failed: {exc}", file=sys.stderr)
+            return 1
+        if not isinstance(exc, (families.OracleNotApplicable,
+                                families.CertificateRefused)):
+            raise
+        print(f"npsurf: not applicable: {exc}", file=sys.stderr)
+        return 2
+    try:
+        _emit(payload, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the flush at
+        # exit, to the null device instead of reporting an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

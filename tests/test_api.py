@@ -77,7 +77,7 @@ PLANE_DIVISOR = {"kind": "P2", "coeffs": [2]}
 def test_derived_op_table_matches_the_pinned_argument_names():
     assert sorted(OP_ARGS) == list(api.OPERATIONS)
     for op, (required, optional) in OP_ARGS.items():
-        call = api._OPS[op]
+        call = api._call(op)
         assert set(call.required) == set(required), op
         assert call.names - set(call.required) == set(optional), op
 
@@ -346,7 +346,7 @@ WELL_TYPED = {
 @given(st.data())
 def test_fuzz_evaluate_answers_in_json_or_refuses(data):
     op = data.draw(st.sampled_from(NON_SEARCH_OPS), label="op")
-    call = api._OPS[op]
+    call = api._call(op)
     keys = [k for k in sorted(call.names)
             if data.draw(st.integers(0, 9), label=f"omit {k}?") > 1]
     if data.draw(st.booleans(), label="unknown key?"):

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, text output, JSON parity."""
 
 import argparse
+import contextlib
 import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import npsurf.families
 from npsurf import cli
@@ -343,6 +346,25 @@ def test_oracle_by_id_searches_the_family_divisor(tmp_path, capsys):
     assert by_id[1]["op"] == "ample_oracle"
 
 
+def test_oracle_divisor_file_takes_no_param(tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "Fe", "e": 1, "coeffs": [1, 2]}))
+    code, out, err = run(capsys, "oracle", "--divisor", str(f),
+                         "--param", "e=1")
+    assert (code, out) == (2, "")
+    assert err == ("npsurf: error: --param sets family parameters; it needs "
+                   "--id FAMILY, not --divisor FILE\n")
+
+
+def test_oracle_refuses_divisor_file_flags_no_op_reads(tmp_path, capsys):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps({"kind": "P2", "coeffs": [1],
+                             "flags": {"ampel": True}}))
+    code, out, err = run(capsys, "oracle", "--divisor", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"npsurf: error: {f}: unknown flags: ['ampel']\n"
+
+
 @pytest.mark.parametrize("argv,unread", [
     (("--nef",), "nef"),
     (("--check-bpf", "--bpf"), "bpf"),
@@ -377,3 +399,110 @@ def test_classify_file_may_hold_both_ops_flags(tmp_path, capsys):
     assert code == 0 and out.startswith("np_classify: ExactMax(p = 3)")
     code, out, _ = run(capsys, "classify", "--surface", str(f), "--check-bpf")
     assert code == 0 and out.startswith("bpf_check: yes")
+
+
+# --- fuzz ------------------------------------------------------------------
+
+
+def _commands(parser, path=()):
+    """(argv path, positionals, options) of every leaf command but selftest,
+    read off the parser."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        for name, sub in subs[0].choices.items():
+            if name != "selftest":
+                yield from _commands(sub, path + (name,))
+        return
+    actions = [a for a in parser._actions
+               if not isinstance(a, argparse._HelpAction)]
+    yield (path, [a for a in actions if not a.option_strings],
+           [a for a in actions if a.option_strings])
+
+
+PARSER = cli.build_parser()
+COMMANDS = list(_commands(PARSER))
+EVAL_FILE = next(a for a in PARSER._actions if a.dest == "eval_file")
+JUNK = ("", "x", "-1", "1_0", "+4", " 3", "auto", "e", "e=", "=1", "l=+4",
+        "1.17", "9.99", "minus_k", "other", "minus_k,other", "ample")
+PARAMS = ("e=0", "e=1", "l=3", "l=4", "n=2", "m=1", "bogus=1", "e=x", "e")
+FAMILIES = ("1.11", "1.12", "1.13", "1.16", "1.17", "Obs1.4", "9.99")
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Divisor and request files, good and bad, plus one that is missing."""
+    d = tmp_path_factory.mktemp("cli-fuzz")
+    docs = {
+        "plane": {"kind": "P2", "coeffs": [2],
+                  "flags": {"ample": True, "anticanonical": True}},
+        "fe": {"kind": "Fe", "e": 1, "coeffs": [1, 2], "flags": {"nef": True}},
+        "typo": {"kind": "P2", "coeffs": [1], "flags": {"ampel": True}},
+        "list": [1, 2],
+        "request": {"op": "adjoint_np_min_n", "args": {"ksq": 1, "p": 0}},
+        "oracle": {"op": "ample_oracle", "args": {
+            "divisor": {"kind": "P2", "coeffs": [1]}, "box": 3}},
+        "bad-op": {"op": "frobnicate", "args": {}},
+    }
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    (d / "torn.json").write_text('{"kind": "P2", ')
+    return [str(d / f"{name}.json")
+            for name in (*docs, "torn", "missing")]
+
+
+def _value(data, action, files):
+    """A value for one option: mostly in its domain, sometimes junk."""
+    if data.draw(st.integers(0, 11)) == 0:
+        return data.draw(st.sampled_from(JUNK))
+    if action.dest == "box":        # capped: the search grows as box^2
+        return str(data.draw(st.integers(-1, 12)))
+    if action.choices:
+        return data.draw(st.sampled_from(sorted(action.choices)))
+    if action.dest == "param":
+        return data.draw(st.sampled_from(PARAMS))
+    if action.dest in ("surface", "divisor", "eval_file"):
+        return data.draw(st.sampled_from(files))
+    if action.dest in ("id", "family_id"):
+        return data.draw(st.sampled_from(FAMILIES))
+    if action.type is cli._int_option:
+        return str(data.draw(st.integers(-3, 12)))
+    return data.draw(st.sampled_from(JUNK))
+
+
+def _argv(data, files):
+    argv = ["--json"] if data.draw(st.booleans()) else []
+    if data.draw(st.integers(0, 9)) == 0:
+        return argv + ["--eval-file", _value(data, EVAL_FILE, files)], ()
+    path, positionals, options = data.draw(st.sampled_from(COMMANDS))
+    argv += path
+    for action in positionals:
+        argv.append(_value(data, action, files))
+    for action in options:
+        # a required option is mostly given once, any other mostly left out
+        counts = (1,) * 9 + (0, 2) if action.required else (0,) * 6 + (1, 2)
+        for _ in range(data.draw(st.sampled_from(counts))):
+            argv.append(action.option_strings[-1])
+            if action.nargs != 0:
+                argv.append(_value(data, action, files))
+    return argv, path
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzz_cli_exits_zero_one_or_two(files, data):
+    argv, path = _argv(data, files)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse: usage error or --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    # a failed verification is the only exit 1
+    assert code != 1 or path == ("example", "verify"), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("npsurf: ", "usage: ")), argv
+    else:
+        assert out.getvalue(), argv

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Record a perf trajectory file (``BENCH_<n>.json``) from two checkouts.
 
-    python3 tools/bench_record.py PARENT CHANGE OUT [--claim WORKLOAD SEED PAIRS]
+    python3 tools/bench_record.py PARENT CHANGE OUT \
+        [--claim WORKLOAD SEED PAIRS METRIC]
 
 PARENT and CHANGE are source checkouts of the commit before a change and of
 the change itself.  In each, ``perfbench/run.py`` runs untraced (``--trace
@@ -11,7 +12,8 @@ alternating untraced pairs of WORKLOAD on SEED, which should be a seed the
 change was not developed on, and one traced run (``--trace 1``, seed 1) of
 that workload on each side.  Every run's ``env`` line and last-line JSON go
 into OUT with a summary: each side's median and quartiles per workload and
-metric, and for the claim the pairs the change won on ``ops_per_s``.
+metric, and for the claim the pairs the change won on METRIC, an end-to-end
+metric of ``BENCHMARK.json`` whose ``better`` direction decides a win.
 """
 
 from __future__ import annotations
@@ -44,14 +46,14 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def pair(checkouts: dict, workload: str, seed: int, trace: int,
-         parent_first: bool) -> list[dict]:
+         parent_first: bool, metric: str = "ops_per_s") -> list[dict]:
     order = SIDES if parent_first else SIDES[::-1]
     runs = []
     for side in order:
         rec = run(checkouts[side], workload, seed, trace)
         runs.append({"side": side, **rec})
         print(f"{side:6} {workload:13} seed {seed} trace {trace}: "
-              f"{json.dumps(rec['result']['metrics'].get('ops_per_s'))}",
+              f"{json.dumps(rec['result']['metrics'].get(metric))}",
               flush=True)
     return runs
 
@@ -75,19 +77,21 @@ def summarize(runs: list[dict]) -> dict:
             for w, metrics in table.items()}
 
 
-def claim_summary(claim_runs: list[dict]) -> dict:
+def claim_summary(claim_runs: list[dict], metric: str, better: str) -> dict:
     by_pair = [claim_runs[i:i + 2] for i in range(0, len(claim_runs), 2)]
-    ops = [{r["side"]: r["result"]["metrics"]["ops_per_s"]["value"]
-            for r in p} for p in by_pair]
-    parent = spread([o["parent"] for o in ops])
-    change = spread([o["change"] for o in ops])
-    wins = sum(o["change"] > o["parent"] for o in ops)
-    return {"metric": "ops_per_s", "pairs": len(ops), "change_wins": wins,
-            "parent": parent, "change": change,
+    # each pair's values, signed so that larger is better
+    sign = 1 if better == "higher" else -1
+    vals = [{r["side"]: r["result"]["metrics"][metric]["value"]
+             for r in p} for p in by_pair]
+    parent = spread([v["parent"] for v in vals])
+    change = spread([v["change"] for v in vals])
+    wins = sum(sign * (v["change"] - v["parent"]) > 0 for v in vals)
+    return {"metric": metric, "better": better, "pairs": len(vals),
+            "change_wins": wins, "parent": parent, "change": change,
             "median_ratio": change["median"] / parent["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
-            "holds": (wins >= 0.9 * len(ops) and change["median"]
-                      - parent["median"] > parent["q3"] - parent["q1"])}
+            "holds": (wins >= 0.9 * len(vals) and sign * (change["median"]
+                      - parent["median"]) > parent["q3"] - parent["q1"])}
 
 
 def main(argv=None) -> int:
@@ -95,12 +99,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("out", type=Path)
-    parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "SEED",
-                                                     "PAIRS"))
+    parser.add_argument("--claim", nargs=4, metavar=("WORKLOAD", "SEED",
+                                                     "PAIRS", "METRIC"))
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
-    workloads = [w["name"] for w in
-                 json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.claim and args.claim[3] not in better:
+        parser.error(f"--claim metric must be one of {sorted(better)}")
 
     runs = []
     for i, (seed, workload) in enumerate(
@@ -108,15 +115,16 @@ def main(argv=None) -> int:
         runs += pair(checkouts, workload, seed, 0, parent_first=i % 2 == 0)
     doc = {"runs": runs, "summary": summarize(runs)}
     if args.claim:
-        workload, seed, pairs = args.claim[0], int(args.claim[1]), \
-            int(args.claim[2])
+        workload, seed, pairs, metric = args.claim[0], int(args.claim[1]), \
+            int(args.claim[2]), args.claim[3]
         claim_runs = []
         for i in range(pairs):
             claim_runs += pair(checkouts, workload, seed, 0,
-                               parent_first=i % 2 == 0)
+                               parent_first=i % 2 == 0, metric=metric)
         traced = pair(checkouts, workload, 1, 1, parent_first=True)
         doc["claim"] = {"workload": workload, "seed": seed,
-                        "runs": claim_runs, **claim_summary(claim_runs),
+                        "runs": claim_runs,
+                        **claim_summary(claim_runs, metric, better[metric]),
                         "traced": traced}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
