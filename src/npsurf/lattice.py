@@ -173,7 +173,7 @@ class SurfaceModel:
         return DivisorClass(self, tuple(coeffs))
 
     def zero(self) -> "DivisorClass":
-        return self.divisor([0] * self.rank)
+        return DivisorClass(self, (0,) * self.rank)
 
     def pullback(self, base_coeffs) -> "DivisorClass":
         """Pull a base class back to this blow-up (exceptional parts zero)."""
@@ -188,7 +188,7 @@ class SurfaceModel:
             raise LatticeError(f"no exceptional class with index {i}")
         coeffs = [0] * self.rank
         coeffs[self.base_rank + i] = 1
-        return self.divisor(coeffs)
+        return DivisorClass(self, tuple(coeffs))
 
     # --- serialization ----------------------------------------------------
 
@@ -220,9 +220,12 @@ class SurfaceModel:
         return cls(obj["kind"], e=obj.get("e"), l=obj.get("l"), config=config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
-    """Integer divisor class on a fixed surface."""
+    """Integer divisor class on a fixed surface; slotted, so no ``__dict__``.
+
+    Scaling takes an ``int`` only: any other scalar, ``bool`` and ``float``
+    included, gets ``NotImplemented``."""
 
     surface: SurfaceModel
     coeffs: tuple[int, ...]
@@ -240,8 +243,10 @@ class DivisorClass:
             raise LatticeError("divisor classes live on different surfaces")
 
     def dot(self, other: "DivisorClass") -> int:
-        self._same_surface(other)
+        # _same_surface, inlined: this runs for every pairing
         S = self.surface
+        if S is not other.surface and S != other.surface:
+            raise LatticeError("divisor classes live on different surfaces")
         a, b = self.coeffs, other.coeffs
         # the gram matrix is -identity plus a correction on the base block,
         # so the pairing is linear-time in the rank: H^2 = 1 on P2, and on
@@ -267,6 +272,8 @@ class DivisorClass:
         return DivisorClass(self.surface, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
+        if type(scalar) is not int:
+            return NotImplemented
         return DivisorClass(self.surface, tuple([scalar * a for a in self.coeffs]))
 
     __rmul__ = __mul__

@@ -460,47 +460,51 @@ def _family_surfaces() -> list[tuple[str, lattice.SurfaceModel]]:
             for fid in FAMILY_IDS]
 
 
-def _randints(rng: random.Random, lo: int, hi: int, k: int) -> list[int]:
-    """``[rng.randint(lo, hi) for _ in range(k)]``, value for value.
+def _sampler(rng: random.Random):
+    """The property suite's draws from ``rng``: ``(ints, positive)``.
 
-    This is CPython's own rejection loop (``_randbelow_with_getrandbits``,
-    with ``n.bit_length()`` bits per draw, not ``(n - 1).bit_length()``)
-    without the ``randint -> randrange`` call layers, so it consumes the
-    generator exactly as ``randint`` does.
+    ``ints(lo, hi, k)`` is ``[rng.randint(lo, hi) for _ in range(k)]``, value
+    for value and word for word: CPython's own rejection loop
+    (``_randbelow_with_getrandbits``, ``n.bit_length()`` bits per draw, not
+    ``(n - 1).bit_length()``) without the ``randint -> randrange`` layers.
+    ``positive(S)`` is the coefficient tuple of a class with positive
+    self-intersection: random exceptional part, base part forced large
+    enough (no rejection sampling).
     """
-    n = hi - lo + 1
-    bits = n.bit_length()
     getrandbits = rng.getrandbits
-    out = []
-    for _ in range(k):
-        r = getrandbits(bits)
-        while r >= n:
+
+    def ints(lo: int, hi: int, k: int) -> list[int]:
+        n = hi - lo + 1
+        bits = n.bit_length()
+        out = []
+        for _ in range(k):
             r = getrandbits(bits)
-        out.append(lo + r)
-    return out
+            while r >= n:
+                r = getrandbits(bits)
+            out.append(lo + r)
+        return out
 
+    def positive(S: lattice.SurfaceModel) -> tuple[int, ...]:
+        ms = ints(-4, 4, S.rank - S.base_rank)
+        load = sum(map(mul, ms, ms))
+        if S.base_rank == 1:
+            return (math.isqrt(load) + 1 + ints(0, 9, 1)[0], *ms)
+        a = ints(1, 6, 1)[0]
+        b = (S.e * a * a + load) // (2 * a) + 1 + ints(0, 9, 1)[0]
+        return (a, b, *ms)
 
-def _random_positive(S: lattice.SurfaceModel, rng: random.Random):
-    """A class with positive self-intersection: random exceptional part,
-    base part forced large enough (no rejection sampling)."""
-    ms = _randints(rng, -4, 4, S.rank - S.base_rank)
-    load = sum(map(mul, ms, ms))
-    if S.base_rank == 1:
-        a = math.isqrt(load) + 1 + _randints(rng, 0, 9, 1)[0]
-        return S.divisor([a, *ms])
-    e = S.e
-    a = _randints(rng, 1, 6, 1)[0]
-    b = (e * a * a + load) // (2 * a) + 1 + _randints(rng, 0, 9, 1)[0]
-    return S.divisor([a, b, *ms])
+    return ints, positive
 
 
 def check_properties() -> tuple[bool, str]:
     """Randomized algebraic invariants, exact on every sampled pair.
 
-    Every draw goes through ``_randints``, which must stay identical to
-    ``randint`` value for value, so the sampled pairs never move."""
+    Every draw comes from one ``_sampler``, whose ``ints`` must stay
+    identical to ``randint`` value for value, so the sampled pairs never
+    move.  The draws are ints, so pairs are built as ``DivisorClass``
+    directly; every pairing is a ``dot`` looked up on the class."""
     failures = _Failures()
-    rng = random.Random(_SEED)
+    ints, positive = _sampler(random.Random(_SEED))
 
     for fid, S in _family_surfaces():
         sig = lattice.signature(S)
@@ -508,13 +512,13 @@ def check_properties() -> tuple[bool, str]:
             failures.append(f"{fid}: signature {sig}")
             continue
         for i in range(_PAIRS_PER_FAMILY):
-            d1 = _random_positive(S, rng)
+            d1 = lattice.DivisorClass(S, positive(S))
             a2 = d1.dot(d1)
             if a2 <= 0:
                 failures.append(f"{fid}: sampler produced {d1.coeffs} with "
                                 f"self-intersection {a2}")
                 break
-            d2 = S.divisor(_randints(rng, -9, 9, S.rank))
+            d2 = lattice.DivisorClass(S, tuple(ints(-9, 9, S.rank)))
             lhs = d1.dot(d2)
             if lhs * lhs < a2 * d2.dot(d2):
                 failures.append(f"{fid}: index bound violated at "
@@ -532,8 +536,8 @@ def check_properties() -> tuple[bool, str]:
                     break
         # the linear-time pairing must match the gram-matrix pairing
         for _ in range(50):
-            d1 = S.divisor(_randints(rng, -4, 4, S.rank))
-            d2 = S.divisor(_randints(rng, -4, 4, S.rank))
+            d1 = lattice.DivisorClass(S, tuple(ints(-4, 4, S.rank)))
+            d2 = lattice.DivisorClass(S, tuple(ints(-4, 4, S.rank)))
             if d1.dot(d2) != _slow_dot(d1, d2):
                 failures.append(f"{fid}: pairing disagrees with gram matrix")
                 break

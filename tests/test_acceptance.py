@@ -83,9 +83,9 @@ def test_property_suites_mutation_detection_and_determinism(monkeypatch):
 def test_property_sampler_draws_what_randint_draws(lo, hi):
     for seed in range(20):
         rng, ref = random.Random(seed), random.Random(seed)
+        ints, _ = selftest._sampler(rng)
         for k in (0, 1, 2, 7, 30):
-            assert (selftest._randints(rng, lo, hi, k)
-                    == [ref.randint(lo, hi) for _ in range(k)])
+            assert ints(lo, hi, k) == [ref.randint(lo, hi) for _ in range(k)]
         assert rng.getstate() == ref.getstate()
 
 

@@ -1,7 +1,9 @@
 """Intersection-lattice arithmetic: pairings, invariants, serialization."""
 
+import copy
 import dataclasses
 import gc
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -93,6 +95,7 @@ def test_equal_surfaces_built_separately_pair():
         d2 = T.divisor([2] * T.rank)
         assert d1.dot(d2) == d2.dot(d1) == gram_dot(d1, d2)
         assert (d1 + d2).coeffs == tuple(c + 2 for c in d1.coeffs)
+        assert (d1 - d2).coeffs == tuple(c - 2 for c in d1.coeffs)
         back = from_json(d1.to_json())
         assert back.surface is not S and back.dot(d1) == d1.dot(d1)
 
@@ -262,10 +265,14 @@ def test_exceptional_classes_are_orthonormal_to_pullbacks():
         assert ei.dot(pull) == 0
         for j in range(i + 1, 4):
             assert ei.dot(S.exceptional(j)) == 0
-    with pytest.raises(LatticeError):
-        S.exceptional(4)
+    for bad in (4, -1):
+        with pytest.raises(LatticeError, match="no exceptional class"):
+            S.exceptional(bad)
+    with pytest.raises(LatticeError, match="no exceptional class"):
+        SurfaceModel.hirzebruch(1).exceptional(0)
     with pytest.raises(LatticeError):
         S.pullback([1, 2, 3])
+    assert S.zero() == S.divisor([0] * S.rank)
 
 
 def test_blow_up_validation():
@@ -336,10 +343,10 @@ def test_zero_point_blow_up_is_distinct_from_the_bare_base():
 def test_divisor_classes_refuse_mixed_surfaces():
     a = SurfaceModel.projective_plane().divisor([1])
     b = SurfaceModel.hirzebruch(0).divisor([1, 1])
-    with pytest.raises(LatticeError):
-        a.dot(b)
-    with pytest.raises(LatticeError):
-        _ = a + b
+    message = "^divisor classes live on different surfaces$"
+    for mixed in (lambda: a.dot(b), lambda: a + b, lambda: a - b):
+        with pytest.raises(LatticeError, match=message):
+            mixed()
     with pytest.raises(LatticeError):
         SurfaceModel.projective_plane().divisor([1, 2])
 
@@ -352,6 +359,33 @@ def test_divisor_and_pullback_refuse_non_integer_coefficients(bad):
         S.divisor([1, bad, 0])
     with pytest.raises(LatticeError, match="must be integers"):
         S.pullback([bad, 1])
+
+
+@pytest.mark.parametrize("scalar", [1.5, True, "2"])
+def test_scaling_refuses_non_integers(scalar):
+    # 1.5 would give float coefficients and True would be read as 1
+    d = SurfaceModel.projective_plane().divisor([2])
+    with pytest.raises(TypeError):
+        _ = d * scalar
+    with pytest.raises(TypeError):
+        _ = scalar * d
+    assert (d * 3).coeffs == (3 * d).coeffs == (6,)
+
+
+def test_divisor_classes_are_slotted_values():
+    S = blow_up(SurfaceModel.hirzebruch(2), 3, CFG)
+    d = S.divisor([1, 2, -1, 0, 3])
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.coeffs = (0,) * S.rank
+    same = S.divisor([1, 2, -1, 0, 3])
+    assert d == same and hash(d) == hash(same)
+    assert d != S.zero()
+    assert repr(d) == f"DivisorClass(surface={S!r}, coeffs=(1, 2, -1, 0, 3))"
+    assert dataclasses.replace(d, coeffs=(0,) * S.rank) == S.zero()
+    for back in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert back == d and hash(back) == hash(d)
+        assert back.surface is not S and back.dot(d) == d.dot(d)
 
 
 def test_json_round_trips():
