@@ -35,10 +35,12 @@ and both checks refuse.  The two checks are:
   memory does not grow with the box.  Verification always searches
   ``DEFAULT_BOX``.
 
-On F_e the classes (1,0) and (0,1) take their point budgets from
-``_ruling_budgets``, which both checks read.  The certificate is
-conservative for the model: whenever it validates a (possibly perturbed)
-polarization, the oracle's minimum is >= 1.
+The certificate bodies and the candidate generators read the polarization's
+pairings from the same two linear forms: ``_weights`` on the exceptional
+curves and ``_base_form`` on pulled-back base classes.  On F_e the classes
+(1,0) and (0,1) take their point budgets from ``_ruling_budgets``, which both
+checks read.  The certificate is conservative for the model: whenever it
+validates a (possibly perturbed) polarization, the oracle's minimum is >= 1.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from operator import mul
 from typing import Callable
 
 from .criteria import NpVerdict, np_classify
@@ -388,8 +391,20 @@ class AmpleCertificate:
         }
 
 
-def _weights(ex_surface: SurfaceModel, A: DivisorClass) -> list[int]:
-    return [A.dot(ex_surface.exceptional(i)) for i in range(ex_surface.l or 0)]
+def _weights(S: SurfaceModel, A: DivisorClass) -> list[int]:
+    """``A.E_i`` for each exceptional class: ``E_i^2 = -1`` and ``E_i`` meets
+    no other basis class, so it is minus A's coefficient on ``E_i``."""
+    return [-c for c in A.coeffs[S.base_rank:]]
+
+
+def _base_form(S: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
+    """``(p, q)`` with ``X.T = p*a + q*b`` for the pullback T of the base
+    class ``(a, b)`` of ``_base_classes``: the exceptional classes meet no
+    pullback, and on F_e ``C0^2 = -e``, ``C0.f = 1``, ``f^2 = 0``."""
+    x = X.coeffs
+    if S.kind == KIND_P2:
+        return x[0], 0
+    return x[1] - S.e * x[0], x[0]
 
 
 def _top_sum(weights: list[int], count: int) -> int:
@@ -397,10 +412,6 @@ def _top_sum(weights: list[int], count: int) -> int:
     if count <= 0 or not weights:
         return 0
     return sum(sorted(weights, reverse=True)[:count])
-
-
-def _pair(S: SurfaceModel, A: DivisorClass, a: int, b: int) -> int:
-    return A.dot(S.pullback([a, b]))
 
 
 def _bare_base(S: SurfaceModel) -> SurfaceModel:
@@ -430,62 +441,17 @@ def _ruling_budgets(S: SurfaceModel) -> tuple[int, int]:
     return (0 if cfg.away_from_min_section else max(0, 2 - S.e)), fiber
 
 
-def _cone_cases(S: SurfaceModel, A: DivisorClass, wmax: int, corner, dirs,
-                extra: int = 0) -> list[CurveCaseCheck]:
-    """Margin checks for strict transforms over a cone of base classes.
-
-    The admissible point-load of a class (a, b) is bounded by
-    ``wmax * (C . (a,b)) + extra * a``; both the available degree and the
-    load bound are linear, so positivity on the corner plus monotonicity
-    along the other generating directions bounds the whole cone.
-    """
-    base = _bare_base(S)
-    C = -canonical_class(base)
-
-    def load(a: int, b: int) -> int:
-        return wmax * C.dot(base.divisor([a, b])) + extra * a
-
-    checks = []
-    a0, b0 = corner
-    checks.append(CurveCaseCheck(
-        f"ProperIntersection({a0},{b0})", load(a0, b0), _pair(S, A, a0, b0),
-        _pair(S, A, a0, b0) - load(a0, b0) >= 1))
-    for (da, db) in dirs:
-        checks.append(CurveCaseCheck(
-            f"ProperIntersection({da},{db})", load(da, db), _pair(S, A, da, db),
-            _pair(S, A, da, db) - load(da, db) >= 0))
-    return checks
-
-
-def _ruling_checks(S: SurfaceModel, A: DivisorClass, weights: list[int],
-                   tags: tuple[str, str]) -> list[CurveCaseCheck]:
-    """Each of ``_RULINGS`` against its heaviest admissible point-load."""
-    checks = []
-    for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
-        lhs, rhs = _top_sum(weights, budget), _pair(S, A, a, b)
-        checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
-                                     rhs - lhs >= 1))
-    return checks
-
-
-def _equals_c_check(S: SurfaceModel, A: DivisorClass,
-                    weights: list[int]) -> CurveCaseCheck:
-    C = -canonical_class(_bare_base(S))
-    lhs = sum(weights)
-    rhs = _pair(S, A, *C.coeffs)
-    return CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)
-
-
 def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
     """Closed-form sufficiency certificate that the polarization is ample.
 
-    Runs the certificate body of the surface's admissible-curve model; every
-    check is recomputed from the instance's actual intersection numbers, so
-    perturbed polarizations get an honest re-evaluation rather than a cached
-    verdict.  The body returns only its curve-case checks; the flags the
-    model reads are recorded as the assumptions used.
+    Runs the certificate body of the model of the polarization's own
+    surface, as the oracle does; every check is recomputed from the
+    instance's actual intersection numbers, so perturbed polarizations get
+    an honest re-evaluation rather than a cached verdict.  The body returns
+    only its curve-case checks; the flags the model reads are recorded as
+    the assumptions used.
     """
-    S, A = ex.surface, ex.A
+    S, A = ex.A.surface, ex.A
     model = _model(S)
     if model is None:
         raise CertificateRefused(ex.id, "on_smooth_anticanonical")
@@ -498,13 +464,12 @@ def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
 
 
 def _plane_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    return [CurveCaseCheck("ProperIntersection(1)", 0, A.coeffs[0],
-                           A.coeffs[0] >= 1)]
+    line, _ = _base_form(S, A)
+    return [CurveCaseCheck("ProperIntersection(1)", 0, line, line >= 1)]
 
 
 def _hirzebruch_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    c0 = A.dot(S.divisor([1, 0]))
-    f = A.dot(S.divisor([0, 1]))
+    c0, f = _base_form(S, A)
     return [
         CurveCaseCheck("FiberSpecial(C0)", 0, c0, c0 >= 1),
         CurveCaseCheck("FiberSpecial(f)", 0, f, f >= 1),
@@ -512,20 +477,38 @@ def _hirzebruch_certificate(S, A, weights) -> list[CurveCaseCheck]:
 
 
 def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    """Points on C in F_e.  On F_0 the heaviest point's load is bounded by
-    its ruling cap and every other load by the second-highest weight (sound
-    while every weight is positive, which a valid certificate requires)."""
+    """Points on C in F_e: strict transforms over a cone of base classes,
+    each of ``_RULINGS`` against its heaviest admissible point-load, and C.
+
+    The point-load of a class (a, b) in the cone is bounded by
+    ``wmax * (C.(a,b)) + extra * a``; both the available degree and the
+    load bound are linear, so positivity on the corner plus monotonicity
+    along the other generating directions bounds the whole cone.  On F_0
+    the heaviest point's load is bounded by its ruling cap and every other
+    load by the second-highest weight (sound while every weight is
+    positive, which a valid certificate requires).
+    """
+    p, q = _base_form(S, A)
+    C = -canonical_class(_bare_base(S))
+    cp, cq = _base_form(S, C)
     if S.e == 0:
         w1, *rest = sorted(weights, reverse=True)
-        w2 = rest[0] if rest else w1
-        checks = (_cone_cases(S, A, w2, corner=(1, 1), dirs=_RULINGS,
-                              extra=w1 - w2)
-                  + _ruling_checks(S, A, weights, ("f1", "f2")))
+        wmax = rest[0] if rest else w1
+        extra, corner, dirs, tags = w1 - wmax, (1, 1), _RULINGS, ("f1", "f2")
     else:
-        checks = (_cone_cases(S, A, max(weights), corner=(1, S.e),
-                              dirs=((0, 1),))
-                  + _ruling_checks(S, A, weights, ("C0", "f")))
-    return checks + [_equals_c_check(S, A, weights)]
+        wmax, extra, corner, dirs = max(weights), 0, (1, S.e), ((0, 1),)
+        tags = ("C0", "f")
+    checks = []
+    for (a, b), margin in [(corner, 1), *((d, 0) for d in dirs)]:
+        lhs, rhs = wmax * (cp * a + cq * b) + extra * a, p * a + q * b
+        checks.append(CurveCaseCheck(f"ProperIntersection({a},{b})", lhs,
+                                     rhs, rhs - lhs >= margin))
+    for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
+        lhs, rhs = _top_sum(weights, budget), p * a + q * b
+        checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
+                                     rhs - lhs >= 1))
+    lhs, rhs = sum(weights), sum(map(mul, (p, q), C.coeffs))
+    return checks + [CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)]
 
 
 def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
@@ -549,7 +532,7 @@ def _elliptic_pencil_certificate(S, A, weights) -> list[CurveCaseCheck]:
         return [CurveCaseCheck("ProperIntersection(span)", 1, 0, False)]
     alpha, beta = span
     fiber_value = A.dot(-canonical_class(S))
-    section_value = A.dot(S.exceptional(8))
+    section_value = weights[8]
     return [
         CurveCaseCheck("FiberSpecial(F)", 0, fiber_value, fiber_value >= 1),
         CurveCaseCheck("EqualsC", 0, section_value, section_value >= 1),
@@ -659,52 +642,41 @@ class OracleResult:
 
 
 def _greedy_load(weights: list[int], cap: int,
-                 budget: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum of sum(w_i * m_i) with 0 <= m_i <= cap, sum(m_i) <= budget.
+                 budget: int) -> tuple[int, ...]:
+    """Argmax of sum(w_i * m_i) with 0 <= m_i <= cap, sum(m_i) <= budget.
 
-    Greedy by descending weight (ties by index) is exact here; returns the
-    maximum and its canonical assignment.
+    Greedy by descending weight (ties by index) is exact here; returns its
+    canonical assignment of multiplicities.
     """
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
     m = [0] * len(weights)
     left = budget
-    total = 0
     for i in order:
         if left <= 0 or weights[i] <= 0:
             break
         m[i] = min(cap, left)
         left -= m[i]
-        total += weights[i] * m[i]
-    return total, tuple(m)
+    return tuple(m)
 
 
-def _base_classes(base: SurfaceModel, box: int):
-    """Yield the irreducible-capable classes of a bare base inside the box as
-    ``(a, b)``: the ``d`` lines of P2 as ``(d, 0)``; on F_e the two
+def _base_classes(S: SurfaceModel, box: int):
+    """Yield the irreducible-capable classes of S's bare base inside the box
+    as ``(a, b)``: the ``d`` lines of P2 as ``(d, 0)``; on F_e the two
     ``_RULINGS``, then ``(a, b)`` with ``b >= max(1, a*e)``."""
-    if base.kind == KIND_P2:
+    if S.kind == KIND_P2:
         yield from zip(range(1, box + 1), itertools.repeat(0))
         return
     yield from _RULINGS
     for a in range(1, box + 1):
-        for b in range(max(1, a * base.e), box + 1):
+        for b in range(max(1, a * S.e), box + 1):
             yield a, b
-
-
-def _base_form(base: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
-    """``(p, q)`` with ``X.T = p*a + q*b`` for the base class T that
-    ``_base_classes`` writes as ``(a, b)``."""
-    if base.kind == KIND_P2:
-        return X.dot(base.divisor([1])), 0
-    return X.dot(base.divisor([1, 0])), X.dot(base.divisor([0, 1]))
 
 
 def _cone_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     """The cone of base classes (a bare surface or a zero-point blow-up)."""
-    base = _bare_base(S)
-    p, q = _base_form(base, base.divisor(D.coeffs[:base.rank]))
-    plane = base.kind == KIND_P2
-    for a, b in _base_classes(base, box):
+    p, q = _base_form(S, D)
+    plane = S.kind == KIND_P2
+    for a, b in _base_classes(S, box):
         yield p * a + q * b, ("base", a) if plane else ("base", a, b)
 
 
@@ -751,9 +723,8 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     prefix = list(itertools.accumulate(top, initial=0))
     n = len(top)
     top.append(0)          # once every point is full, the rest loads nothing
-    D_base = base.divisor(D.coeffs[:base.rank])
-    p, q = _base_form(base, D_base)
-    cp, cq = _base_form(base, C)
+    p, q = _base_form(S, D)
+    cp, cq = _base_form(S, C)
     rulings = {} if plane else dict(zip(_RULINGS, _ruling_budgets(S)))
     for a, b in _base_classes(base, box):
         # a curve of class T has multiplicity at most ``cap`` at a point and
@@ -763,7 +734,8 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
         k = min(budget // cap, n)
         load = cap * prefix[k] + budget % cap * top[k]
         yield p * a + q * b - load, ("D", a, b, cap, budget)
-    yield D_base.dot(C) - sum(weights), ("C", (1,) * len(weights))
+    yield (sum(map(mul, (p, q), C.coeffs)) - sum(weights),
+           ("C", (1,) * len(weights)))
 
 
 def _model(S: SurfaceModel):
@@ -808,12 +780,15 @@ def _full_key(S: SurfaceModel, D: DivisorClass, key: tuple) -> tuple:
     if key[0] != "D":
         return key
     *head, cap, budget = key
-    return (*head, _greedy_load(_weights(S, D), cap, budget)[1])
+    return (*head, _greedy_load(_weights(S, D), cap, budget))
 
 
 def _search_box(box: int | None) -> int:
-    """The box a search uses: ``DEFAULT_BOX`` unless given, within 1..MAX_BOX."""
+    """The box a search uses: ``DEFAULT_BOX`` unless given, an ``int`` (not
+    ``bool``) within 1..MAX_BOX."""
     box = DEFAULT_BOX if box is None else box
+    if type(box) is not int:
+        raise OracleBoxError(f"box must be an integer, got {box!r}")
     if box < 1:
         raise OracleBoxError(f"box must be >= 1, got {box}")
     if box > MAX_BOX:

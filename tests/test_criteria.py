@@ -21,7 +21,7 @@ from npsurf.criteria import (
     thm_121_equivalence,
     verify_inequality_chain,
 )
-from npsurf.lattice import PointConfig, SurfaceModel, blow_up
+from npsurf.lattice import PointConfig, SurfaceModel, blow_up, canonical_class
 
 ANTI = {"ample": True, "anticanonical": True}
 
@@ -106,13 +106,26 @@ def test_failure_level_for_effective_twists():
 def test_base_point_free_threshold():
     S = SurfaceModel.hirzebruch(1)
     flags = {"nef": True, "anticanonical": True}
-    assert bpf_check(S.divisor([1, 2]), flags)             # -K.L = 4
+    assert bpf_check(S.divisor([1, 2]), flags)             # -K.L = 5
     low = bpf_check(S.divisor([0, 0]), flags)
     assert not low and low.reason
     with pytest.raises(CriteriaError):
         bpf_check(S.divisor([1, 2]), {"nef": True})
     with pytest.raises(CriteriaError):
         bpf_check(S.divisor([1, 2]), {"anticanonical": True})
+
+
+@pytest.mark.parametrize("coeffs, t, established", [
+    ([1, 0], 1, False), ([0, 1], 2, True), ([1, 1], 3, True)])
+def test_base_point_free_threshold_boundary(coeffs, t, established):
+    # Harbourne's -K.L >= 2, pinned at and on both sides of the threshold
+    S = SurfaceModel.hirzebruch(1)
+    L = S.divisor(coeffs)
+    assert -canonical_class(S).dot(L) == t
+    v = bpf_check(L, {"nef": True, "anticanonical": True})
+    assert v.value is established
+    assert v.reason == (None if established
+                        else f"-K.L = {t} < 2: not established")
 
 
 # --- very ampleness of adjoint sums ---------------------------------------
@@ -127,6 +140,15 @@ def test_very_ample_count_thresholds():
     assert not adjoint_very_ample(0, ["other"] * 2)
     assert adjoint_very_ample(-3, ["other"] * 2)
     assert not adjoint_very_ample(-3, ["other"])
+
+
+@pytest.mark.parametrize("ksq", [3, 7])
+def test_very_ample_regime_3_to_7_boundaries(ksq):
+    # both ends of the 3 <= K^2 <= 7 regime need two summands
+    v = adjoint_very_ample(ksq, ["other"])
+    assert (v.status, v.case) == ("NotGuaranteed", "3")
+    v = adjoint_very_ample(ksq, ["other"] * 2)
+    assert (v.status, v.case) == ("VeryAmple", "3")
 
 
 def test_very_ample_exception_shapes():

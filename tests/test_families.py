@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -208,6 +209,33 @@ def test_certificate_pins_every_body():
             assert nakai_certificate(ex).assumptions_used == expected
 
 
+def _certificate_or_refusal(ex):
+    try:
+        return nakai_certificate(ex).to_json()
+    except CertificateRefused as exc:
+        return str(exc)
+
+
+def test_certificate_pins_every_instance_and_unit_mutant():
+    # every check value of the 88 sweep instances and of each +-1 change to
+    # one exceptional coefficient (1,370 mutants), or the refusal text
+    records = []
+    for fid in FAMILY_IDS:
+        for params in FAMILY_SWEEPS[fid]:
+            ex = build_example(fid, params)
+            records.append([fid, ex.instance_key, None, 0,
+                            _certificate_or_refusal(ex)])
+            for i in range(ex.surface.l or 0):
+                for delta in (1, -1):
+                    mut = mutate_polarization(ex, i, delta)
+                    records.append([fid, ex.instance_key, i, delta,
+                                    _certificate_or_refusal(mut)])
+    assert len(records) == 1458
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "8e9319619a04d6c045219f31abc4d79f31074427e5465c51fe5d94897431a0a9")
+
+
 # --- oracle ----------------------------------------------------------------
 
 
@@ -330,6 +358,16 @@ def test_oracle_box_is_capped():
             ample_oracle(attested, box=box)
 
 
+@pytest.mark.parametrize("box", [True, 2.5, "3"])
+def test_oracle_box_must_be_an_int(box):
+    # refused before the model is looked up, so the attested surface (no
+    # model) and a searchable one give the same refusal
+    for A in (_polarized("1.11", {}), _polarized("1.13", {"l": 3})):
+        with pytest.raises(OracleBoxError) as err:
+            ample_oracle(A, box)
+        assert str(err.value) == f"box must be an integer, got {box!r}"
+
+
 def test_oracle_memory_does_not_grow_with_the_box():
     S = SurfaceModel.hirzebruch(0)
     A = S.divisor([1, 1])
@@ -385,7 +423,7 @@ def _reference_candidates(S, D, box):
     if not (pencil or cfg.on_smooth_anticanonical):
         raise OracleNotApplicable(
             "no admissible-curve model for this point configuration")
-    weights = families._weights(S, D)
+    weights = [D.dot(S.exceptional(i)) for i in range(l)]
     cands = [(w, ("E", i)) for i, w in enumerate(weights)]
     if pencil:
         span = families._fibration_span(S, D)
@@ -455,6 +493,22 @@ def _random_class(rng, S):
 _MODELS = ["bare-P2", "bare-Fe", "zero-point", "pencil", "P2-points",
            "Fe-points", "Fe-points-away", "Fe-points-distinct",
            "Fe-points-away-distinct", "no-model"]
+
+
+@pytest.mark.parametrize("model", _MODELS)
+def test_linear_forms_match_the_pairing(model):
+    # the certificate and the oracle read every pairing of the polarization
+    # from these two forms; ``dot`` is their reference
+    rng = random.Random(f"forms-{model}")
+    for _ in range(20):
+        S = _random_surface(rng, model)
+        D = _random_class(rng, S)
+        assert families._weights(S, D) == [
+            D.dot(S.exceptional(i)) for i in range(S.l or 0)], (S, D)
+        p, q = families._base_form(S, D)
+        for a, b in ((1, 0), (0, 1), (2, 3), (5, -4)):
+            T = S.pullback([a, b][:S.base_rank])
+            assert p * a + q * b == D.dot(T), (S, D, a, b)
 
 
 @pytest.mark.parametrize("model", _MODELS)
