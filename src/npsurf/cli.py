@@ -130,11 +130,19 @@ def _parse_params(pairs: list[str]) -> dict | None:
     return out or None
 
 
+def _read_json(fh, name: str):
+    """Parse one JSON document; nesting too deep to parse is a bad input."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise api.ApiError(f"{name}: JSON nested too deeply") from None
+
+
 def _load_divisor_file(path: str) -> tuple[dict, dict]:
     """Read a flat divisor JSON file; returns (divisor_json, flags).  A flag
     that no divisor op reads is refused."""
     with open(path) as fh:
-        data = json.load(fh)
+        data = _read_json(fh, path)
     if not isinstance(data, dict):
         raise api.ApiError(f"{path}: expected a JSON object")
     flags = data.pop("flags", {})
@@ -492,10 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval_file(args) -> tuple[int, dict]:
     if args.eval_file == "-":
-        request = json.load(sys.stdin)
+        request = _read_json(sys.stdin, "stdin")
     else:
         with open(args.eval_file) as fh:
-            request = json.load(fh)
+            request = _read_json(fh, args.eval_file)
     return 0, api.evaluate(request)
 
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .lattice import DivisorClass, canonical_class
+from .lattice import DivisorClass, canonical_class, fields_json
 
 
 class CriteriaError(ValueError):
@@ -73,15 +72,7 @@ class NpVerdict:
         if not self.justification:
             raise CriteriaError("every verdict carries a justification tag")
 
-    def to_json(self) -> dict:
-        obj: dict = {"status": self.status, "justification": self.justification}
-        if self.p is not None:
-            obj["p"] = self.p
-        if self.assumed:
-            obj["assumed"] = list(self.assumed)
-        if self.reason is not None:
-            obj["reason"] = self.reason
-        return obj
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -96,13 +87,7 @@ class BoolVerdict:
     def __bool__(self) -> bool:
         return self.value
 
-    def to_json(self) -> dict:
-        obj: dict = {"value": self.value, "justification": self.justification}
-        if self.assumed:
-            obj["assumed"] = list(self.assumed)
-        if self.reason is not None:
-            obj["reason"] = self.reason
-        return obj
+    to_json = fields_json
 
 
 # --- helpers ---------------------------------------------------------------
@@ -249,9 +234,7 @@ class VAVerdict:
     def __bool__(self) -> bool:
         return self.status == VA_VERY_AMPLE
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "case": self.case,
-                "justification": self.justification}
+    to_json = fields_json
 
 
 _SUMMAND_TAGS = frozenset({"minus_k", "minus_2k", "minus_3k", "other"})
@@ -343,9 +326,7 @@ class MinusKBoundReport:
     exact: bool
     justification: str
 
-    def to_json(self) -> dict:
-        return {"bound": self.bound, "exception": self.exception,
-                "exact": self.exact, "justification": self.justification}
+    to_json = fields_json
 
 
 def min_kA_bound(ksq: int, summand: str = "other", e: int | None = None,
@@ -398,9 +379,7 @@ class MinNResult:
     case: str
     justification: str
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "case": self.case,
-                "justification": self.justification}
+    to_json = fields_json
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -586,6 +565,8 @@ def ampleness_termination(ksq: int, p: int, e: int | None = None,
     sharpens it.  K^2 = 0 admits no such threshold and is an error, as is
     K^2 = 8 without the Hirzebruch invariant ``e``.
     """
+    import fractions  # on first use only; the annotations are strings
+
     _check_p(p)
     if not np_sharp_attested:
         raise CriteriaError(
@@ -603,17 +584,17 @@ def ampleness_termination(ksq: int, p: int, e: int | None = None,
                                     f"Thm 1.29({case})")
 
     if ksq == 9:
-        return above("a", Fraction(p, 9))
+        return above("a", fractions.Fraction(p, 9))
     if ksq == 8:
         if e is None:
             raise CriteriaError("K^2 = 8 needs the Hirzebruch invariant e")
-        return above("b", Fraction(p - e - 1, 8))
+        return above("b", fractions.Fraction(p - e - 1, 8))
     if ksq >= 1:
         if multiple_of_minus_k:
-            return above("c", Fraction(p + 3, ksq) - 1)
-        return above("d", Fraction(p + 1, ksq) - 1)
+            return above("c", fractions.Fraction(p + 3, ksq) - 1)
+        return above("d", fractions.Fraction(p + 1, ksq) - 1)
     # ksq < 0: the inequality flips
-    q = Fraction(p + 2, ksq)
+    q = fractions.Fraction(p + 2, ksq)
     if q.denominator == 1:
         m_max = q.numerator - 1  # strict: greatest integer < q
     else:
@@ -641,13 +622,7 @@ class EquivalenceReport:
     minus_k_exact_max: int | None
     justification: str
 
-    def to_json(self) -> dict:
-        return {
-            "ksq": self.ksq, "triple_equivalence": self.triple_equivalence,
-            "np_iff_ample": self.np_iff_ample,
-            "minus_k_exact_max": self.minus_k_exact_max,
-            "justification": self.justification,
-        }
+    to_json = fields_json
 
 
 def thm_121_equivalence(ksq: int, summand: str = "other",

@@ -64,6 +64,7 @@ from .lattice import (
     blow_up,
     canonical_class,
     euler_characteristic,
+    fields_json,
     k_squared,
 )
 
@@ -355,6 +356,8 @@ class CurveCaseCheck:
     rhs: int
     passed: bool
 
+    to_json = fields_json
+
 
 @dataclass(frozen=True)
 class AmpleCertificate:
@@ -381,11 +384,7 @@ class AmpleCertificate:
             "family": self.family,
             "self_intersection": self.self_intersection,
             "exceptional_values": list(self.exceptional_values),
-            "checks": [
-                {"case": c.case, "worst_case_lhs": c.worst_case_lhs,
-                 "rhs": c.rhs, "passed": c.passed}
-                for c in self.curve_case_checks
-            ],
+            "checks": [c.to_json() for c in self.curve_case_checks],
             "assumptions_used": list(self.assumptions_used),
             "valid": self.valid,
         }
@@ -636,9 +635,7 @@ class OracleResult:
     box: int
     candidates: int
 
-    def to_json(self) -> dict:
-        return {"min_value": self.min_value, "argmin": list(self.argmin),
-                "box": self.box, "candidates": self.candidates}
+    to_json = fields_json
 
 
 def _greedy_load(weights: list[int], cap: int,
@@ -829,6 +826,8 @@ class ClaimResult:
     actual: int
     ok: bool
 
+    to_json = fields_json
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -867,7 +866,7 @@ class VerifyReport:
         return {
             "family": self.family,
             "params": dict(self.params),
-            "claims": [dataclasses.asdict(c) for c in self.claims],
+            "claims": [c.to_json() for c in self.claims],
             "certificate": (None if self.certificate is None
                             else self.certificate.to_json()),
             "certificate_refused": self.certificate_refused,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TypedDict
 
 from .criteria import EXACT_MAX, NOT_N0, BoolVerdict, NpVerdict
+from .lattice import fields_json
 
 
 class FanoError(ValueError):
@@ -74,13 +75,7 @@ class FanoInput:
                 f"h0(H) = {self.h0H} cannot induce a morphism with "
                 f"{self.n}-dimensional image (needs >= {self.n + 1})")
 
-    def to_json(self) -> dict:
-        obj: dict = {"n": self.n, "m": self.m, "Hn": self.Hn}
-        if self.h0H is not None:
-            obj["h0H"] = self.h0H
-        if self.morphism != MORPHISM_UNKNOWN:
-            obj["morphism"] = self.morphism
-        return obj
+    to_json = fields_json
 
 
 # --- index n-1: the primitive polarization ---------------------------------
@@ -175,9 +170,7 @@ class FanoN0Decision:
     needed: tuple[str, ...]
     justification: str
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "needed": list(self.needed),
-                "justification": self.justification}
+    to_json = fields_json
 
 
 def _require_index_nm3(f: FanoInput) -> None:

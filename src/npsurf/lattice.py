@@ -26,7 +26,7 @@ most ``MAX_POINTS``).  ``config`` lists only the flags that are set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import mul
 
@@ -46,10 +46,35 @@ CONFIG_FLAGS = (
     "general_position",
     "complete_intersection_of_cubics",
 )
+_INT_OR_NONE = (int, type(None))
 
 
 class LatticeError(ValueError):
     """Raised for ill-formed surfaces, divisors, or cross-surface pairings."""
+
+
+# class -> (name, default or MISSING) of each init field, read on first use
+_FIELD_SPECS: dict[type, tuple[tuple[str, object], ...]] = {}
+_JSON_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+def fields_json(obj) -> dict:
+    """A value or verdict dataclass as JSON: its init fields in order, less
+    any that holds its declared default; a tuple as a list (shallowly), and
+    any other value that is not a JSON scalar by its own ``to_json``."""
+    spec = _FIELD_SPECS.get(type(obj))
+    if spec is None:
+        spec = _FIELD_SPECS[type(obj)] = tuple(
+            (f.name, f.default) for f in fields(obj) if f.init)
+    out = {}
+    for name, default in spec:
+        value = getattr(obj, name)
+        if value == default:
+            continue
+        if type(value) not in _JSON_SCALARS:
+            value = list(value) if type(value) is tuple else value.to_json()
+        out[name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,12 +92,12 @@ class PointConfig:
     general_position: bool = False
     complete_intersection_of_cubics: bool = False
 
-    def flags(self) -> tuple[str, ...]:
-        """Names of the flags that are set, in canonical order."""
-        return tuple(name for name in CONFIG_FLAGS if getattr(self, name))
+    def __post_init__(self) -> None:
+        # the instance dict holds exactly the flags
+        if not {bool}.issuperset(map(type, vars(self).values())):
+            raise LatticeError("config flags must be JSON booleans")
 
-    def to_json(self) -> dict:
-        return {name: True for name in self.flags()}
+    to_json = fields_json
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointConfig":
@@ -81,8 +106,6 @@ class PointConfig:
         unknown = obj.keys() - CONFIG_FLAGS
         if unknown:
             raise LatticeError(f"unknown config flags: {sorted(unknown)}")
-        if not {bool}.issuperset(map(type, obj.values())):
-            raise LatticeError("config flags must be JSON booleans")
         return cls(**obj)
 
 
@@ -104,6 +127,8 @@ class SurfaceModel:
     rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.e) not in _INT_OR_NONE or type(self.l) not in _INT_OR_NONE:
+            raise LatticeError("surface fields e and l must be JSON integers")
         if self.kind not in (KIND_P2, KIND_FE):
             raise LatticeError(f"unknown surface kind {self.kind!r}")
         if self.kind == KIND_FE:
@@ -192,14 +217,7 @@ class SurfaceModel:
 
     # --- serialization ----------------------------------------------------
 
-    def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind == KIND_FE:
-            obj["e"] = self.e
-        if self.is_blow_up:
-            obj["l"] = self.l
-            obj["config"] = self.config.to_json()
-        return obj
+    to_json = fields_json
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurfaceModel":
@@ -210,8 +228,6 @@ class SurfaceModel:
             raise LatticeError(f"unknown surface fields: {sorted(unknown)}")
         if "kind" not in obj:
             raise LatticeError("surface JSON needs a kind field")
-        if type(obj.get("e", 0)) is not int or type(obj.get("l", 0)) is not int:
-            raise LatticeError("surface fields e and l must be JSON integers")
         config = None
         if "config" in obj or "l" in obj:
             if not ("config" in obj and "l" in obj):
@@ -351,8 +367,6 @@ def blow_up(surface: SurfaceModel, count: int, config: PointConfig) -> SurfaceMo
     """Blow up a bare P2/F_e at ``count`` configured points."""
     if surface.is_blow_up:
         raise LatticeError("iterated blow-ups are not supported")
-    if count < 0:
-        raise LatticeError("cannot blow up a negative number of points")
     return SurfaceModel(surface.kind, e=surface.e, l=count, config=config)
 
 

@@ -1,5 +1,6 @@
 """The JSON boundary: the op table, strict argument typing, and a fuzz."""
 
+import hashlib
 import json
 
 import pytest
@@ -293,6 +294,132 @@ def test_blow_up_above_the_point_bound_exits_two(tmp_path, capsys):
     code = cli.main(["classify", "--surface", str(f)])
     _, err = capsys.readouterr()
     assert code == 2 and message in err and "Traceback" not in err
+
+
+# --- the answers, pinned ---------------------------------------------------
+
+P2 = {"kind": "P2"}
+F1 = {"kind": "Fe", "e": 1}
+CUBIC6 = {"general_position": True, "on_smooth_anticanonical": True}
+# a blow-up of P2 at six flagged points and one of F_2 at three unflagged
+DP3 = {**P2, "l": 6, "config": CUBIC6}
+F2_3 = {"kind": "Fe", "e": 2, "l": 3, "config": {}}
+ANTI = {"ample": True, "anticanonical": True}
+FANO = {"n": 3, "m": 2, "Hn": 8}
+NM3 = {"n": 5, "m": 2, "Hn": 2}
+# one request list over all 28 ops; each optional verdict field is both set
+# and left unset by some answer
+PINNED_REQUESTS = [
+    ("intersect", {"d1": {**DP3, "coeffs": [3] + [-1] * 6},
+                   "d2": {**DP3, "coeffs": [1, -1, 0, 0, 0, 0, 0]}}),
+    *[(op, {"surface": s}) for op in ("canonical_class", "k_squared",
+                                      "signature")
+      for s in (P2, F1, DP3, F2_3, {**P2, "l": 0, "config": {}})],
+    ("euler_characteristic", {"divisor": {**F2_3, "coeffs": [2, 5, -1, -1,
+                                                             -2]}}),
+    ("sectional_genus", {"divisor": {**DP3, "coeffs": [6] + [-2] * 6}}),
+    ("hodge_index_bound", {"a": {**P2, "coeffs": [2]},
+                           "b": {**P2, "coeffs": [-5]}}),
+    *[("blow_up", {"surface": s, "count": n, "config": c})
+      for s, n, c in ((P2, 6, CUBIC6), (P2, 0, {}), (F1, 3, {}),
+                      (F1, 2, {"distinct_fibers": True,
+                               "away_from_min_section": True}),
+                      ({"kind": "Fe", "e": 0}, 1,
+                       {"general_position": False}))],
+    # NpVerdict: ExactMax (p, assumed), NotN0 (assumed, reason), AtLeast
+    # (p, assumed), NotApplicable (reason), AtLeast with nothing assumed
+    ("np_classify", {"t": 7, "flags": ANTI}),
+    ("np_classify", {"t": 2, "flags": ANTI}),
+    ("np_classify", {"t": 5, "flags": {"ample": True, "bpf": True}}),
+    ("np_classify", {"t": 5, "flags": {"ample": True}}),
+    ("np_classify", {"divisor": {**DP3, "coeffs": [3] + [-1] * 6},
+                     "flags": ANTI}),
+    ("curve_np_reference", {"genus": 2, "degree": 9}),
+    ("curve_np_reference", {"genus": 1, "degree": 2}),
+    ("curve_np_reference", {"genus": 1, "degree": 0}),
+    # BoolVerdict with and without a reason
+    ("bpf_check", {"divisor": {**DP3, "coeffs": [3] + [-1] * 6},
+                   "flags": {"nef": True, "anticanonical": True}}),
+    ("bpf_check", {"divisor": {**DP3, "coeffs": [1, -1, -1, 0, 0, 0, 0]},
+                   "flags": {"nef": True, "anticanonical": True}}),
+    ("reider_np", {"ksq": 3, "Lsq": 26, "p": 2, "cond1_attested": True}),
+    ("reider_np", {"ksq": 1, "Lsq": 24, "p": 2, "adjoint_very_ample": True,
+                   "multiple_of_minus_k": True}),
+    ("reider_np", {"ksq": -2, "Lsq": 0, "p": 1, "minus_k_dot_L": 3,
+                   "cond1_attested": True}),
+    ("adjoint_very_ample", {"ksq": 1, "summands": ["minus_k", "minus_2k"]}),
+    ("adjoint_very_ample", {"ksq": 8, "summands": ["other"]}),
+    ("min_kA_bound", {"ksq": 2, "summand": "minus_2k"}),
+    ("min_kA_bound", {"ksq": 8, "e": 3}),
+    ("min_kA_bound", {"ksq": 5, "conic_fibration": True}),
+    ("adjoint_np_min_n", {"ksq": 3, "p": 4, "exclude": ["minus_k",
+                                                         "conic_fibration"]}),
+    ("adjoint_np_min_n", {"ksq": 8, "p": 2, "e": 1}),
+    ("lemma_125_bound", {"ksq": 3, "Lsq": 24, "p": 2,
+                         "adjoint_effective": True}),
+    ("lemma_125_bound", {"ksq": 3, "Lsq": 10, "p": 2,
+                         "adjoint_effective": True}),
+    ("verify_inequality_chain", {"p": 2, "m": 4, "ksq": 5}),
+    ("ampleness_termination", {"ksq": 4, "p": 3, "np_sharp_attested": True,
+                               "multiple_of_minus_k": False}),
+    ("ampleness_termination", {"ksq": -3, "p": 2, "np_sharp_attested": True}),
+    ("thm_121_equivalence", {"ksq": 5, "summand": "minus_k"}),
+    ("thm_121_equivalence", {"ksq": 2, "summand": "minus_k"}),
+    ("build_example", {"id": "1.17", "params": {"l": 4}}),
+    ("build_example", {"id": "1.13", "params": {"l": 3}}),
+    ("nakai_certificate", {"id": "1.17", "params": {"l": 4}}),
+    ("nakai_certificate", {"id": "1.11"}),
+    ("ample_oracle", {"divisor": {**P2, "coeffs": [2]}}),
+    ("ample_oracle", {"divisor": {"kind": "Fe", "e": 2, "coeffs": [1, 3]},
+                      "box": 8}),
+    ("verify_example", {"id": "1.17", "params": {"l": 4}}),
+    ("verify_example", {"id": "1.13", "params": {"l": 3}}),
+    ("primitive_np", FANO),
+    ("primitive_np", {"n": 4, "m": 3, "Hn": 2, "h0H": 6,
+                      "morphism": "neither_of_those"}),
+    ("multiples_np_surface", {"profile": {"minusK_dot_B": 4}, "l": 3, "p": 2}),
+    ("multiples_np_surface", {"profile": {"minusK_dot_B": 3}, "l": 3, "p": 2}),
+    ("multiples_np_fano", {**FANO, "l": 2, "p": 3}),
+    # FanoN0Decision with ``needed`` non-empty, then empty
+    ("index_nm3_n0", {**NM3, "k": 3}),
+    ("index_nm3_n0", {**NM3, "k": 2, "morphism": "neither_of_those"}),
+    ("index_nm3_np", {**NM3, "h0H": 7, "k": 4, "p": 2}),
+    ("index_nm3_np", {**NM3, "h0H": 6, "k": 4, "p": 2}),
+]
+PINNED_ANSWERS = (
+    "f1bf3ab100e3244a6a0d4242063bb7c54f3a522af2c8aaa4deb01c1dc121f5aa")
+
+
+def test_pinned_requests_cover_every_op():
+    assert {op for op, _ in PINNED_REQUESTS} == set(api.OPERATIONS)
+
+
+def test_value_and_verdict_types_share_one_json_rule():
+    from npsurf import criteria, families, fano, lattice
+
+    shared = (lattice.PointConfig, lattice.SurfaceModel, criteria.NpVerdict,
+              criteria.BoolVerdict, criteria.VAVerdict,
+              criteria.MinusKBoundReport, criteria.MinNResult,
+              criteria.EquivalenceReport, fano.FanoInput,
+              fano.FanoN0Decision, families.OracleResult,
+              families.CurveCaseCheck, families.ClaimResult)
+    for cls in shared:
+        assert cls.to_json is lattice.fields_json, cls.__name__
+    # no op answers with a FanoInput, so its form is checked here: fields
+    # in order, each left out while it holds its declared default
+    assert fano.FanoInput(3, 2, 8).to_json() == {"n": 3, "m": 2, "Hn": 8}
+    profile = fano.FanoInput(4, 1, 2, h0H=0, morphism="neither_of_those")
+    assert list(profile.to_json().items()) == [
+        ("n", 4), ("m", 1), ("Hn", 2), ("h0H", 0),
+        ("morphism", "neither_of_those")]
+
+
+def test_api_answers_are_pinned():
+    digest = hashlib.sha256()
+    for op, args in PINNED_REQUESTS:
+        answer = api.evaluate({"op": op, "args": args})
+        digest.update(json.dumps(answer, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_ANSWERS
 
 
 # --- fuzz ------------------------------------------------------------------

@@ -326,6 +326,24 @@ def test_file_flags_must_be_an_object(tmp_path, capsys, command, flags):
     assert err == f"npsurf: error: {f}: flags must be a JSON object\n"
 
 
+@pytest.mark.parametrize("command", ["--eval-file", "--eval-file -",
+                                     "classify --surface", "oracle --divisor"])
+def test_deeply_nested_json_input_exits_two(tmp_path, monkeypatch, capsys,
+                                            command):
+    # 2,000 open brackets in 2 KB: deeper than the JSON parser can recurse
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 2000)
+    argv = command.split()
+    if argv[-1] == "-":
+        monkeypatch.setattr("sys.stdin", io.StringIO(f.read_text()))
+    else:
+        argv.append(str(f))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("npsurf: error: ")
+    assert err.endswith(": JSON nested too deeply\n")
+
+
 def test_selftest_label_lines_exist():
     # the full selftest run is exercised by the acceptance suite; here just
     # check the registry wiring

@@ -42,6 +42,8 @@ def test_cold_classify_by_degree_loads_neither_families_nor_selftest():
     assert code == 0
     assert {"npsurf.cli", "npsurf.api", "npsurf.criteria"} <= set(modules)
     assert not {"npsurf.families", "npsurf.selftest"} & set(modules)
+    # only ampleness_termination does exact rational arithmetic
+    assert "fractions" not in modules
 
 
 # one launch per subcommand and action, with the exit code each has always

@@ -287,6 +287,28 @@ def test_blow_up_validation():
         SurfaceModel(kind="K3")
 
 
+def test_constructors_refuse_what_from_json_refuses():
+    P2 = SurfaceModel.projective_plane()
+    for call in (lambda: blow_up(P2, 2.5, CFG),
+                 lambda: SurfaceModel.hirzebruch(True),
+                 lambda: SurfaceModel.hirzebruch(1.0)):
+        with pytest.raises(LatticeError,
+                           match="^surface fields e and l must be JSON integers$"):
+            call()
+    # the type is checked first, so a float e on P2 is named as a float
+    with pytest.raises(LatticeError, match="must be JSON integers"):
+        SurfaceModel.from_json({"kind": "P2", "e": 1.5})
+    # a null e is an absent e, as a null optional argument is
+    assert SurfaceModel.from_json({"kind": "P2", "e": None}) == P2
+    for flags in ({"distinct_fibers": 1}, {"general_position": "yes"}):
+        with pytest.raises(LatticeError,
+                           match="^config flags must be JSON booleans$"):
+            PointConfig(**flags)
+    with pytest.raises(LatticeError,
+                       match="^cannot blow up a negative number of points$"):
+        blow_up(P2, -1, CFG)
+
+
 def test_blow_up_above_the_point_bound_is_refused():
     message = f"cannot blow up more than {MAX_POINTS} points, got {MAX_POINTS + 1}"
     with pytest.raises(LatticeError, match=message):
