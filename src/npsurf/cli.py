@@ -268,8 +268,7 @@ def _cmd_example(args) -> tuple[int, dict | list[str]]:
     if params is not None:
         raise api.ApiError("--sweep verifies the whole parameter range; "
                            "drop --param or --sweep")
-    instances = [report.to_json() for report in
-                 sweep_family(args.id, strict=False)]
+    instances = [report.to_json() for report in sweep_family(args.id)]
     code = 0 if all(inst["passed"] for inst in instances) else 1
     if args.json:
         return code, {"op": "example_sweep", "family": args.id,
@@ -507,6 +506,21 @@ def _cmd_eval_file(args) -> tuple[int, dict]:
     return 0, api.evaluate(request)
 
 
+# a refusal echoes its input: an unknown op, key or tag is quoted whole
+_REFUSAL_CHARS = 1000
+
+
+def _refuse(label: str, exc: Exception, code: int) -> int:
+    """Write ``npsurf: <label>: <message>`` to stderr, the message cut to
+    ``_REFUSAL_CHARS`` characters; returns ``code``."""
+    message = str(exc)
+    cut = len(message) - _REFUSAL_CHARS
+    if cut > 0:
+        message = f"{message[:_REFUSAL_CHARS]}... ({cut} characters cut)"
+    print(f"npsurf: {label}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -521,20 +535,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload = args.handler(args)
     except (ValueError, OSError) as exc:
-        print(f"npsurf: error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("error", exc, 2)
     except Exception as exc:
         # the other refusals are families' own, so it is loaded already
         from . import families
 
         if isinstance(exc, families.VerificationError):
-            print(f"npsurf: verification failed: {exc}", file=sys.stderr)
-            return 1
+            return _refuse("verification failed", exc, 1)
         if not isinstance(exc, (families.OracleNotApplicable,
                                 families.CertificateRefused)):
             raise
-        print(f"npsurf: not applicable: {exc}", file=sys.stderr)
-        return 2
+        return _refuse("not applicable", exc, 2)
     try:
         _emit(payload, args.json)
         sys.stdout.flush()

@@ -6,9 +6,9 @@ parity), and its syzygy flags.  ``build_example`` validates a request against
 its row and assembles the instance; ``FAMILY_IDS`` and ``FAMILY_SWEEPS`` (the
 product of each row's ranges) derive from the table.
 
-Each builder returns the surface, the polarization, and the family's named
-integer claims (intersection numbers, adjoint identities), each with the
-lattice computation that derives it; the builders hold no expected values.
+Each builder returns the surface, the polarization, and a claims function
+mapping a polarization to the family's named integers (intersection numbers,
+adjoint identities); the builders hold no expected values.
 The frozen fixture table shipped in ``data/examples.json`` is the only
 expectation: ``verify_example`` recomputes every claim from the lattice, runs
 the ampleness certificate and the brute-force oracle, classifies the syzygy
@@ -104,24 +104,13 @@ class VerificationError(AssertionError):
 
 
 @dataclass(frozen=True)
-class Claim:
-    """One named integer quantity of a family instance.
-
-    ``compute`` derives the quantity from the lattice data alone; its
-    expected value is the instance's fixture pin.
-    """
-
-    quantity: str
-    compute: Callable[[SurfaceModel, DivisorClass], int] = field(compare=False)
-
-
-@dataclass(frozen=True)
 class ExampleFamily:
     id: str
     params: tuple[tuple[str, int], ...]
     surface: SurfaceModel
     A: DivisorClass
-    claims: tuple[Claim, ...]
+    # the family's named integers for a polarization, pinned by the fixture
+    claims: Callable[[DivisorClass], dict[str, int]] = field(compare=False)
     np_flags: tuple[tuple[str, bool], ...]
 
     @property
@@ -141,34 +130,23 @@ class ExampleFamily:
         return {
             "id": self.id, "params": dict(self.params),
             "surface": self.surface.to_json(), "A": list(self.A.coeffs),
-            "claims": {c.quantity: pin["claims"][c.quantity]
-                       for c in self.claims},
+            "claims": {name: pin["claims"][name]
+                       for name in self.claims(self.A)},
             "np_expected": {"status": pin["np"]["status"],
                             "p": pin["np"]["p"]},
             "annotations": dict(pin.get("annotations", {})),
         }
 
 
-def _claim_dot(name: str, d1, d2) -> Claim:
-    """Claim about a pairing of two derived divisors; d1/d2 are callables."""
-    return Claim(name, lambda S, A: d1(S, A).dot(d2(S, A)))
+def _residual(D: DivisorClass) -> int:
+    """The largest |coefficient| of D: 0 exactly when D is the zero class."""
+    return max((abs(c) for c in D.coeffs), default=0)
 
 
-def _residual(name: str, lhs, rhs) -> Claim:
-    """Claim that two derived divisor classes agree componentwise."""
-
-    def compute(S: SurfaceModel, A: DivisorClass) -> int:
-        delta = lhs(S, A) - rhs(S, A)
-        return max((abs(c) for c in delta.coeffs), default=0)
-
-    return Claim(name, compute)
-
-
-_COMMON_CLAIMS = [
-    Claim("K2", lambda S, A: k_squared(S)),
-    Claim("A2", lambda S, A: A.dot(A)),
-    Claim("-K.A", lambda S, A: -canonical_class(S).dot(A)),
-]
+def _common(S: SurfaceModel, A: DivisorClass) -> dict[str, int]:
+    """The claims every family but Obs1.4 states first."""
+    return {"K2": k_squared(S), "A2": A.dot(A),
+            "-K.A": -canonical_class(S).dot(A)}
 
 
 # --- builders --------------------------------------------------------------
@@ -177,25 +155,23 @@ _COMMON_CLAIMS = [
 def _build_1_11():
     S = SurfaceModel.projective_plane()
     A = S.divisor([1])
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + 3A)",
-                  lambda S, A: canonical_class(S) + 3 * A,
-                  lambda S, A: S.zero()),
-    ]
+
+    def claims(A):
+        K3A = canonical_class(S) + 3 * A
+        return {**_common(S, A), "residual(K + 3A)": _residual(K3A)}
     return S, A, claims
 
 
 def _build_1_12(e):
     S = SurfaceModel.hirzebruch(e)
     A = S.divisor([1, e + 1])
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + 2A - e*fiber)",
-                  lambda S, A: canonical_class(S) + 2 * A,
-                  lambda S, A: S.divisor([0, S.e])),
-        Claim("oracle_min(K + 2A)",
-              lambda S, A: ample_oracle(canonical_class(S) + 2 * A,
-                                        8).min_value),
-    ]
+
+    def claims(A):
+        K2A = canonical_class(S) + 2 * A
+        return {**_common(S, A),
+                "residual(K + 2A - e*fiber)":
+                    _residual(K2A - S.divisor([0, e])),
+                "oracle_min(K + 2A)": ample_oracle(K2A, 8).min_value}
     return S, A, claims
 
 
@@ -207,50 +183,52 @@ def _del_pezzo(l: int) -> SurfaceModel:
 def _build_1_13(l):
     S = _del_pezzo(l)
     A = -canonical_class(S)
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + A)",
-                  lambda S, A: canonical_class(S) + A,
-                  lambda S, A: S.zero()),
-    ]
+
+    def claims(A):
+        KA = canonical_class(S) + A
+        return {**_common(S, A), "residual(K + A)": _residual(KA)}
     return S, A, claims
 
 
 def _build_1_14():
     S = _del_pezzo(7)
     A = -canonical_class(S)
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + 2A - (-K))",
-                  lambda S, A: canonical_class(S) + 2 * A,
-                  lambda S, A: -canonical_class(S)),
-    ]
+
+    def claims(A):
+        K = canonical_class(S)
+        return {**_common(S, A),
+                "residual(K + 2A - (-K))": _residual(K + 2 * A - (-K))}
     return S, A, claims
 
 
 def _build_1_15():
     S = _del_pezzo(8)
     A = -canonical_class(S)
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + 3A - (-2K))",
-                  lambda S, A: canonical_class(S) + 3 * A,
-                  lambda S, A: -2 * canonical_class(S)),
-    ]
+
+    def claims(A):
+        K = canonical_class(S)
+        return {**_common(S, A),
+                "residual(K + 3A - (-2K))": _residual(K + 3 * A - (-2 * K))}
     return S, A, claims
+
+
+# points on the anticanonical curve, one in each fiber (1.16, 1.19, 1.20)
+_ON_C_DISTINCT = PointConfig(on_smooth_anticanonical=True,
+                             distinct_fibers=True,
+                             anticanonical_effective=True)
 
 
 def _build_1_16(e, n):
     l = 8 - n
-    cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
-                      anticanonical_effective=True)
-    S = blow_up(SurfaceModel.hirzebruch(e), l, cfg)
+    S = blow_up(SurfaceModel.hirzebruch(e), l, _ON_C_DISTINCT)
     A = S.divisor([2, e + 3] + [-1] * l)
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + A - pullback(fiber))",
-                  lambda S, A: canonical_class(S) + A,
-                  lambda S, A: S.pullback([0, 1])),
-        _claim_dot("(K+A)^2",
-                   lambda S, A: canonical_class(S) + A,
-                   lambda S, A: canonical_class(S) + A),
-    ]
+
+    def claims(A):
+        KA = canonical_class(S) + A
+        return {**_common(S, A),
+                "residual(K + A - pullback(fiber))":
+                    _residual(KA - S.pullback([0, 1])),
+                "(K+A)^2": KA.dot(KA)}
     return S, A, claims
 
 
@@ -259,14 +237,13 @@ def _build_1_17(l):
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(1), l, cfg)
     A = S.divisor([3, 4] + [-1] * l)
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + A - pullback(C0 + fiber))",
-                  lambda S, A: canonical_class(S) + A,
-                  lambda S, A: S.pullback([1, 1])),
-        _claim_dot("-K.(K+A)",
-                   lambda S, A: -canonical_class(S),
-                   lambda S, A: canonical_class(S) + A),
-    ]
+
+    def claims(A):
+        KA = canonical_class(S) + A
+        return {**_common(S, A),
+                "residual(K + A - pullback(C0 + fiber))":
+                    _residual(KA - S.pullback([1, 1])),
+                "-K.(K+A)": -canonical_class(S).dot(KA)}
     return S, A, claims
 
 
@@ -277,50 +254,45 @@ def _build_1_18():
     F = -canonical_class(S)          # elliptic fiber class
     E = S.exceptional(8)             # a section of the fibration
     A = E + 2 * F
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + 2A - (2*section + 3*fiber))",
-                  lambda S, A: canonical_class(S) + 2 * A,
-                  lambda S, A: 2 * S.exceptional(8) - 3 * canonical_class(S)),
-        _claim_dot("(K+2A).fiber",
-                   lambda S, A: canonical_class(S) + 2 * A,
-                   lambda S, A: -canonical_class(S)),
-    ]
+
+    def claims(A):
+        K2A = canonical_class(S) + 2 * A
+        return {**_common(S, A),
+                "residual(K + 2A - (2*section + 3*fiber))":
+                    _residual(K2A - (2 * E + 3 * F)),
+                "(K+2A).fiber": K2A.dot(F)}
     return S, A, claims
 
 
 def _build_1_19(n):
     l = 8 - n
     k = (l - 3) // 2
-    cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
-                      anticanonical_effective=True)
-    S = blow_up(SurfaceModel.hirzebruch(0), l, cfg)
+    S = blow_up(SurfaceModel.hirzebruch(0), l, _ON_C_DISTINCT)
     A = S.divisor([2, k] + [-1] * l)
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + A - pullback((k-2)*fiber2))",
-                  lambda S, A: canonical_class(S) + A,
-                  lambda S, A: S.pullback([0, k - 2])),
-        _claim_dot("(K+A)^2",
-                   lambda S, A: canonical_class(S) + A,
-                   lambda S, A: canonical_class(S) + A),
-    ]
+
+    def claims(A):
+        KA = canonical_class(S) + A
+        return {**_common(S, A),
+                "residual(K + A - pullback((k-2)*fiber2))":
+                    _residual(KA - S.pullback([0, k - 2])),
+                "(K+A)^2": KA.dot(KA)}
     return S, A, claims
 
 
 def _build_1_20(n):
     l = 8 - n
     k = (l - 4) // 2
-    cfg = PointConfig(on_smooth_anticanonical=True, distinct_fibers=True,
-                      anticanonical_effective=True)
-    S = blow_up(SurfaceModel.hirzebruch(0), l, cfg)
+    S = blow_up(SurfaceModel.hirzebruch(0), l, _ON_C_DISTINCT)
     A = S.divisor([3, k, -2] + [-1] * (l - 1))
-    claims = _COMMON_CLAIMS + [
-        _residual("residual(K + A - (pullback(fiber1 + (k-2)*fiber2) - E1))",
-                  lambda S, A: canonical_class(S) + A,
-                  lambda S, A: S.pullback([1, k - 2]) - S.exceptional(0)),
-        _claim_dot("(K+A).(fiber2 through first point)",
-                   lambda S, A: canonical_class(S) + A,
-                   lambda S, A: S.pullback([0, 1]) - S.exceptional(0)),
-    ]
+    E1 = S.exceptional(0)
+
+    def claims(A):
+        KA = canonical_class(S) + A
+        return {**_common(S, A),
+                "residual(K + A - (pullback(fiber1 + (k-2)*fiber2) - E1))":
+                    _residual(KA - (S.pullback([1, k - 2]) - E1)),
+                "(K+A).(fiber2 through first point)":
+                    KA.dot(S.pullback([0, 1]) - E1)}
     return S, A, claims
 
 
@@ -328,15 +300,13 @@ def _build_obs_1_4(n):
     cfg = PointConfig(general_position=True)
     S = blow_up(SurfaceModel.hirzebruch(0), 9, cfg)
     L = S.divisor([2, n] + [-1] * 9)
-    claims = [
-        Claim("K2", lambda S, A: k_squared(S)),
-        Claim("-K.L", lambda S, A: -canonical_class(S).dot(A)),
-        Claim("chi(-K - L)",
-              lambda S, A: euler_characteristic(-canonical_class(S) - A)),
-        _residual("residual(-K - L - pullback((2-n)*fiber2))",
-                  lambda S, A: -canonical_class(S) - A,
-                  lambda S, A: S.pullback([0, 2 - n])),
-    ]
+
+    def claims(L):
+        minus_KL = -canonical_class(S) - L
+        return {"K2": k_squared(S), "-K.L": -canonical_class(S).dot(L),
+                "chi(-K - L)": euler_characteristic(minus_KL),
+                "residual(-K - L - pullback((2-n)*fiber2))":
+                    _residual(minus_KL - S.pullback([0, 2 - n]))}
     return S, L, claims
 
 
@@ -404,13 +374,6 @@ def _base_form(S: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
     if S.kind == KIND_P2:
         return x[0], 0
     return x[1] - S.e * x[0], x[0]
-
-
-def _top_sum(weights: list[int], count: int) -> int:
-    """Largest possible sum of ``count`` single-point loads (unit caps)."""
-    if count <= 0 or not weights:
-        return 0
-    return sum(sorted(weights, reverse=True)[:count])
 
 
 def _bare_base(S: SurfaceModel) -> SurfaceModel:
@@ -503,7 +466,8 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
         checks.append(CurveCaseCheck(f"ProperIntersection({a},{b})", lhs,
                                      rhs, rhs - lhs >= margin))
     for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
-        lhs, rhs = _top_sum(weights, budget), p * a + q * b
+        lhs = sum(map(mul, weights, _greedy_load(weights, 1, budget)))
+        rhs = p * a + q * b
         checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
                                      rhs - lhs >= 1))
     lhs, rhs = sum(weights), sum(map(mul, (p, q), C.coeffs))
@@ -549,8 +513,9 @@ class Family:
     """One row of the family table.
 
     ``build`` takes the parameters as keywords and returns ``(surface,
-    polarization, claims)``.  ``params`` maps each parameter to the
-    ``range`` of its allowed values; a step of 2 carries a parity.
+    polarization, claims)``, ``claims(A)`` giving the named integers of a
+    polarization.  ``params`` maps each parameter to the ``range`` of its
+    allowed values; a step of 2 carries a parity.
     ``np_flags`` are the hypotheses the syzygy classification is given.
     How ampleness is checked is not a property of the row: it follows from
     the built surface (see ``_model``).
@@ -621,8 +586,8 @@ def build_example(family_id: str,
         raise FamilyError(f"unknown family id {family_id!r}")
     p = family.validate(family_id, params)
     surface, A, claims = family.build(**p)
-    return ExampleFamily(family_id, tuple(p.items()), surface, A,
-                         tuple(claims), family.np_flags)
+    return ExampleFamily(family_id, tuple(p.items()), surface, A, claims,
+                         family.np_flags)
 
 
 # --- brute-force oracle ----------------------------------------------------
@@ -909,12 +874,11 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
     pin = fixture_instance(ex.id, ex.instance_key)
     pinned = {} if pin is None else pin["claims"]
 
+    computed = ex.claims(ex.A)
     claims = []
-    for claim in ex.claims:
-        actual = claim.compute(ex.surface, ex.A)
-        expected = pinned.get(claim.quantity)
-        claims.append(ClaimResult(claim.quantity, expected, actual,
-                                  actual == expected))
+    for name, actual in computed.items():
+        expected = pinned.get(name)
+        claims.append(ClaimResult(name, expected, actual, actual == expected))
 
     certificate = refused = None
     try:
@@ -955,7 +919,6 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
             if not c.ok:
                 failures.append(f"{where}: claim {c.quantity!r} fixture "
                                 f"pins {c.expected}, recomputed {c.actual}")
-        computed = {c.quantity for c in claims}
         failures += [f"{where}: pinned claim {name!r} not computed"
                      for name in pinned if name not in computed]
         if not report.np_ok:
@@ -977,11 +940,12 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
     return report
 
 
-def sweep_family(family_id: str, *, strict: bool = True) -> list[VerifyReport]:
-    """Verify every instance of a family over its full stated range."""
+def sweep_family(family_id: str) -> list[VerifyReport]:
+    """Verify every instance of a family over its full stated range; each
+    report records its own failures."""
     if family_id not in FAMILY_SWEEPS:
         raise FamilyError(f"unknown family id {family_id!r}")
-    return [verify_example(family_id, params, strict=strict)
+    return [verify_example(family_id, params, strict=False)
             for params in FAMILY_SWEEPS[family_id]]
 
 

@@ -204,6 +204,33 @@ def test_eval_unknown_op(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+_LONG = "x" * 200_000
+
+
+@pytest.mark.parametrize("request_", [
+    {"op": _LONG},
+    {"op": "k_squared", _LONG: 1},
+    {"op": "k_squared", "args": {_LONG: 1}},
+    {"op": "k_squared", "args": {"surface": {"kind": _LONG}}},
+    {"op": "k_squared", "args": {"surface": {"kind": "P2", _LONG: 1}}},
+    {"op": "k_squared", "args": {"surface": {
+        "kind": "P2", "l": 1, "config": {_LONG: True}}}},
+    {"op": "build_example", "args": {"id": _LONG}},
+    {"op": "np_classify", "args": {"t": 7, "flags": {_LONG: True}}},
+    {"op": "min_kA_bound", "args": {"ksq": 1, "summand": _LONG}},
+    {"op": "primitive_np",
+     "args": {"n": 3, "m": 2, "Hn": 1, "morphism": _LONG}},
+], ids=["op", "request field", "args key", "surface kind", "surface field",
+        "config flag", "family id", "np flag", "summand tag", "morphism"])
+def test_a_refusal_quoting_a_long_input_is_cut(tmp_path, capsys, request_):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(request_))
+    code, out, err = run(capsys, "--eval-file", str(req))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("npsurf: error: ") and len(err) < 1200
+    assert err.endswith(" characters cut)\n")
+
+
 # --- error mapping ---------------------------------------------------------
 
 

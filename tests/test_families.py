@@ -572,6 +572,31 @@ def test_certificate_and_oracle_share_one_model(model):
                     else {model != "no-model"})
 
 
+@pytest.mark.parametrize("model", [m for m in _MODELS
+                                   if m.startswith("Fe-points")])
+def test_ruling_checks_subtract_the_oracle_load(model):
+    # each ruling's FiberSpecial margin is the oracle's value for that
+    # ruling, also where a weight is negative and loads nothing
+    rng = random.Random(f"rulings-{model}")
+    draws = [(S, _random_class(rng, S))
+             for S in (_random_surface(rng, model) for _ in range(20))]
+    if model == "Fe-points-away":
+        S = blow_up(SurfaceModel.hirzebruch(1), 1, PointConfig(
+            on_smooth_anticanonical=True, away_from_min_section=True))
+        draws.append((S, S.divisor([0, 3, 1])))
+    for S, D in draws:
+        cert = nakai_certificate(
+            families.ExampleFamily("probe", (), S, D, None, ()))
+        margins = {c.case: c.rhs - c.worst_case_lhs
+                   for c in cert.curve_case_checks}
+        values = {key[1:3]: value for value, key
+                  in families._candidates(S, D, DEFAULT_BOX) if key[0] == "D"}
+        tags = ("f1", "f2") if S.e == 0 else ("C0", "f")
+        for tag, ruling in zip(tags, families._RULINGS):
+            assert margins[f"FiberSpecial({tag})"] == values[ruling], (
+                S, D, tag)
+
+
 # --- perturbation behaviour ------------------------------------------------
 
 
@@ -647,6 +672,24 @@ def test_verify_passes_on_every_named_instance(fid, params):
     assert obj["passed"] is True and obj["family"] == fid
 
 
+def test_every_instance_json_is_pinned():
+    # the instance and its verify report for all 88 sweep instances, with
+    # sorted keys and in the dicts' own order (the claims keep theirs)
+    digest = hashlib.sha256()
+    count = 0
+    for fid, sweep in FAMILY_SWEEPS.items():
+        for params in sweep:
+            count += 1
+            for obj in (build_example(fid, params).to_json(),
+                        verify_example(fid, params, strict=False).to_json()):
+                for sort_keys in (True, False):
+                    digest.update(
+                        json.dumps(obj, sort_keys=sort_keys).encode())
+    assert count == 88
+    assert digest.hexdigest() == (
+        "c96b2348d436f6577a6b753d7c5343737b02929efb6b7ec5568dbc9dc709a627")
+
+
 def test_verify_strictness_raises_with_the_culprit_named(monkeypatch):
     monkeypatch.setattr(families, "fixture_instance", lambda a, b: None)
     with pytest.raises(VerificationError) as err:
@@ -661,7 +704,8 @@ def test_verify_fails_on_a_pinned_claim_no_builder_computes(monkeypatch):
 
     def without_claim(**params):
         S, A, claims = family.build(**params)
-        return S, A, [c for c in claims if c.quantity != "-K.(K+A)"]
+        return S, A, lambda A: {name: value for name, value
+                                in claims(A).items() if name != "-K.(K+A)"}
 
     monkeypatch.setitem(FAMILIES, "1.17",
                         dataclasses.replace(family, build=without_claim))
