@@ -9,6 +9,16 @@ product of each row's ranges) derive from the table.
 Each builder returns the surface, the polarization, and a claims function
 mapping a polarization to the family's named integers (intersection numbers,
 adjoint identities); the builders hold no expected values.
+
+What does not depend on the polarization is built once.  ``build_example``
+validates every request, but builds each instance once per table row and
+parameters and returns that same frozen object after it; the builder makes
+the fixed classes its claims subtract or pair with (and ``K2``) once, outside
+the claims function; the instance reads its claim names once; the bare
+P2/F_e under a blow-up is one shared surface per ``(kind, e)``; a
+certificate computes its validity once.  ``verify_example`` recomputes all
+that depends on the polarization on every call: the claims, the
+certificate, the oracle and the syzygy verdict.
 The frozen fixture table shipped in ``data/examples.json`` is the only
 expectation: ``verify_example`` recomputes every claim from the lattice, runs
 the ampleness certificate and the brute-force oracle, classifies the syzygy
@@ -50,7 +60,7 @@ import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from operator import mul
 from typing import Callable
@@ -124,6 +134,12 @@ class ExampleFamily:
         tests); id and params, and so the fixture pin, stay the same."""
         return dataclasses.replace(self, A=A)
 
+    @cached_property
+    def claim_names(self) -> tuple[str, ...]:
+        """The names of the claims, in order; they do not depend on the
+        polarization, so the claims function runs once per instance here."""
+        return tuple(self.claims(self.A))
+
     def to_json(self) -> dict:
         """The instance with the expectations its fixture pin holds."""
         pin = fixture_instance(self.id, self.instance_key)
@@ -131,7 +147,7 @@ class ExampleFamily:
             "id": self.id, "params": dict(self.params),
             "surface": self.surface.to_json(), "A": list(self.A.coeffs),
             "claims": {name: pin["claims"][name]
-                       for name in self.claims(self.A)},
+                       for name in self.claim_names},
             "np_expected": {"status": pin["np"]["status"],
                             "p": pin["np"]["p"]},
             "annotations": dict(pin.get("annotations", {})),
@@ -143,10 +159,11 @@ def _residual(D: DivisorClass) -> int:
     return max((abs(c) for c in D.coeffs), default=0)
 
 
-def _common(S: SurfaceModel, A: DivisorClass) -> dict[str, int]:
-    """The claims every family but Obs1.4 states first."""
-    return {"K2": k_squared(S), "A2": A.dot(A),
-            "-K.A": -canonical_class(S).dot(A)}
+def _common(S: SurfaceModel) -> Callable[[DivisorClass], dict[str, int]]:
+    """The claims every family but Obs1.4 states first, as a function of the
+    polarization; ``K2`` is computed once, here."""
+    K2, K = k_squared(S), canonical_class(S)
+    return lambda A: {"K2": K2, "A2": A.dot(A), "-K.A": -K.dot(A)}
 
 
 # --- builders --------------------------------------------------------------
@@ -155,22 +172,22 @@ def _common(S: SurfaceModel, A: DivisorClass) -> dict[str, int]:
 def _build_1_11():
     S = SurfaceModel.projective_plane()
     A = S.divisor([1])
+    common, K = _common(S), canonical_class(S)
 
     def claims(A):
-        K3A = canonical_class(S) + 3 * A
-        return {**_common(S, A), "residual(K + 3A)": _residual(K3A)}
+        return {**common(A), "residual(K + 3A)": _residual(K + 3 * A)}
     return S, A, claims
 
 
 def _build_1_12(e):
     S = SurfaceModel.hirzebruch(e)
     A = S.divisor([1, e + 1])
+    common, K, e_fibers = _common(S), canonical_class(S), S.divisor([0, e])
 
     def claims(A):
-        K2A = canonical_class(S) + 2 * A
-        return {**_common(S, A),
-                "residual(K + 2A - e*fiber)":
-                    _residual(K2A - S.divisor([0, e])),
+        K2A = K + 2 * A
+        return {**common(A),
+                "residual(K + 2A - e*fiber)": _residual(K2A - e_fibers),
                 "oracle_min(K + 2A)": ample_oracle(K2A, 8).min_value}
     return S, A, claims
 
@@ -182,34 +199,31 @@ def _del_pezzo(l: int) -> SurfaceModel:
 
 def _build_1_13(l):
     S = _del_pezzo(l)
-    A = -canonical_class(S)
+    common, K = _common(S), canonical_class(S)
 
     def claims(A):
-        KA = canonical_class(S) + A
-        return {**_common(S, A), "residual(K + A)": _residual(KA)}
-    return S, A, claims
+        return {**common(A), "residual(K + A)": _residual(K + A)}
+    return S, -K, claims
 
 
 def _build_1_14():
     S = _del_pezzo(7)
-    A = -canonical_class(S)
+    common, K = _common(S), canonical_class(S)
 
     def claims(A):
-        K = canonical_class(S)
-        return {**_common(S, A),
+        return {**common(A),
                 "residual(K + 2A - (-K))": _residual(K + 2 * A - (-K))}
-    return S, A, claims
+    return S, -K, claims
 
 
 def _build_1_15():
     S = _del_pezzo(8)
-    A = -canonical_class(S)
+    common, K = _common(S), canonical_class(S)
 
     def claims(A):
-        K = canonical_class(S)
-        return {**_common(S, A),
+        return {**common(A),
                 "residual(K + 3A - (-2K))": _residual(K + 3 * A - (-2 * K))}
-    return S, A, claims
+    return S, -K, claims
 
 
 # points on the anticanonical curve, one in each fiber (1.16, 1.19, 1.20)
@@ -222,12 +236,12 @@ def _build_1_16(e, n):
     l = 8 - n
     S = blow_up(SurfaceModel.hirzebruch(e), l, _ON_C_DISTINCT)
     A = S.divisor([2, e + 3] + [-1] * l)
+    common, K, fiber = _common(S), canonical_class(S), S.pullback([0, 1])
 
     def claims(A):
-        KA = canonical_class(S) + A
-        return {**_common(S, A),
-                "residual(K + A - pullback(fiber))":
-                    _residual(KA - S.pullback([0, 1])),
+        KA = K + A
+        return {**common(A),
+                "residual(K + A - pullback(fiber))": _residual(KA - fiber),
                 "(K+A)^2": KA.dot(KA)}
     return S, A, claims
 
@@ -237,13 +251,14 @@ def _build_1_17(l):
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(1), l, cfg)
     A = S.divisor([3, 4] + [-1] * l)
+    common, K, C0_fiber = _common(S), canonical_class(S), S.pullback([1, 1])
 
     def claims(A):
-        KA = canonical_class(S) + A
-        return {**_common(S, A),
+        KA = K + A
+        return {**common(A),
                 "residual(K + A - pullback(C0 + fiber))":
-                    _residual(KA - S.pullback([1, 1])),
-                "-K.(K+A)": -canonical_class(S).dot(KA)}
+                    _residual(KA - C0_fiber),
+                "-K.(K+A)": -K.dot(KA)}
     return S, A, claims
 
 
@@ -251,15 +266,17 @@ def _build_1_18():
     cfg = PointConfig(complete_intersection_of_cubics=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.projective_plane(), 9, cfg)
-    F = -canonical_class(S)          # elliptic fiber class
+    common, K = _common(S), canonical_class(S)
+    F = -K                           # elliptic fiber class
     E = S.exceptional(8)             # a section of the fibration
     A = E + 2 * F
+    sections_fibers = 2 * E + 3 * F
 
     def claims(A):
-        K2A = canonical_class(S) + 2 * A
-        return {**_common(S, A),
+        K2A = K + 2 * A
+        return {**common(A),
                 "residual(K + 2A - (2*section + 3*fiber))":
-                    _residual(K2A - (2 * E + 3 * F)),
+                    _residual(K2A - sections_fibers),
                 "(K+2A).fiber": K2A.dot(F)}
     return S, A, claims
 
@@ -269,12 +286,13 @@ def _build_1_19(n):
     k = (l - 3) // 2
     S = blow_up(SurfaceModel.hirzebruch(0), l, _ON_C_DISTINCT)
     A = S.divisor([2, k] + [-1] * l)
+    common, K, fibers2 = _common(S), canonical_class(S), S.pullback([0, k - 2])
 
     def claims(A):
-        KA = canonical_class(S) + A
-        return {**_common(S, A),
+        KA = K + A
+        return {**common(A),
                 "residual(K + A - pullback((k-2)*fiber2))":
-                    _residual(KA - S.pullback([0, k - 2])),
+                    _residual(KA - fibers2),
                 "(K+A)^2": KA.dot(KA)}
     return S, A, claims
 
@@ -284,15 +302,18 @@ def _build_1_20(n):
     k = (l - 4) // 2
     S = blow_up(SurfaceModel.hirzebruch(0), l, _ON_C_DISTINCT)
     A = S.divisor([3, k, -2] + [-1] * (l - 1))
+    common, K = _common(S), canonical_class(S)
     E1 = S.exceptional(0)
+    residual_class = S.pullback([1, k - 2]) - E1
+    fiber2_through_E1 = S.pullback([0, 1]) - E1
 
     def claims(A):
-        KA = canonical_class(S) + A
-        return {**_common(S, A),
+        KA = K + A
+        return {**common(A),
                 "residual(K + A - (pullback(fiber1 + (k-2)*fiber2) - E1))":
-                    _residual(KA - (S.pullback([1, k - 2]) - E1)),
+                    _residual(KA - residual_class),
                 "(K+A).(fiber2 through first point)":
-                    KA.dot(S.pullback([0, 1]) - E1)}
+                    KA.dot(fiber2_through_E1)}
     return S, A, claims
 
 
@@ -300,13 +321,14 @@ def _build_obs_1_4(n):
     cfg = PointConfig(general_position=True)
     S = blow_up(SurfaceModel.hirzebruch(0), 9, cfg)
     L = S.divisor([2, n] + [-1] * 9)
+    K2, K, fibers2 = k_squared(S), canonical_class(S), S.pullback([0, 2 - n])
 
     def claims(L):
-        minus_KL = -canonical_class(S) - L
-        return {"K2": k_squared(S), "-K.L": -canonical_class(S).dot(L),
+        minus_KL = -K - L
+        return {"K2": K2, "-K.L": -K.dot(L),
                 "chi(-K - L)": euler_characteristic(minus_KL),
                 "residual(-K - L - pullback((2-n)*fiber2))":
-                    _residual(minus_KL - S.pullback([0, 2 - n]))}
+                    _residual(minus_KL - fibers2)}
     return S, L, claims
 
 
@@ -336,12 +358,14 @@ class AmpleCertificate:
     exceptional_values: tuple[int, ...]
     curve_case_checks: tuple[CurveCaseCheck, ...]
     assumptions_used: tuple[str, ...]
+    # derived once, here, from the fields above
+    valid: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def valid(self) -> bool:
-        return (self.self_intersection > 0
-                and all(v > 0 for v in self.exceptional_values)
-                and all(c.passed for c in self.curve_case_checks))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "valid", (
+            self.self_intersection > 0
+            and all(v > 0 for v in self.exceptional_values)
+            and all(c.passed for c in self.curve_case_checks)))
 
     def flip_signature(self) -> tuple:
         """Pass/fail pattern of every check, for perturbation comparisons."""
@@ -377,9 +401,16 @@ def _base_form(S: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
 
 
 def _bare_base(S: SurfaceModel) -> SurfaceModel:
-    """The bare P2 or F_e that S is (or blows up)."""
-    return (SurfaceModel.projective_plane() if S.kind == KIND_P2
-            else SurfaceModel.hirzebruch(S.e))
+    """The bare P2 or F_e that S is (or blows up): one shared surface per
+    ``(kind, e)``, so its canonical class is built once."""
+    return _bare_surface(S.kind, S.e)
+
+
+# e comes from the request, so the cache is bounded; the table uses P2 and
+# F_0..F_8
+@lru_cache(maxsize=16)
+def _bare_surface(kind: str, e: int | None) -> SurfaceModel:
+    return SurfaceModel(kind, e=e)
 
 
 # the classes (1,0) and (0,1) of F_e: the two rulings of F_0, or the negative
@@ -518,13 +549,17 @@ class Family:
     allowed values; a step of 2 carries a parity.
     ``np_flags`` are the hypotheses the syzygy classification is given.
     How ampleness is checked is not a property of the row: it follows from
-    the built surface (see ``_model``).
+    the built surface (see ``_model``).  ``instances`` holds the instances
+    built from this row, keyed by their validated parameters; a row made
+    with ``dataclasses.replace`` starts with none.
     """
 
     build: Callable[..., tuple]
     params: Mapping[str, range]
     np_flags: tuple[tuple[str, bool], ...] = (("ample", True),
                                               ("anticanonical", True))
+    instances: dict[tuple, "ExampleFamily"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self, family_id: str,
                  params: Mapping[str, int] | None) -> dict[str, int]:
@@ -580,14 +615,23 @@ FAMILY_SWEEPS: dict[str, tuple[dict, ...]] = {
 
 def build_example(family_id: str,
                   params: Mapping[str, int] | None = None) -> ExampleFamily:
-    """Construct one instance of a reference family."""
+    """One instance of a reference family.
+
+    The request is validated on every call; the instance is built on the
+    first call for its row and parameters, and that same object is returned
+    after it.
+    """
     family = FAMILIES.get(family_id)
     if family is None:
         raise FamilyError(f"unknown family id {family_id!r}")
     p = family.validate(family_id, params)
-    surface, A, claims = family.build(**p)
-    return ExampleFamily(family_id, tuple(p.items()), surface, A, claims,
-                         family.np_flags)
+    key = tuple(p.items())
+    ex = family.instances.get(key)
+    if ex is None:
+        surface, A, claims = family.build(**p)
+        ex = family.instances[key] = ExampleFamily(
+            family_id, key, surface, A, claims, family.np_flags)
+    return ex
 
 
 # --- brute-force oracle ----------------------------------------------------

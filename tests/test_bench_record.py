@@ -27,3 +27,20 @@ def test_lower_is_better_claim_counts_the_faster_side():
     assert (claim["change_wins"], claim["holds"]) == (10, True)
     claim = tool.claim_summary(_runs("setup_s", faster), "setup_s", "higher")
     assert (claim["change_wins"], claim["holds"]) == (0, False)
+
+
+def test_summary_gives_the_requests_attempted_beside_peak_rss():
+    tool = _tool()
+    runs = [{"workload": "verify-sweep", "side": side, "trace": trace,
+             "result": {"attempted": attempted, "metrics": {
+                 "peak_rss_mb": {"value": rss}, "ops_per_s": {"value": 1.0}}}}
+            for side, trace, attempted, rss in (
+                ("parent", 0, 50_000, 29.0), ("parent", 0, 54_000, 29.5),
+                ("parent", 0, 52_000, 29.2), ("change", 0, 70_000, 30.7),
+                ("change", 0, 71_000, 30.9), ("change", 1, 999, 99.0))]
+    summary = tool.summarize(runs)["verify-sweep"]
+    assert summary["peak_rss_mb"]["parent"] == {
+        "median": 29.2, "q1": 29.1, "q3": 29.35, "n": 3, "attempted": 52_000}
+    change = summary["peak_rss_mb"]["change"]
+    assert (change["n"], change["attempted"]) == (2, 70_500)
+    assert "attempted" not in summary["ops_per_s"]["change"]

@@ -92,6 +92,68 @@ def test_annotations_only_where_stated():
         assert build_example(fid, first).to_json()["annotations"] == {}
 
 
+def test_instances_are_built_once_per_row_and_params():
+    ex = build_example("1.16", {"e": 0, "n": -1})
+    assert build_example("1.16", {"n": -1, "e": 0}) is ex
+    assert build_example("1.16", {"e": 1, "n": -1}) is not ex
+    assert build_example("1.11") is build_example("1.11", {})
+    # a cached success does not let a bad request through
+    for params in ({"e": 0, "n": -1, "q": 1},    # unknown
+                   {"e": 0},                     # missing
+                   {"e": 0, "n": True},          # not an int
+                   {"e": 0, "n": -1.0},
+                   {"e": 0, "n": 9}):            # out of the domain
+        with pytest.raises(FamilyError):
+            build_example("1.16", params)
+    build_example("1.19", {"n": -1})
+    with pytest.raises(FamilyError, match="needs odd negative n"):
+        build_example("1.19", {"n": -2})
+
+
+def test_a_replaced_row_builds_afresh(monkeypatch):
+    ex = build_example("1.17", {"l": 3})
+    monkeypatch.setitem(FAMILIES, "1.17",
+                        dataclasses.replace(FAMILIES["1.17"]))
+    fresh = build_example("1.17", {"l": 3})
+    assert fresh is not ex and fresh == ex
+    monkeypatch.undo()
+    assert build_example("1.17", {"l": 3}) is ex
+
+
+def test_mutation_leaves_the_built_instance_alone():
+    ex = build_example("1.20", {"n": -6})
+    A, before = ex.A, ex.to_json()
+    for i in range(ex.surface.l):
+        for delta in (1, -1):
+            mut = mutate_polarization(build_example("1.20", {"n": -6}),
+                                      i, delta)
+            assert mut is not ex and mut.A != A
+            nakai_certificate(mut)
+            ample_oracle(mut.A)
+    again = build_example("1.20", {"n": -6})
+    assert again is ex and again.A is A and again.to_json() == before
+
+
+def test_instance_json_runs_the_claims_function_at_most_once(monkeypatch):
+    calls = []
+
+    def counted(D, box=None):
+        calls.append(box)
+        return ample_oracle(D, box)
+
+    # 1.12's claims run the oracle; its names are read off the instance, and
+    # a fresh row holds no instance yet
+    monkeypatch.setattr(families, "ample_oracle", counted)
+    monkeypatch.setitem(FAMILIES, "1.12",
+                        dataclasses.replace(FAMILIES["1.12"]))
+    ex = build_example("1.12", {"e": 2})
+    first = ex.to_json()
+    for _ in range(3):
+        assert build_example("1.12", {"e": 2}).to_json() == first
+    assert calls == [8]
+    assert list(first["claims"]) == list(ex.claims(ex.A))
+
+
 # --- certificates ----------------------------------------------------------
 
 
@@ -234,6 +296,34 @@ def test_certificate_pins_every_instance_and_unit_mutant():
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
     assert digest.hexdigest() == (
         "8e9319619a04d6c045219f31abc4d79f31074427e5465c51fe5d94897431a0a9")
+
+
+def test_certificate_validity_is_its_defining_formula():
+    # validity is computed once per certificate; on the certified sweep
+    # instances and their +-1 mutants (the attested ones refuse) it equals
+    # the formula over the certificate's fields, and the flip signatures
+    # are pinned
+    signatures = []
+    for fid in CERTIFIED:
+        for params in FAMILY_SWEEPS[fid]:
+            ex = build_example(fid, params)
+            for mut in [ex] + [mutate_polarization(ex, i, delta)
+                               for i in range(ex.surface.l or 0)
+                               for delta in (1, -1)]:
+                cert = nakai_certificate(mut)
+                formula = (cert.self_intersection > 0
+                           and all(v > 0 for v in cert.exceptional_values)
+                           and all(c.passed for c in cert.curve_case_checks))
+                assert cert.valid is formula
+                assert cert.to_json()["valid"] is formula
+                sig = cert.flip_signature()
+                assert formula == (sig[0] and all(sig[1])
+                                   and all(p for _, p in sig[2]))
+                signatures.append(sig)
+    assert len(signatures) == 1210
+    digest = hashlib.sha256(repr(signatures).encode())
+    assert digest.hexdigest() == (
+        "064bba25ef52dd62170266185767dd2594e0946667dc5ba1d047440d25a34d7d")
 
 
 # --- oracle ----------------------------------------------------------------
@@ -670,6 +760,42 @@ def test_verify_passes_on_every_named_instance(fid, params):
         assert report.ample_verdict is None
     obj = report.to_json()
     assert obj["passed"] is True and obj["family"] == fid
+
+
+def test_verify_recomputes_every_stage(monkeypatch):
+    # the instance is built once, but each verify runs the claims function,
+    # the certificate and the oracle again (1.12's claims run one more oracle)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("nakai_certificate", "ample_oracle"):
+        monkeypatch.setattr(families, name,
+                            counted(name, getattr(families, name)))
+    for fid in FAMILY_IDS:
+        family = FAMILIES[fid]
+
+        def build(family=family, **params):
+            S, A, claims = family.build(**params)
+            return S, A, counted("claims", claims)
+
+        monkeypatch.setitem(FAMILIES, fid,
+                            dataclasses.replace(family, build=build))
+        params = FAMILY_SWEEPS[fid][-1]
+        expected = sorted(["claims", "nakai_certificate", "ample_oracle"]
+                          + ["ample_oracle"] * (fid == "1.12"))
+        reports = []
+        for _ in range(2):
+            calls.clear()
+            reports.append(verify_example(fid, params, strict=False))
+            assert sorted(calls) == expected, fid
+        assert reports[0] is not reports[1]
+        assert reports[0].to_json() == reports[1].to_json()
+        assert reports[0].passed, fid
 
 
 def test_every_instance_json_is_pinned():

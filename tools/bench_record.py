@@ -13,7 +13,10 @@ change was not developed on, and one traced run (``--trace 1``, seed 1) of
 that workload on each side.  Every run's ``env`` line and last-line JSON go
 into OUT with a summary: each side's median and quartiles per workload and
 metric, and for the claim the pairs the change won on METRIC, an end-to-end
-metric of ``BENCHMARK.json`` whose ``better`` direction decides a win.
+metric of ``BENCHMARK.json`` whose ``better`` direction decides a win.  Each
+side's ``peak_rss_mb`` also carries the median number of requests its runs
+``attempted``: the harness keeps samples per finished request, so a faster
+side holds more of them.
 """
 
 from __future__ import annotations
@@ -65,16 +68,23 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    table = {}
+    table, attempted = {}, {}
     for rec in runs:
         if rec["trace"] == 0:
             metrics = rec["result"]["metrics"]
             for name, m in metrics.items():
                 (table.setdefault(rec["workload"], {}).setdefault(name, {})
                  .setdefault(rec["side"], []).append(m["value"]))
-    return {w: {name: {side: spread(v) for side, v in sides.items()}
-                for name, sides in metrics.items()}
-            for w, metrics in table.items()}
+            (attempted.setdefault(rec["workload"], {})
+             .setdefault(rec["side"], []).append(rec["result"]["attempted"]))
+    summary = {w: {name: {side: spread(v) for side, v in sides.items()}
+                   for name, sides in metrics.items()}
+               for w, metrics in table.items()}
+    for w, sides in attempted.items():
+        for side, counts in sides.items():
+            summary[w]["peak_rss_mb"][side]["attempted"] = (
+                statistics.median(counts))
+    return summary
 
 
 def claim_summary(claim_runs: list[dict], metric: str, better: str) -> dict:
