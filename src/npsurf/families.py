@@ -14,11 +14,14 @@ What does not depend on the polarization is built once.  ``build_example``
 validates every request, but builds each instance once per table row and
 parameters and returns that same frozen object after it; the builder makes
 the fixed classes its claims subtract or pair with (and ``K2``) once, outside
-the claims function; the instance reads its claim names once; the bare
-P2/F_e under a blow-up is one shared surface per ``(kind, e)``; a
-certificate computes its validity once.  ``verify_example`` recomputes all
-that depends on the polarization on every call: the claims, the
-certificate, the oracle and the syzygy verdict.
+the claims function; the instance reads its claim names and its instance
+key once; the bare P2/F_e under a blow-up is one shared surface per
+``(kind, e)``, and its anticanonical class C, C's base form and the box that
+reaches C are computed once per ``(kind, e)`` for the points-on-C
+certificate and candidates; a certificate computes its validity once.
+``verify_example`` recomputes all that depends on the polarization on every
+call: the claims, the certificate, the oracle and the syzygy verdict; it
+reads the failures off those results and builds its report once.
 The frozen fixture table shipped in ``data/examples.json`` is the only
 expectation: ``verify_example`` recomputes every claim from the lattice, runs
 the ampleness certificate and the brute-force oracle, classifies the syzygy
@@ -123,7 +126,7 @@ class ExampleFamily:
     claims: Callable[[DivisorClass], dict[str, int]] = field(compare=False)
     np_flags: tuple[tuple[str, bool], ...]
 
-    @property
+    @cached_property
     def instance_key(self) -> str:
         if not self.params:
             return "-"
@@ -156,7 +159,7 @@ class ExampleFamily:
 
 def _residual(D: DivisorClass) -> int:
     """The largest |coefficient| of D: 0 exactly when D is the zero class."""
-    return max((abs(c) for c in D.coeffs), default=0)
+    return max(map(abs, D.coeffs), default=0)
 
 
 def _common(S: SurfaceModel) -> Callable[[DivisorClass], dict[str, int]]:
@@ -400,17 +403,25 @@ def _base_form(S: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
     return x[1] - S.e * x[0], x[0]
 
 
-def _bare_base(S: SurfaceModel) -> SurfaceModel:
-    """The bare P2 or F_e that S is (or blows up): one shared surface per
-    ``(kind, e)``, so its canonical class is built once."""
-    return _bare_surface(S.kind, S.e)
-
-
-# e comes from the request, so the cache is bounded; the table uses P2 and
+# e comes from the request, so the caches are bounded; the table uses P2 and
 # F_0..F_8
 @lru_cache(maxsize=16)
 def _bare_surface(kind: str, e: int | None) -> SurfaceModel:
+    """The bare P2 or F_e: one shared surface per ``(kind, e)``, so its
+    canonical class is built once."""
     return SurfaceModel(kind, e=e)
+
+
+@lru_cache(maxsize=16)
+def _anticanonical(kind: str,
+                   e: int | None) -> tuple[DivisorClass, tuple[int, int], int]:
+    """The anticanonical class C of the bare P2 or F_e, its ``_base_form``
+    ``(cp, cq)``, and its largest coefficient, which a search box must reach:
+    fixed per ``(kind, e)``, so computed once for each and read by the
+    points-on-C certificate and candidates of every surface over that base."""
+    base = _bare_surface(kind, e)
+    C = -canonical_class(base)
+    return C, _base_form(base, C), max(C.coeffs)
 
 
 # the classes (1,0) and (0,1) of F_e: the two rulings of F_0, or the negative
@@ -482,14 +493,15 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     positive, which a valid certificate requires).
     """
     p, q = _base_form(S, A)
-    C = -canonical_class(_bare_base(S))
-    cp, cq = _base_form(S, C)
+    C, (cp, cq), _ = _anticanonical(S.kind, S.e)
+    top = sorted(weights, reverse=True)
+    positive = [w for w in top if w > 0]
     if S.e == 0:
-        w1, *rest = sorted(weights, reverse=True)
-        wmax = rest[0] if rest else w1
+        w1 = top[0]
+        wmax = top[1] if len(top) > 1 else w1
         extra, corner, dirs, tags = w1 - wmax, (1, 1), _RULINGS, ("f1", "f2")
     else:
-        wmax, extra, corner, dirs = max(weights), 0, (1, S.e), ((0, 1),)
+        wmax, extra, corner, dirs = top[0], 0, (1, S.e), ((0, 1),)
         tags = ("C0", "f")
     checks = []
     for (a, b), margin in [(corner, 1), *((d, 0) for d in dirs)]:
@@ -497,7 +509,8 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
         checks.append(CurveCaseCheck(f"ProperIntersection({a},{b})", lhs,
                                      rhs, rhs - lhs >= margin))
     for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
-        lhs = sum(map(mul, weights, _greedy_load(weights, 1, budget)))
+        # ``_greedy_load`` with a cap of 1: the top ``budget`` positive weights
+        lhs = sum(positive[:budget])
         rhs = p * a + q * b
         checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
                                      rhs - lhs >= 1))
@@ -576,14 +589,16 @@ class Family:
             if type(value) is not int:
                 raise FamilyError(
                     f"parameter {name} must be an integer, got {value!r}")
+            if value in allowed:
+                continue
+            # only a refusal reads the range's bounds
             lo, hi = min(allowed), max(allowed)
             if not lo <= value <= hi:
                 raise FamilyError(
                     f"parameter {name}={value} outside [{lo}, {hi}]")
-            if value not in allowed:
-                parity = "odd" if allowed.start % 2 else "even"
-                sign = " negative" if hi < 0 else ""
-                raise FamilyError(f"{family_id} needs {parity}{sign} {name}")
+            parity = "odd" if allowed.start % 2 else "even"
+            sign = " negative" if hi < 0 else ""
+            raise FamilyError(f"{family_id} needs {parity}{sign} {name}")
         return {name: params[name] for name in self.params}
 
 
@@ -654,7 +669,8 @@ def _greedy_load(weights: list[int], cap: int,
     Greedy by descending weight (ties by index) is exact here; returns its
     canonical assignment of multiplicities.
     """
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    # a reversed sort is still stable: equal weights stay in index order
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     m = [0] * len(weights)
     left = budget
     for i in order:
@@ -712,10 +728,8 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     them in.  Coordinates are unique within a tag, so the two keys sort
     alike.
     """
-    base = _bare_base(S)
-    plane = base.kind == KIND_P2
-    C = -canonical_class(base)
-    reach = max(C.coeffs)
+    plane = S.kind == KIND_P2
+    C, (cp, cq), reach = _anticanonical(S.kind, S.e)
     if box < reach:
         name = "cubic" if plane else "anticanonical base"
         raise OracleBoxError(f"box must reach the {name} class (>= {reach})")
@@ -725,14 +739,13 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     # their prefix sums, a cap of ``cap`` at each point and ``budget`` points
     # in all load the top ``budget // cap`` weights fully and the next one
     # ``budget % cap`` times
-    top = sorted((w for w in weights if w > 0), reverse=True)
+    top = sorted([w for w in weights if w > 0], reverse=True)
     prefix = list(itertools.accumulate(top, initial=0))
     n = len(top)
     top.append(0)          # once every point is full, the rest loads nothing
     p, q = _base_form(S, D)
-    cp, cq = _base_form(S, C)
     rulings = {} if plane else dict(zip(_RULINGS, _ruling_budgets(S)))
-    for a, b in _base_classes(base, box):
+    for a, b in _base_classes(S, box):
         # a curve of class T has multiplicity at most ``cap`` at a point and
         # passes through at most C.T points of C, counted with multiplicity
         cap = max(1, a - 1) if plane else max(1, min(a, b))
@@ -937,24 +950,23 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
         oracle_note = str(exc)
 
     verdict = np_classify(ex.A, dict(ex.np_flags))
-    report = VerifyReport(
-        family=ex.id, params=ex.params, claims=tuple(claims),
-        certificate=certificate, certificate_refused=refused,
-        oracle=oracle, oracle_note=oracle_note,
-        np_verdict=verdict,
-        np_expected=((None, None) if pin is None
-                     else (pin["np"]["status"], pin["np"]["p"])),
-    )
+    np_expected = ((None, None) if pin is None
+                   else (pin["np"]["status"], pin["np"]["p"]))
 
+    # the report's ``ample_verdict`` and ``agreement_ok``, read off the locals
     failures = []
     where = f"{ex.id}[{ex.instance_key}]"
-    if not report.agreement_ok:
-        failures.append(
-            f"{where}: certificate validity {certificate.valid} disagrees "
-            f"with oracle minimum {oracle.min_value}")
-    if report.ample_verdict is not None and not certificate.valid:
-        failures.append(f"{where}: certificate failed on the unperturbed "
-                        "polarization")
+    ample = None
+    if certificate is not None and oracle is not None:
+        oracle_ample = oracle.min_value >= 1
+        ample = certificate.valid and oracle_ample
+        if certificate.valid != oracle_ample:
+            failures.append(
+                f"{where}: certificate validity {certificate.valid} "
+                f"disagrees with oracle minimum {oracle.min_value}")
+        if not certificate.valid:
+            failures.append(f"{where}: certificate failed on the unperturbed "
+                            "polarization")
 
     if pin is None:
         failures.append(f"{where}: no fixture entry")
@@ -965,20 +977,25 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
                                 f"pins {c.expected}, recomputed {c.actual}")
         failures += [f"{where}: pinned claim {name!r} not computed"
                      for name in pinned if name not in computed]
-        if not report.np_ok:
+        if (verdict.status, verdict.p) != np_expected:
             failures.append(
                 f"{where}: fixture syzygy pin {pin['np']} != verdict "
                 f"({verdict.status}, {verdict.p})")
-        if pin["ample"] != report.ample_verdict:
+        if pin["ample"] != ample:
             failures.append(f"{where}: fixture ampleness pin "
-                            f"{pin['ample']} != {report.ample_verdict}")
+                            f"{pin['ample']} != {ample}")
         elif pin["ample"] is None:
             if refused is None:
                 failures.append(f"{where}: expected certificate refusal")
             if oracle_note is None:
                 failures.append(f"{where}: expected oracle abstention")
 
-    report = dataclasses.replace(report, failures=tuple(failures))
+    report = VerifyReport(
+        family=ex.id, params=ex.params, claims=tuple(claims),
+        certificate=certificate, certificate_refused=refused,
+        oracle=oracle, oracle_note=oracle_note,
+        np_verdict=verdict, np_expected=np_expected,
+        failures=tuple(failures))
     if failures and strict:
         raise VerificationError("; ".join(failures))
     return report

@@ -1,4 +1,5 @@
-"""tools/bench_record.py: a claim is judged in its metric's own direction."""
+"""tools/bench_record.py: a claim is judged in its metric's own direction,
+and a run that failed its correctness gate is counted."""
 
 import importlib.util
 import pathlib
@@ -15,7 +16,8 @@ def _tool():
 
 
 def _runs(metric, pairs):
-    return [{"side": side, "result": {"metrics": {metric: {"value": v}}}}
+    return [{"side": side, "exit": 0,
+             "result": {"correct": True, "metrics": {metric: {"value": v}}}}
             for parent, change in pairs
             for side, v in (("parent", parent), ("change", change))]
 
@@ -32,7 +34,8 @@ def test_lower_is_better_claim_counts_the_faster_side():
 def test_summary_gives_the_requests_attempted_beside_peak_rss():
     tool = _tool()
     runs = [{"workload": "verify-sweep", "side": side, "trace": trace,
-             "result": {"attempted": attempted, "metrics": {
+             "exit": 0, "result": {"correct": True, "attempted": attempted,
+                                   "metrics": {
                  "peak_rss_mb": {"value": rss}, "ops_per_s": {"value": 1.0}}}}
             for side, trace, attempted, rss in (
                 ("parent", 0, 50_000, 29.0), ("parent", 0, 54_000, 29.5),
@@ -44,3 +47,46 @@ def test_summary_gives_the_requests_attempted_beside_peak_rss():
     change = summary["peak_rss_mb"]["change"]
     assert (change["n"], change["attempted"]) == (2, 70_500)
     assert "attempted" not in summary["ops_per_s"]["change"]
+
+
+def test_summary_counts_the_runs_that_failed_per_workload_and_side():
+    tool = _tool()
+    runs = [{"workload": workload, "side": side, "trace": trace,
+             "exit": code, "result": {"correct": correct, "attempted": 10,
+                                      "metrics": {
+                                          "ops_per_s": {"value": 1.0},
+                                          "peak_rss_mb": {"value": 1.0}}}}
+            for workload, side, trace, code, correct in (
+                ("verify-sweep", "parent", 0, 0, True),
+                ("verify-sweep", "parent", 0, 1, False),
+                ("verify-sweep", "change", 0, 1, True),
+                ("verify-sweep", "change", 0, 0, False),
+                ("verify-sweep", "change", 1, 1, False),
+                ("selftest", "parent", 0, 0, True),
+                ("selftest", "change", 0, 0, True))]
+    summary = tool.summarize(runs)
+    # the traced run is not summarized, so it is not counted either
+    assert summary["verify-sweep"]["failed_runs"] == {"parent": 1,
+                                                      "change": 2}
+    assert summary["selftest"]["failed_runs"] == {"parent": 0, "change": 0}
+    # failed runs still enter the medians
+    assert summary["verify-sweep"]["ops_per_s"]["change"]["n"] == 2
+
+
+def test_a_claim_with_a_failed_run_does_not_hold():
+    tool = _tool()
+    faster = [(100 + i, 150 + i) for i in range(10)]
+    claim = tool.claim_summary(_runs("ops_per_s", faster), "ops_per_s",
+                               "higher")
+    assert claim["holds"] is True
+    assert claim["failed_runs"] == {"parent": 0, "change": 0}
+    for index, field, value in ((3, "exit", 1), (4, "correct", False),
+                                (4, "exit", -9)):
+        runs = _runs("ops_per_s", faster)
+        target = runs[index] if field == "exit" else runs[index]["result"]
+        target[field] = value
+        claim = tool.claim_summary(runs, "ops_per_s", "higher")
+        side = runs[index]["side"]
+        assert claim["change_wins"] == 10
+        assert claim["failed_runs"][side] == 1, (index, field)
+        assert claim["holds"] is False, (index, field)

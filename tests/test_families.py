@@ -298,6 +298,34 @@ def test_certificate_pins_every_instance_and_unit_mutant():
         "8e9319619a04d6c045219f31abc4d79f31074427e5465c51fe5d94897431a0a9")
 
 
+def _oracle_or_refusal(ex):
+    try:
+        return ample_oracle(ex.A).to_json()
+    except OracleNotApplicable as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def test_oracle_pins_every_instance_and_unit_mutant():
+    # the oracle's minimum, argmin, box and candidate count at DEFAULT_BOX,
+    # or the refusal's type and text, for the 88 sweep instances and each
+    # +-1 change to one exceptional coefficient
+    records = []
+    for fid in FAMILY_IDS:
+        for params in FAMILY_SWEEPS[fid]:
+            ex = build_example(fid, params)
+            records.append([fid, ex.instance_key, None, 0,
+                            _oracle_or_refusal(ex)])
+            for i in range(ex.surface.l or 0):
+                for delta in (1, -1):
+                    mut = mutate_polarization(ex, i, delta)
+                    records.append([fid, ex.instance_key, i, delta,
+                                    _oracle_or_refusal(mut)])
+    assert len(records) == 1458
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "4fc3371873aae3ae1e74ddc0e80b7eca1091688c5c3a2bbb60575ea5e0f05a65")
+
+
 def test_certificate_validity_is_its_defining_formula():
     # validity is computed once per certificate; on the certified sweep
     # instances and their +-1 mutants (the attested ones refuse) it equals
@@ -501,7 +529,7 @@ def _reference_base_classes(base, box):
 def _reference_candidates(S, D, box):
     """The oracle's candidate list as it was built before the oracle
     streamed: a divisor class, two pairings and a greedy sort per class."""
-    base = families._bare_base(S)
+    base = SurfaceModel(S.kind, e=S.e)
     D_base = base.divisor(D.coeffs[:base.rank])
     l = S.l or 0
     if l == 0:
@@ -599,6 +627,26 @@ def test_linear_forms_match_the_pairing(model):
         for a, b in ((1, 0), (0, 1), (2, 3), (5, -4)):
             T = S.pullback([a, b][:S.base_rank])
             assert p * a + q * b == D.dot(T), (S, D, a, b)
+
+
+def test_anticanonical_constants_are_one_entry_per_base():
+    # one entry per (kind, e): C = -K of the bare base, its base form and
+    # the box that reaches it, each equal to its definition
+    bases = [SurfaceModel.projective_plane()] + [
+        SurfaceModel.hirzebruch(e) for e in range(9)]
+    for bare in bases:
+        C, form, reach = families._anticanonical(bare.kind, bare.e)
+        assert C == -canonical_class(bare), bare
+        assert form == families._base_form(bare, C), bare
+        assert reach == max(C.coeffs), bare
+    # a surface read from JSON shares the entry of the surface it encodes
+    for fid, params in (("1.16", {"e": 2, "n": 3}), ("1.17", {"l": 4}),
+                        ("1.19", {"n": -1})):
+        built = build_example(fid, params).surface
+        parsed = SurfaceModel.from_json(built.to_json())
+        assert parsed == built and parsed is not built
+        assert (families._anticanonical(parsed.kind, parsed.e)
+                is families._anticanonical(built.kind, built.e)), fid
 
 
 @pytest.mark.parametrize("model", _MODELS)

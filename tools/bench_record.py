@@ -16,7 +16,10 @@ metric, and for the claim the pairs the change won on METRIC, an end-to-end
 metric of ``BENCHMARK.json`` whose ``better`` direction decides a win.  Each
 side's ``peak_rss_mb`` also carries the median number of requests its runs
 ``attempted``: the harness keeps samples per finished request, so a faster
-side holds more of them.
+side holds more of them.  A run that exited non-zero or reported ``correct``
+other than true still enters the medians, but each workload's
+``failed_runs`` counts them per side, and a claim holds only when none of
+its runs failed.
 """
 
 from __future__ import annotations
@@ -61,6 +64,11 @@ def pair(checkouts: dict, workload: str, seed: int, trace: int,
     return runs
 
 
+def failed(rec: dict) -> bool:
+    """The run exited non-zero or did not report its outputs correct."""
+    return rec["exit"] != 0 or rec["result"]["correct"] is not True
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
@@ -68,9 +76,12 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    table, attempted = {}, {}
+    table, attempted, failures = {}, {}, {}
     for rec in runs:
         if rec["trace"] == 0:
+            per_side = failures.setdefault(rec["workload"],
+                                           dict.fromkeys(SIDES, 0))
+            per_side[rec["side"]] += failed(rec)
             metrics = rec["result"]["metrics"]
             for name, m in metrics.items():
                 (table.setdefault(rec["workload"], {}).setdefault(name, {})
@@ -84,6 +95,7 @@ def summarize(runs: list[dict]) -> dict:
         for side, counts in sides.items():
             summary[w]["peak_rss_mb"][side]["attempted"] = (
                 statistics.median(counts))
+        summary[w]["failed_runs"] = failures[w]
     return summary
 
 
@@ -96,11 +108,16 @@ def claim_summary(claim_runs: list[dict], metric: str, better: str) -> dict:
     parent = spread([v["parent"] for v in vals])
     change = spread([v["change"] for v in vals])
     wins = sum(sign * (v["change"] - v["parent"]) > 0 for v in vals)
+    failures = dict.fromkeys(SIDES, 0)
+    for rec in claim_runs:
+        failures[rec["side"]] += failed(rec)
     return {"metric": metric, "better": better, "pairs": len(vals),
             "change_wins": wins, "parent": parent, "change": change,
             "median_ratio": change["median"] / parent["median"],
             "parent_iqr": parent["q3"] - parent["q1"],
-            "holds": (wins >= 0.9 * len(vals) and sign * (change["median"]
+            "failed_runs": failures,
+            "holds": (not any(failures.values())
+                      and wins >= 0.9 * len(vals) and sign * (change["median"]
                       - parent["median"]) > parent["q3"] - parent["q1"])}
 
 
