@@ -93,14 +93,20 @@ class BoolVerdict:
 # --- helpers ---------------------------------------------------------------
 
 
+def _check_bool(name: str, value) -> None:
+    """An attested flag is a ``bool``: ``"false"``, ``0`` or ``1`` is
+    refused, never read for its truth value."""
+    if type(value) is not bool:
+        raise CriteriaError(f"flag {name!r} must be a bool, got {value!r}")
+
+
 def _require_flags(flags, allowed: frozenset[str]) -> dict[str, bool]:
     flags = dict(flags or {})
     unknown = set(flags) - allowed
     if unknown:
         raise CriteriaError(f"unknown flags: {sorted(unknown)}")
     for name, value in flags.items():
-        if type(value) is not bool:
-            raise CriteriaError(f"flag {name!r} must be a bool, got {value!r}")
+        _check_bool(name, value)
     return flags
 
 
@@ -342,6 +348,7 @@ def min_kA_bound(ksq: int, summand: str = "other", e: int | None = None,
     if summand not in _SUMMAND_TAGS:
         raise CriteriaError(f"unknown summand tag {summand!r}")
     _check_e(ksq, e)
+    _check_bool("conic_fibration", conic_fibration)
     if ksq == 9:
         return MinusKBoundReport(3, None, False, "Prop 1.9")
     if ksq == 8:
@@ -444,6 +451,9 @@ def reider_np(ksq: int, Lsq: int, p: int, minus_k_dot_L: int | None = None,
     """
     _check_p(p)
     _check_ksq(ksq)
+    _check_bool("cond1_attested", cond1_attested)
+    _check_bool("adjoint_very_ample", adjoint_very_ample)
+    _check_bool("multiple_of_minus_k", multiple_of_minus_k)
     if not (cond1_attested or adjoint_very_ample):
         raise CriteriaError(
             "entry hypothesis missing: attest cond1 (L.C >= 3 on every curve "
@@ -487,6 +497,8 @@ def lemma_125_bound(ksq: int, Lsq: int, p: int,
     """
     if not 1 <= ksq <= 8:
         raise CriteriaError("needs 1 <= K^2 <= 8")
+    _check_bool("multiple_of_minus_k", multiple_of_minus_k)
+    _check_bool("adjoint_effective", adjoint_effective)
     if not adjoint_effective:
         raise CriteriaError("needs K + L effective (attested)")
     min_p = 2 if ksq == 8 else 1
@@ -568,6 +580,8 @@ def ampleness_termination(ksq: int, p: int, e: int | None = None,
     import fractions  # on first use only; the annotations are strings
 
     _check_p(p)
+    _check_bool("multiple_of_minus_k", multiple_of_minus_k)
+    _check_bool("np_sharp_attested", np_sharp_attested)
     if not np_sharp_attested:
         raise CriteriaError(
             "needs the sharp syzygy level attested (N_p holds, N_{p+1} fails)"

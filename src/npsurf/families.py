@@ -6,22 +6,23 @@ parity), and its syzygy flags.  ``build_example`` validates a request against
 its row and assembles the instance; ``FAMILY_IDS`` and ``FAMILY_SWEEPS`` (the
 product of each row's ranges) derive from the table.
 
-Each builder returns the surface, the polarization, and a claims function
-mapping a polarization to the family's named integers (intersection numbers,
-adjoint identities); the builders hold no expected values.
+Each builder returns the polarization, whose surface is the instance's, and
+a claims function mapping a polarization to the family's named integers
+(intersection numbers, adjoint identities); the builders hold no expected
+values.
 
 What does not depend on the polarization is built once.  ``build_example``
 validates every request, but builds each instance once per table row and
 parameters and returns that same frozen object after it; the builder makes
 the fixed classes its claims subtract or pair with (and ``K2``) once, outside
 the claims function; the instance reads its claim names and its instance
-key once; the bare P2/F_e under a blow-up is one shared surface per
-``(kind, e)``, and its anticanonical class C, C's base form and the box that
-reaches C are computed once per ``(kind, e)`` for the points-on-C
-certificate and candidates; a certificate computes its validity once.
-``verify_example`` recomputes all that depends on the polarization on every
-call: the claims, the certificate, the oracle and the syzygy verdict; it
-reads the failures off those results and builds its report once.
+key once; the anticanonical class C of the bare P2/F_e under a blow-up, C's
+base form and the box that reaches C are computed once per ``(kind, e)`` for
+the points-on-C certificate and candidates; a certificate computes its
+validity once.  ``verify_example`` recomputes all that depends on the
+polarization on every call: the claims, the certificate, the oracle and the
+syzygy verdict; it decides ampleness, agreement and the failures from those
+results and builds its report, which holds those decisions, once.
 The frozen fixture table shipped in ``data/examples.json`` is the only
 expectation: ``verify_example`` recomputes every claim from the lattice, runs
 the ampleness certificate and the brute-force oracle, classifies the syzygy
@@ -120,11 +121,15 @@ class VerificationError(AssertionError):
 class ExampleFamily:
     id: str
     params: tuple[tuple[str, int], ...]
-    surface: SurfaceModel
     A: DivisorClass
     # the family's named integers for a polarization, pinned by the fixture
     claims: Callable[[DivisorClass], dict[str, int]] = field(compare=False)
     np_flags: tuple[tuple[str, bool], ...]
+
+    @property
+    def surface(self) -> SurfaceModel:
+        """The polarization's surface, which is the instance's."""
+        return self.A.surface
 
     @cached_property
     def instance_key(self) -> str:
@@ -179,7 +184,7 @@ def _build_1_11():
 
     def claims(A):
         return {**common(A), "residual(K + 3A)": _residual(K + 3 * A)}
-    return S, A, claims
+    return A, claims
 
 
 def _build_1_12(e):
@@ -192,7 +197,7 @@ def _build_1_12(e):
         return {**common(A),
                 "residual(K + 2A - e*fiber)": _residual(K2A - e_fibers),
                 "oracle_min(K + 2A)": ample_oracle(K2A, 8).min_value}
-    return S, A, claims
+    return A, claims
 
 
 def _del_pezzo(l: int) -> SurfaceModel:
@@ -206,7 +211,7 @@ def _build_1_13(l):
 
     def claims(A):
         return {**common(A), "residual(K + A)": _residual(K + A)}
-    return S, -K, claims
+    return -K, claims
 
 
 def _build_1_14():
@@ -216,7 +221,7 @@ def _build_1_14():
     def claims(A):
         return {**common(A),
                 "residual(K + 2A - (-K))": _residual(K + 2 * A - (-K))}
-    return S, -K, claims
+    return -K, claims
 
 
 def _build_1_15():
@@ -226,7 +231,7 @@ def _build_1_15():
     def claims(A):
         return {**common(A),
                 "residual(K + 3A - (-2K))": _residual(K + 3 * A - (-2 * K))}
-    return S, -K, claims
+    return -K, claims
 
 
 # points on the anticanonical curve, one in each fiber (1.16, 1.19, 1.20)
@@ -246,7 +251,7 @@ def _build_1_16(e, n):
         return {**common(A),
                 "residual(K + A - pullback(fiber))": _residual(KA - fiber),
                 "(K+A)^2": KA.dot(KA)}
-    return S, A, claims
+    return A, claims
 
 
 def _build_1_17(l):
@@ -262,7 +267,7 @@ def _build_1_17(l):
                 "residual(K + A - pullback(C0 + fiber))":
                     _residual(KA - C0_fiber),
                 "-K.(K+A)": -K.dot(KA)}
-    return S, A, claims
+    return A, claims
 
 
 def _build_1_18():
@@ -281,7 +286,7 @@ def _build_1_18():
                 "residual(K + 2A - (2*section + 3*fiber))":
                     _residual(K2A - sections_fibers),
                 "(K+2A).fiber": K2A.dot(F)}
-    return S, A, claims
+    return A, claims
 
 
 def _build_1_19(n):
@@ -297,7 +302,7 @@ def _build_1_19(n):
                 "residual(K + A - pullback((k-2)*fiber2))":
                     _residual(KA - fibers2),
                 "(K+A)^2": KA.dot(KA)}
-    return S, A, claims
+    return A, claims
 
 
 def _build_1_20(n):
@@ -317,7 +322,7 @@ def _build_1_20(n):
                     _residual(KA - residual_class),
                 "(K+A).(fiber2 through first point)":
                     KA.dot(fiber2_through_E1)}
-    return S, A, claims
+    return A, claims
 
 
 def _build_obs_1_4(n):
@@ -332,7 +337,7 @@ def _build_obs_1_4(n):
                 "chi(-K - L)": euler_characteristic(minus_KL),
                 "residual(-K - L - pullback((2-n)*fiber2))":
                     _residual(minus_KL - fibers2)}
-    return S, L, claims
+    return L, claims
 
 
 # --- ampleness certificate -------------------------------------------------
@@ -403,15 +408,8 @@ def _base_form(S: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
     return x[1] - S.e * x[0], x[0]
 
 
-# e comes from the request, so the caches are bounded; the table uses P2 and
+# e comes from the request, so the cache is bounded; the table uses P2 and
 # F_0..F_8
-@lru_cache(maxsize=16)
-def _bare_surface(kind: str, e: int | None) -> SurfaceModel:
-    """The bare P2 or F_e: one shared surface per ``(kind, e)``, so its
-    canonical class is built once."""
-    return SurfaceModel(kind, e=e)
-
-
 @lru_cache(maxsize=16)
 def _anticanonical(kind: str,
                    e: int | None) -> tuple[DivisorClass, tuple[int, int], int]:
@@ -419,7 +417,7 @@ def _anticanonical(kind: str,
     ``(cp, cq)``, and its largest coefficient, which a search box must reach:
     fixed per ``(kind, e)``, so computed once for each and read by the
     points-on-C certificate and candidates of every surface over that base."""
-    base = _bare_surface(kind, e)
+    base = SurfaceModel(kind, e=e)
     C = -canonical_class(base)
     return C, _base_form(base, C), max(C.coeffs)
 
@@ -448,14 +446,14 @@ def _ruling_budgets(S: SurfaceModel) -> tuple[int, int]:
 def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
     """Closed-form sufficiency certificate that the polarization is ample.
 
-    Runs the certificate body of the model of the polarization's own
-    surface, as the oracle does; every check is recomputed from the
-    instance's actual intersection numbers, so perturbed polarizations get
-    an honest re-evaluation rather than a cached verdict.  The body returns
-    only its curve-case checks; the flags the model reads are recorded as
-    the assumptions used.
+    Runs the certificate body of the model of the instance's surface, as
+    the oracle does; every check is recomputed from the instance's actual
+    intersection numbers, so perturbed polarizations get an honest
+    re-evaluation rather than a cached verdict.  The body returns only its
+    curve-case checks; the flags the model reads are recorded as the
+    assumptions used.
     """
-    S, A = ex.A.surface, ex.A
+    S, A = ex.surface, ex.A
     model = _model(S)
     if model is None:
         raise CertificateRefused(ex.id, "on_smooth_anticanonical")
@@ -556,10 +554,11 @@ def _elliptic_pencil_certificate(S, A, weights) -> list[CurveCaseCheck]:
 class Family:
     """One row of the family table.
 
-    ``build`` takes the parameters as keywords and returns ``(surface,
-    polarization, claims)``, ``claims(A)`` giving the named integers of a
-    polarization.  ``params`` maps each parameter to the ``range`` of its
-    allowed values; a step of 2 carries a parity.
+    ``build`` takes the parameters as keywords and returns ``(polarization,
+    claims)``, ``claims(A)`` giving the named integers of a polarization; the
+    polarization's surface is the instance's.  ``params`` maps each
+    parameter to the ``range`` of its allowed values; a step of 2 carries a
+    parity.
     ``np_flags`` are the hypotheses the syzygy classification is given.
     How ampleness is checked is not a property of the row: it follows from
     the built surface (see ``_model``).  ``instances`` holds the instances
@@ -643,9 +642,9 @@ def build_example(family_id: str,
     key = tuple(p.items())
     ex = family.instances.get(key)
     if ex is None:
-        surface, A, claims = family.build(**p)
+        A, claims = family.build(**p)
         ex = family.instances[key] = ExampleFamily(
-            family_id, key, surface, A, claims, family.np_flags)
+            family_id, key, A, claims, family.np_flags)
     return ex
 
 
@@ -862,23 +861,11 @@ class VerifyReport:
     oracle_note: str | None
     np_verdict: NpVerdict
     np_expected: tuple[str | None, int | None]
+    # a valid certificate and an oracle minimum >= 1; None where either refused
+    ample: bool | None
+    # the certificate and the oracle agree (True where either refused)
+    agreement_ok: bool
     failures: tuple[str, ...] = ()
-
-    @property
-    def ample_verdict(self) -> bool | None:
-        if self.certificate is None or self.oracle is None:
-            return None
-        return self.certificate.valid and self.oracle.min_value >= 1
-
-    @property
-    def agreement_ok(self) -> bool:
-        if self.certificate is None or self.oracle is None:
-            return True
-        return self.certificate.valid == (self.oracle.min_value >= 1)
-
-    @property
-    def np_ok(self) -> bool:
-        return (self.np_verdict.status, self.np_verdict.p) == self.np_expected
 
     @property
     def passed(self) -> bool:
@@ -897,7 +884,7 @@ class VerifyReport:
             "np_verdict": self.np_verdict.to_json(),
             "np_expected": {"status": self.np_expected[0],
                             "p": self.np_expected[1]},
-            "ample": self.ample_verdict,
+            "ample": self.ample,
             "agreement_ok": self.agreement_ok,
             "passed": self.passed,
             "failures": list(self.failures),
@@ -953,14 +940,14 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
     np_expected = ((None, None) if pin is None
                    else (pin["np"]["status"], pin["np"]["p"]))
 
-    # the report's ``ample_verdict`` and ``agreement_ok``, read off the locals
     failures = []
     where = f"{ex.id}[{ex.instance_key}]"
-    ample = None
+    ample, agreement_ok = None, True
     if certificate is not None and oracle is not None:
         oracle_ample = oracle.min_value >= 1
         ample = certificate.valid and oracle_ample
-        if certificate.valid != oracle_ample:
+        agreement_ok = certificate.valid == oracle_ample
+        if not agreement_ok:
             failures.append(
                 f"{where}: certificate validity {certificate.valid} "
                 f"disagrees with oracle minimum {oracle.min_value}")
@@ -995,7 +982,7 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
         certificate=certificate, certificate_refused=refused,
         oracle=oracle, oracle_note=oracle_note,
         np_verdict=verdict, np_expected=np_expected,
-        failures=tuple(failures))
+        ample=ample, agreement_ok=agreement_ok, failures=tuple(failures))
     if failures and strict:
         raise VerificationError("; ".join(failures))
     return report
@@ -1012,6 +999,9 @@ def sweep_family(family_id: str) -> list[VerifyReport]:
 
 def mutate_polarization(ex: ExampleFamily, index: int, delta: int) -> ExampleFamily:
     """Perturb one exceptional coefficient of the polarization by delta."""
+    if type(index) is not int:
+        raise FamilyError(
+            f"exceptional index must be an integer, got {index!r}")
     if not 0 <= index < (ex.surface.l or 0):
         raise FamilyError(f"no exceptional index {index}")
     return ex.with_polarization(ex.A + delta * ex.surface.exceptional(index))

@@ -208,7 +208,11 @@ class SurfaceModel:
         return self.divisor(base_coeffs + [0] * (self.l or 0))
 
     def exceptional(self, i: int) -> "DivisorClass":
-        """The class E_{i+1} (0-indexed) of a blown-up point."""
+        """The class E_{i+1} (0-indexed) of a blown-up point; the index is
+        an ``int`` (not ``bool``)."""
+        if type(i) is not int:
+            raise LatticeError(
+                f"exceptional index must be an integer, got {i!r}")
         if not self.is_blow_up or not 0 <= i < (self.l or 0):
             raise LatticeError(f"no exceptional class with index {i}")
         coeffs = [0] * self.rank

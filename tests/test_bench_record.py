@@ -90,3 +90,53 @@ def test_a_claim_with_a_failed_run_does_not_hold():
         assert claim["change_wins"] == 10
         assert claim["failed_runs"][side] == 1, (index, field)
         assert claim["holds"] is False, (index, field)
+
+
+# ``perfbench/run.py`` stand-ins that leave no result line: a refused
+# checkout (only the env line, exit 1), a usage error (no output, exit 2),
+# and a run past the timeout
+_NO_RESULT = {
+    "refused": 'print(\'env {"python": "3"}\')\nraise SystemExit(1)\n',
+    "usage": "raise SystemExit(2)\n",
+    "hung": "import time\ntime.sleep(60)\n",
+}
+
+
+def test_a_run_that_leaves_no_result_is_recorded_as_failed(tmp_path,
+                                                           monkeypatch):
+    tool = _tool()
+    recs = {}
+    for name, script in _NO_RESULT.items():
+        monkeypatch.setattr(tool, "RUN_TIMEOUT_S", 1 if name == "hung" else 60)
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(script)
+        recs[name] = tool.run(tmp_path / name, "verify-sweep", 1, 0)
+    assert [(r["env"], r["exit"], r["result"]) for r in recs.values()] == [
+        ({"python": "3"}, 1, None), (None, 2, None), (None, None, None)]
+    assert all(tool.failed(r) for r in recs.values())
+
+    ok = {"exit": 0, "result": {"correct": True, "attempted": 10, "metrics": {
+        "ops_per_s": {"value": 5.0}, "peak_rss_mb": {"value": 1.0}}}}
+    runs = [{**recs["refused"], "side": "parent"},
+            {**recs["hung"], "side": "change"},
+            {"workload": "verify-sweep", "side": "change", "trace": 0, **ok},
+            {**recs["usage"], "workload": "selftest", "side": "parent"}]
+    summary = tool.summarize(runs)
+    assert summary["verify-sweep"]["failed_runs"] == {"parent": 1,
+                                                      "change": 1}
+    # the runs with no result are left out of the medians
+    assert summary["verify-sweep"]["ops_per_s"] == {
+        "change": {"median": 5.0, "q1": 5.0, "q3": 5.0, "n": 1}}
+    assert summary["selftest"] == {"failed_runs": {"parent": 1, "change": 0}}
+
+    faster = [(100 + i, 150 + i) for i in range(10)]
+    claim_runs = _runs("ops_per_s", faster)
+    claim_runs[5] = {**recs["hung"], "side": "change"}
+    claim = tool.claim_summary(claim_runs, "ops_per_s", "higher")
+    assert claim["failed_runs"] == {"parent": 0, "change": 1}
+    assert (claim["change"]["n"], claim["parent"]["n"]) == (9, 10)
+    assert (claim["change_wins"], claim["holds"]) == (9, False)
+    claim = tool.claim_summary([{**recs["usage"], "side": side}
+                                for side in ("parent", "change")],
+                               "ops_per_s", "higher")
+    assert (claim["median_ratio"], claim["holds"]) == (None, False)

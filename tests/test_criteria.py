@@ -70,6 +70,32 @@ def test_flags_are_booleans_never_coerced(value):
         bpf_check(S.divisor([1, 2]), {"nef": value, "anticanonical": True})
 
 
+# each attestation keyword of the table functions, with the arguments and
+# other keywords under which a truthy or falsy stand-in would be read
+_ATTESTATIONS = [
+    (reider_np, (3, 100, 1), "cond1_attested", {}),
+    (reider_np, (3, 100, 1), "adjoint_very_ample", {}),
+    (reider_np, (1, 15, 1), "multiple_of_minus_k", {"cond1_attested": True}),
+    (lemma_125_bound, (3, 100, 1), "adjoint_effective", {}),
+    (lemma_125_bound, (1, 100, 1), "multiple_of_minus_k",
+     {"adjoint_effective": True}),
+    (ampleness_termination, (9, 3), "np_sharp_attested", {}),
+    (ampleness_termination, (3, 3), "multiple_of_minus_k",
+     {"np_sharp_attested": True}),
+    (min_kA_bound, (3,), "conic_fibration", {}),
+]
+
+
+@pytest.mark.parametrize("fn, args, keyword, others", _ATTESTATIONS,
+                         ids=[f"{fn.__name__}-{kw}"
+                              for fn, _, kw, _ in _ATTESTATIONS])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_attestation_keywords_are_booleans_never_coerced(fn, args, keyword,
+                                                         others, value):
+    with pytest.raises(CriteriaError, match=f"{keyword!r} must be a bool"):
+        fn(*args, **others, **{keyword: value})
+
+
 def test_classification_from_a_lattice_polarization():
     S = blow_up(SurfaceModel.projective_plane(), 6,
                 PointConfig(general_position=True,

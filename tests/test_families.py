@@ -690,7 +690,7 @@ def test_certificate_and_oracle_share_one_model(model):
         D = _random_class(rng, S)
         try:
             cert = nakai_certificate(
-                families.ExampleFamily("probe", (), S, D, (), ()))
+                families.ExampleFamily("probe", (), D, (), ()))
         except CertificateRefused:
             cert = None
         try:
@@ -724,7 +724,7 @@ def test_ruling_checks_subtract_the_oracle_load(model):
         draws.append((S, S.divisor([0, 3, 1])))
     for S, D in draws:
         cert = nakai_certificate(
-            families.ExampleFamily("probe", (), S, D, None, ()))
+            families.ExampleFamily("probe", (), D, None, ()))
         margins = {c.case: c.rhs - c.worst_case_lhs
                    for c in cert.curve_case_checks}
         values = {key[1:3]: value for value, key
@@ -770,6 +770,15 @@ def test_mutation_bounds_checked():
         mutate_polarization(ex, 2, 1)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+def test_mutation_index_is_an_int_never_coerced(index):
+    # True is not index 1: the polarization of 1.17 l=3 stays unperturbed
+    ex = build_example("1.17", {"l": 3})
+    with pytest.raises(FamilyError, match="must be an integer"):
+        mutate_polarization(ex, index, 1)
+    assert ex.A.coeffs == (3, 4, -1, -1, -1)
+
+
 def test_mutation_keeps_the_recorded_expectations():
     ex = build_example("1.16", {"e": 0, "n": 4})
     mut = mutate_polarization(ex, 1, 1)
@@ -796,16 +805,18 @@ def test_mutation_keeps_the_recorded_expectations():
 ])
 def test_verify_passes_on_every_named_instance(fid, params):
     report = verify_example(fid, params)
-    assert report.passed and report.np_ok and report.agreement_ok
+    assert report.passed and report.agreement_ok
+    verdict = report.np_verdict
+    assert (verdict.status, verdict.p) == report.np_expected
     if fid in CERTIFIED:
         assert report.certificate is not None and report.oracle is not None
-        assert report.ample_verdict is True
+        assert report.ample is True
     else:
         assert report.certificate is None and report.oracle is None
         assert "refused" in report.certificate_refused
         assert report.oracle_note == ("no admissible-curve model for this "
                                       "point configuration")
-        assert report.ample_verdict is None
+        assert report.ample is None
     obj = report.to_json()
     assert obj["passed"] is True and obj["family"] == fid
 
@@ -828,8 +839,8 @@ def test_verify_recomputes_every_stage(monkeypatch):
         family = FAMILIES[fid]
 
         def build(family=family, **params):
-            S, A, claims = family.build(**params)
-            return S, A, counted("claims", claims)
+            A, claims = family.build(**params)
+            return A, counted("claims", claims)
 
         monkeypatch.setitem(FAMILIES, fid,
                             dataclasses.replace(family, build=build))
@@ -877,9 +888,9 @@ def test_verify_fails_on_a_pinned_claim_no_builder_computes(monkeypatch):
     family = FAMILIES["1.17"]
 
     def without_claim(**params):
-        S, A, claims = family.build(**params)
-        return S, A, lambda A: {name: value for name, value
-                                in claims(A).items() if name != "-K.(K+A)"}
+        A, claims = family.build(**params)
+        return A, lambda A: {name: value for name, value
+                             in claims(A).items() if name != "-K.(K+A)"}
 
     monkeypatch.setitem(FAMILIES, "1.17",
                         dataclasses.replace(family, build=without_claim))
@@ -907,6 +918,43 @@ def test_null_ampleness_pin_needs_both_routes_to_refuse(monkeypatch):
     monkeypatch.setattr(families, "ample_oracle", abstain)
     report = verify_example("1.11", strict=False)
     assert report.failures == ("1.11[-]: expected certificate refusal",)
+
+
+def _oracle_minimum(value):
+    def search(D, box=None):
+        return families.OracleResult(value, ("base", 1), DEFAULT_BOX, 1)
+    return search
+
+
+def test_verify_reports_a_certificate_the_oracle_contradicts(monkeypatch):
+    monkeypatch.setattr(families, "ample_oracle", _oracle_minimum(0))
+    report = verify_example("1.11", strict=False)
+    assert report.certificate.valid
+    assert report.ample is False and report.agreement_ok is False
+    assert report.failures == (
+        "1.11[-]: certificate validity True disagrees with oracle minimum 0",
+        "1.11[-]: fixture ampleness pin True != False")
+    obj = report.to_json()
+    assert (obj["ample"], obj["agreement_ok"], obj["passed"]) == (
+        False, False, False)
+    with pytest.raises(VerificationError, match="disagrees with oracle"):
+        verify_example("1.11")
+
+
+def test_verify_reports_an_invalid_certificate_the_oracle_confirms(
+        monkeypatch):
+    invalid = families.AmpleCertificate("1.11", 0, (), (), ())
+    monkeypatch.setattr(families, "nakai_certificate", lambda ex: invalid)
+    for value in (0, -2):
+        monkeypatch.setattr(families, "ample_oracle", _oracle_minimum(value))
+        report = verify_example("1.11", strict=False)
+        assert report.ample is False and report.agreement_ok is True
+        assert report.failures == (
+            "1.11[-]: certificate failed on the unperturbed polarization",
+            "1.11[-]: fixture ampleness pin True != False")
+        obj = report.to_json()
+        assert (obj["ample"], obj["agreement_ok"], obj["passed"]) == (
+            False, True, False)
 
 
 def test_sweeps_cover_the_stated_ranges():

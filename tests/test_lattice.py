@@ -275,6 +275,13 @@ def test_exceptional_classes_are_orthonormal_to_pullbacks():
     assert S.zero() == S.divisor([0] * S.rank)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+def test_exceptional_index_is_an_int_never_coerced(index):
+    S = blow_up(SurfaceModel.hirzebruch(1), 4, CFG)
+    with pytest.raises(LatticeError, match="must be an integer"):
+        S.exceptional(index)
+
+
 def test_blow_up_validation():
     S = blow_up(SurfaceModel.projective_plane(), 2, CFG)
     with pytest.raises(LatticeError):

@@ -19,7 +19,10 @@ side's ``peak_rss_mb`` also carries the median number of requests its runs
 side holds more of them.  A run that exited non-zero or reported ``correct``
 other than true still enters the medians, but each workload's
 ``failed_runs`` counts them per side, and a claim holds only when none of
-its runs failed.
+its runs failed.  A run that left no result line is recorded with
+``result: null``, counted in ``failed_runs`` and left out of the medians:
+``perfbench/run.py`` stopped before measuring, or it ran past
+``RUN_TIMEOUT_S`` and was killed (``exit: null``).
 """
 
 from __future__ import annotations
@@ -34,21 +37,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 1800
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, timeout=1800)
-    lines = proc.stdout.splitlines()
-    if not lines:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} printed "
-                         f"nothing:\n{proc.stderr}")
-    env = next(json.loads(line[4:]) for line in lines
-               if line.startswith("env "))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True,
+            timeout=RUN_TIMEOUT_S)
+        stdout, stderr, code = proc.stdout, proc.stderr, proc.returncode
+    except subprocess.TimeoutExpired as exc:
+        # the output captured before the kill is bytes even in text mode
+        stdout, stderr, code = (
+            (exc.stdout or b"").decode(errors="replace"),
+            f"timed out after {RUN_TIMEOUT_S} s", None)
+    lines = stdout.splitlines()
+    env = next((json.loads(line[4:]) for line in lines
+                if line.startswith("env ")), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):      # no output, or no result line
+        result = None
+    if result is None:
+        print(f"{checkout}: {workload} seed {seed} left no result "
+              f"(exit {code}): {stderr.strip()[-300:]}", flush=True)
     return {"workload": workload, "seed": seed, "trace": trace, "env": env,
-            "exit": proc.returncode, "result": json.loads(lines[-1])}
+            "exit": code, "result": result}
 
 
 def pair(checkouts: dict, workload: str, seed: int, trace: int,
@@ -58,20 +74,23 @@ def pair(checkouts: dict, workload: str, seed: int, trace: int,
     for side in order:
         rec = run(checkouts[side], workload, seed, trace)
         runs.append({"side": side, **rec})
+        value = rec["result"] and rec["result"]["metrics"].get(metric)
         print(f"{side:6} {workload:13} seed {seed} trace {trace}: "
-              f"{json.dumps(rec['result']['metrics'].get(metric))}",
-              flush=True)
+              f"{json.dumps(value)}", flush=True)
     return runs
 
 
 def failed(rec: dict) -> bool:
-    """The run exited non-zero or did not report its outputs correct."""
-    return rec["exit"] != 0 or rec["result"]["correct"] is not True
+    """The run exited non-zero, left no result, or did not report its
+    outputs correct."""
+    return (rec["exit"] != 0 or rec["result"] is None
+            or rec["result"]["correct"] is not True)
 
 
 def spread(values: list[float]) -> dict:
+    """Median and quartiles; all None when no run left a value."""
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+                      if len(values) > 1 else values * 3 or [None] * 3)
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
@@ -82,6 +101,8 @@ def summarize(runs: list[dict]) -> dict:
             per_side = failures.setdefault(rec["workload"],
                                            dict.fromkeys(SIDES, 0))
             per_side[rec["side"]] += failed(rec)
+            if rec["result"] is None:
+                continue
             metrics = rec["result"]["metrics"]
             for name, m in metrics.items():
                 (table.setdefault(rec["workload"], {}).setdefault(name, {})
@@ -95,7 +116,8 @@ def summarize(runs: list[dict]) -> dict:
         for side, counts in sides.items():
             summary[w]["peak_rss_mb"][side]["attempted"] = (
                 statistics.median(counts))
-        summary[w]["failed_runs"] = failures[w]
+    for w, per_side in failures.items():
+        summary.setdefault(w, {})["failed_runs"] = per_side
     return summary
 
 
@@ -103,22 +125,26 @@ def claim_summary(claim_runs: list[dict], metric: str, better: str) -> dict:
     by_pair = [claim_runs[i:i + 2] for i in range(0, len(claim_runs), 2)]
     # each pair's values, signed so that larger is better
     sign = 1 if better == "higher" else -1
+    # a run that left no result has no value, and its pair no winner
     vals = [{r["side"]: r["result"]["metrics"][metric]["value"]
-             for r in p} for p in by_pair]
-    parent = spread([v["parent"] for v in vals])
-    change = spread([v["change"] for v in vals])
-    wins = sum(sign * (v["change"] - v["parent"]) > 0 for v in vals)
+             for r in p if r["result"] is not None} for p in by_pair]
+    parent = spread([v["parent"] for v in vals if "parent" in v])
+    change = spread([v["change"] for v in vals if "change" in v])
+    wins = sum(sign * (v["change"] - v["parent"]) > 0
+               for v in vals if len(v) == 2)
     failures = dict.fromkeys(SIDES, 0)
     for rec in claim_runs:
         failures[rec["side"]] += failed(rec)
+    measured = parent["n"] > 0 and change["n"] > 0
+    iqr = parent["q3"] - parent["q1"] if measured else None
     return {"metric": metric, "better": better, "pairs": len(vals),
             "change_wins": wins, "parent": parent, "change": change,
-            "median_ratio": change["median"] / parent["median"],
-            "parent_iqr": parent["q3"] - parent["q1"],
-            "failed_runs": failures,
-            "holds": (not any(failures.values())
+            "median_ratio": (change["median"] / parent["median"]
+                             if measured else None),
+            "parent_iqr": iqr, "failed_runs": failures,
+            "holds": (measured and not any(failures.values())
                       and wins >= 0.9 * len(vals) and sign * (change["median"]
-                      - parent["median"]) > parent["q3"] - parent["q1"])}
+                      - parent["median"]) > iqr)}
 
 
 def main(argv=None) -> int:
