@@ -14,7 +14,7 @@ import os
 import re
 import sys
 
-from . import api, criteria, fano
+from . import api, criteria
 
 # every attested flag of the two divisor ops, each a ``classify`` option
 _FLAGS = sorted(criteria.CLASSIFY_FLAGS | criteria.BPF_FLAGS)
@@ -295,7 +295,9 @@ def _cmd_fano(args) -> tuple[int, dict]:
         return 0, _eval("multiples_np_surface", profile=profile, l=args.l,
                         p=args.p)
     if args.action == "twist":
-        verdict = fano.projective_space_twist_max_np(args.dim, args.k)
+        from .fano import projective_space_twist_max_np
+
+        verdict = projective_space_twist_max_np(args.dim, args.k)
         return 0, {"op": "projective_space_twist_max_np", "kind": "NpVerdict",
                    "verdict": verdict.to_json(),
                    "justification": verdict.justification}
@@ -467,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="top self-intersection H^n")
     fc.add_argument("--h0", type=_int_option, dest="h0H",
                     help="section count of H")
-    fc.add_argument("--morphism", choices=fano.MORPHISM_KINDS,
-                    default=fano.MORPHISM_UNKNOWN)
+    fc.add_argument("--morphism", choices=criteria.MORPHISM_KINDS,
+                    default=criteria.MORPHISM_UNKNOWN)
     fc.add_argument("--k", type=_int_option, help="twist kH to classify")
     fc.add_argument("--p", type=_int_option, help="syzygy level to test")
     fp = fs.add_parser("surface",

@@ -36,6 +36,21 @@ NOT_APPLICABLE = "NotApplicable"
 
 _NP_STATUSES = (EXACT_MAX, AT_LEAST, NOT_N0, NOT_APPLICABLE)
 
+# what is known of the morphism induced by |H| on a Fano profile
+# (``fano.FanoInput.morphism``); defined here, with the verdict types, so the
+# CLI's ``--morphism`` choices load no ``fano``
+MORPHISM_UNKNOWN = "unknown"
+MORPHISM_TWO_TO_ONE_ONTO_PN = "two_to_one_onto_pn"
+MORPHISM_ONTO_MINIMAL_DEGREE_NOT_PN = "onto_minimal_degree_not_pn"
+MORPHISM_NEITHER = "neither_of_those"
+
+MORPHISM_KINDS = (
+    MORPHISM_UNKNOWN,
+    MORPHISM_TWO_TO_ONE_ONTO_PN,
+    MORPHISM_ONTO_MINIMAL_DEGREE_NOT_PN,
+    MORPHISM_NEITHER,
+)
+
 # flags under which an exact (if-and-only-if) syzygy level may be asserted
 _EXACTNESS_FLAGS = frozenset({"anticanonical", "elliptic"})
 

@@ -1002,6 +1002,8 @@ def mutate_polarization(ex: ExampleFamily, index: int, delta: int) -> ExampleFam
     if type(index) is not int:
         raise FamilyError(
             f"exceptional index must be an integer, got {index!r}")
+    if type(delta) is not int:
+        raise FamilyError(f"delta must be an integer, got {delta!r}")
     if not 0 <= index < (ex.surface.l or 0):
         raise FamilyError(f"no exceptional index {index}")
     return ex.with_polarization(ex.A + delta * ex.surface.exceptional(index))

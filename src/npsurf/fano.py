@@ -16,25 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TypedDict
 
-from .criteria import EXACT_MAX, NOT_N0, BoolVerdict, NpVerdict
+from .criteria import (
+    EXACT_MAX,
+    MORPHISM_KINDS,
+    MORPHISM_NEITHER,
+    MORPHISM_ONTO_MINIMAL_DEGREE_NOT_PN,
+    MORPHISM_TWO_TO_ONE_ONTO_PN,
+    MORPHISM_UNKNOWN,
+    NOT_N0,
+    BoolVerdict,
+    NpVerdict,
+)
 from .lattice import fields_json
 
 
 class FanoError(ValueError):
     """Inconsistent or out-of-scope Fano profile data."""
 
-
-MORPHISM_UNKNOWN = "unknown"
-MORPHISM_TWO_TO_ONE_ONTO_PN = "two_to_one_onto_pn"
-MORPHISM_ONTO_MINIMAL_DEGREE_NOT_PN = "onto_minimal_degree_not_pn"
-MORPHISM_NEITHER = "neither_of_those"
-
-MORPHISM_KINDS = (
-    MORPHISM_UNKNOWN,
-    MORPHISM_TWO_TO_ONE_ONTO_PN,
-    MORPHISM_ONTO_MINIMAL_DEGREE_NOT_PN,
-    MORPHISM_NEITHER,
-)
 
 # morphism kinds that presuppose an image of full dimension in some
 # projective space, forcing h0(H) >= n + 1

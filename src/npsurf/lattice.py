@@ -22,6 +22,15 @@ JSON schema (lossless round-trip)::
 ``l``/``config`` are present exactly when the surface is a blow-up (``l`` may
 be 0: a blow-up wrapper at zero points is distinct from its base; it is at
 most ``MAX_POINTS``).  ``config`` lists only the flags that are set.
+
+Parsing keeps one object per surface JSON: ``SurfaceModel.from_json`` and
+``DivisorClass.from_json`` return the surface parsed first from equal JSON
+(equal field by field, with each field of its exact JSON type), so a request
+stream that names the same surface again skips the parse, and the surface
+keeps its canonical class and its signature (not the rank**2 gram the
+signature is read from) once asked.  At most ``_MAX_SURFACES`` are kept,
+the oldest dropped first; a refused object is never kept, and every
+divisor's coefficients are checked on every parse.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ CONFIG_FLAGS = (
     "complete_intersection_of_cubics",
 )
 _INT_OR_NONE = (int, type(None))
+_SURFACE_FIELDS = frozenset({"kind", "e", "l", "config"})
+_DIVISOR_FIELDS = _SURFACE_FIELDS | {"coeffs"}
 
 
 class LatticeError(ValueError):
@@ -178,6 +189,14 @@ class SurfaceModel:
         return tuple(tuple(r) for r in rows)
 
     @cached_property
+    def _signature(self) -> tuple[int, int, int]:
+        # the gram is the base's block and -1 once per point, so by
+        # Sylvester's law its inertia is the base's plus l negatives; no
+        # rank**2 gram is built, and a kept surface holds the 3-tuple only
+        pos, neg, zero = _inertia(SurfaceModel(self.kind, self.e).gram)
+        return pos, neg + (self.l or 0), zero
+
+    @cached_property
     def canonical(self) -> "DivisorClass":
         if self.kind == KIND_P2:
             base = [-3]
@@ -225,9 +244,23 @@ class SurfaceModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurfaceModel":
+        """The surface ``obj`` describes: the one kept for equal JSON, or
+        else parsed with every check and kept."""
         if not isinstance(obj, dict):
             raise LatticeError("surface JSON must be an object")
-        unknown = obj.keys() - ("kind", "e", "l", "config")
+        key = _surface_key(obj, _SURFACE_FIELDS)
+        surface = _SURFACES.get(key)
+        if surface is None:
+            surface = cls._parse(obj)
+            if key is not None:
+                if len(_SURFACES) >= _MAX_SURFACES:
+                    _SURFACES.pop(next(iter(_SURFACES)), None)
+                _SURFACES[key] = surface
+        return surface
+
+    @classmethod
+    def _parse(cls, obj: dict) -> "SurfaceModel":
+        unknown = obj.keys() - _SURFACE_FIELDS
         if unknown:
             raise LatticeError(f"unknown surface fields: {sorted(unknown)}")
         if "kind" not in obj:
@@ -237,7 +270,37 @@ class SurfaceModel:
             if not ("config" in obj and "l" in obj):
                 raise LatticeError("blow-up JSON needs both l and config")
             config = PointConfig.from_json(obj["config"])
+            config = _CONFIGS.setdefault(config, config)
         return cls(obj["kind"], e=obj.get("e"), l=obj.get("l"), config=config)
+
+
+# parsed surfaces by the key of their JSON, oldest first; the cap holds
+# every surface of a request stream over the 88 family instances and the
+# bare and blown-up (l <= 8) P2 and F_e, e <= 100, with room to spare
+_MAX_SURFACES = 2048
+_SURFACES: dict[tuple, SurfaceModel] = {}
+# the config they share, one per set of flags (at most 2**6)
+_CONFIGS: dict[PointConfig, PointConfig] = {}
+
+
+def _surface_key(obj: dict, names: frozenset):
+    """The key under which the surface of JSON object ``obj`` is kept, or
+    None, leaving ``obj`` to the full parse, unless every field is a name
+    in ``names`` and of its exact JSON type.  Two keys are equal only for
+    objects whose surface fields are equal: ``true``, ``1`` and ``1.0`` are
+    equal, and hash alike, in Python, so the type check is what keeps them
+    apart.  An ``e`` of null reads as an absent ``e``, as in the parse."""
+    kind, e, config = obj.get("kind"), obj.get("e"), obj.get("config")
+    if type(kind) is not str or type(e) not in _INT_OR_NONE \
+            or not names.issuperset(obj):
+        return None
+    if "l" not in obj and "config" not in obj:
+        return kind, e
+    l = obj.get("l")
+    if type(l) is not int or type(config) is not dict \
+            or not {bool}.issuperset(map(type, config.values())):
+        return None
+    return kind, e, l, frozenset(config.items())
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,9 +375,12 @@ class DivisorClass:
         coeffs = obj["coeffs"]
         if type(coeffs) is not list or not {int}.issuperset(map(type, coeffs)):
             raise LatticeError("coeffs must be a JSON array of integers")
-        surface_obj = dict(obj)
-        del surface_obj["coeffs"]
-        return cls(SurfaceModel.from_json(surface_obj), tuple(coeffs))
+        surface = _SURFACES.get(_surface_key(obj, _DIVISOR_FIELDS))
+        if surface is None:
+            surface_obj = dict(obj)
+            del surface_obj["coeffs"]
+            surface = SurfaceModel.from_json(surface_obj)
+        return cls(surface, tuple(coeffs))
 
 
 def from_json(obj: dict):
@@ -377,10 +443,10 @@ def blow_up(surface: SurfaceModel, count: int, config: PointConfig) -> SurfaceMo
 def signature(surface: SurfaceModel) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of the gram matrix.
 
-    Computed exactly over the integers by ``_inertia``, so the answer carries
-    no rounding caveats.
+    Computed exactly over the integers by ``_inertia`` on the base's gram,
+    so the answer carries no rounding caveats; once per surface.
     """
-    return _inertia(surface.gram)
+    return surface._signature
 
 
 def _inertia(rows) -> tuple[int, int, int]:

@@ -492,3 +492,52 @@ def test_fuzz_evaluate_answers_in_json_or_refuses(data):
         return
     json.dumps(out)
     assert out["op"] == op and out["kind"]
+
+
+def _outcome(request) -> str:
+    """The answer to a request, or the type and message of its refusal, as
+    type-exact JSON text (``1 == True`` in Python, not in JSON)."""
+    try:
+        return json.dumps(api.evaluate(request), sort_keys=True)
+    except Exception as exc:
+        return json.dumps([type(exc).__name__, str(exc)])
+
+
+def _equal_hashing_twin(value):
+    """``value`` with each integer ``e``/``l`` and each boolean config flag
+    given in another JSON type that Python holds equal and hashes alike."""
+    if type(value) is list:
+        return [_equal_hashing_twin(v) for v in value]
+    if type(value) is not dict:
+        return value
+    twin = {}
+    for key, v in value.items():
+        if key in ("e", "l") and type(v) is int:
+            v = bool(v) if v in (0, 1) else float(v)
+        elif key in CONFIG_FLAGS and type(v) is bool:
+            v = int(v)
+        twin[key] = _equal_hashing_twin(v)
+    return twin
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzz_answers_the_same_with_a_cold_and_a_warm_surface_cache(data):
+    requests = []
+    for _ in range(3):
+        op = data.draw(st.sampled_from(NON_SEARCH_OPS), label="op")
+        args = {}
+        for k in sorted(api._call(op).names):
+            wrong = data.draw(st.integers(0, 5), label=f"wrong {k}?") == 0
+            args[k] = data.draw(values if wrong else WELL_TYPED.get(k, small),
+                                label=k)
+        request = {"op": op, "args": args}
+        # each twin follows its request, which may have kept its surfaces
+        requests += [request, _equal_hashing_twin(request)]
+    cold = []
+    for request in requests:
+        npsurf.lattice._SURFACES.clear()
+        cold.append(_outcome(request))
+    # the first warm pass keeps surfaces as it goes, the second finds all
+    assert [_outcome(r) for r in requests] == cold
+    assert [_outcome(r) for r in requests] == cold

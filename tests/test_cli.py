@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -281,6 +283,38 @@ def _typed_options(parser):
                 yield from _typed_options(sub)
         elif action.type is not None:
             yield action
+
+
+def _help_paths(parser, path=()):
+    """The argv path of the top parser and of every subcommand and action,
+    depth first in the order they were added."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _help_paths(sub, path + (name,))
+
+
+# sha256 over the ``--help`` output of every path above at 80 columns;
+# Python 3.13 formats argparse usage lines differently
+HELP_SHA256 = (
+    "d2e6159a21bd0473540e5263f69ddf1ce4dbd2667cbbdd8cebe767cf8688110f"
+    if sys.version_info < (3, 13) else
+    "cac948e4203c62598f2f6345954c350a1eb094e05665e5c85d89bfcbd5ca6724")
+
+
+def test_help_text_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    paths = list(_help_paths(cli.build_parser()))
+    for path in paths:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*path, "--help"])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 0 and err == ""
+        digest.update(out.encode())
+    assert len(paths) == 16
+    assert digest.hexdigest() == HELP_SHA256
 
 
 def test_every_integer_option_uses_the_strict_reader():

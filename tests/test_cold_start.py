@@ -28,20 +28,29 @@ def launch(*args, stdin=None, **kwargs):
                           text=True, timeout=120, **kwargs)
 
 
-def test_cold_classify_by_degree_loads_neither_families_nor_selftest():
-    proc = launch("-c", """if True:
+def cold_main(argv, stdin=None):
+    """Exit code, JSON output and loaded modules of one ``cli.main(argv)``
+    call in a fresh interpreter."""
+    proc = launch("-c", f"""if True:
         import contextlib, io, json, sys
         from npsurf import cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["--json", "classify", "--t", "7", "--ample",
-                             "--anticanonical"])
-        print(json.dumps([code, sorted(sys.modules)]))
-        """, capture_output=True)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main({list(argv)!r})
+        print(json.dumps([code, json.loads(out.getvalue()),
+                          sorted(sys.modules)]))
+        """, stdin=stdin, capture_output=True)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, payload, modules = json.loads(proc.stdout)
+    return code, payload, set(modules)
+
+
+def test_cold_classify_by_degree_loads_neither_families_nor_selftest():
+    code, _, modules = cold_main(["--json", "classify", "--t", "7", "--ample",
+                                  "--anticanonical"])
     assert code == 0
-    assert {"npsurf.cli", "npsurf.api", "npsurf.criteria"} <= set(modules)
-    assert not {"npsurf.families", "npsurf.selftest"} & set(modules)
+    assert {"npsurf.cli", "npsurf.api", "npsurf.criteria"} <= modules
+    assert not {"npsurf.families", "npsurf.selftest", "npsurf.fano"} & modules
     # only ampleness_termination does exact rational arithmetic
     assert "fractions" not in modules
 
@@ -89,10 +98,11 @@ def test_cold_oracle_help_names_the_default_box():
 def test_cold_eval_of_a_families_op():
     request = {"op": "ample_oracle", "args": {
         "divisor": {"kind": "P2", "coeffs": [1]}, "box": 3}}
-    proc = launch("-m", "npsurf", "--eval-file", "-",
-                  stdin=json.dumps(request), capture_output=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["verdict"]["min_value"] == 1
+    code, payload, modules = cold_main(["--eval-file", "-"],
+                                       stdin=json.dumps(request))
+    assert code == 0
+    assert payload["verdict"]["min_value"] == 1
+    assert "npsurf.families" in modules and "npsurf.fano" not in modules
 
 
 @pytest.mark.parametrize("argv", [

@@ -779,6 +779,13 @@ def test_mutation_index_is_an_int_never_coerced(index):
     assert ex.A.coeffs == (3, 4, -1, -1, -1)
 
 
+@pytest.mark.parametrize("delta", [1.5, True, "1", None])
+def test_mutation_delta_is_an_int_never_coerced(delta):
+    ex = build_example("1.17", {"l": 3})
+    with pytest.raises(FamilyError, match="delta must be an integer"):
+        mutate_polarization(ex, 0, delta)
+
+
 def test_mutation_keeps_the_recorded_expectations():
     ex = build_example("1.16", {"e": 0, "n": 4})
     mut = mutate_polarization(ex, 1, 1)

@@ -3,15 +3,18 @@
 import copy
 import dataclasses
 import gc
+import json
 import pickle
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npsurf import lattice
 from npsurf.lattice import (
     MAX_POINTS,
     DivisorClass,
@@ -224,6 +227,14 @@ def test_inertia_matches_the_rational_reference(n):
 ])
 def test_inertia_hand_cases(rows, expected):
     assert _inertia(rows) == expected == _reference_inertia(rows)
+
+
+@pytest.mark.parametrize("S", sample_surfaces() + [
+    SurfaceModel("Fe", 0, MAX_POINTS, CFG), SurfaceModel("P2", None, 1, CFG)])
+def test_signature_is_the_inertia_of_the_whole_gram(S):
+    # signature reads the base's block only; the elimination over the whole
+    # gram (F_0 starts from a zero diagonal) must agree
+    assert signature(S) == _inertia(S.gram)
 
 
 def test_gram_matrix_blocks():
@@ -480,3 +491,121 @@ def test_divisor_arithmetic_does_not_fill_other_tuple_free_lists():
     finally:
         gc.enable()
     assert grown < 100
+
+
+# --- one parsed object per surface JSON ------------------------------------
+
+BLOWN_UP = {"kind": "Fe", "e": 1, "l": 2, "config": {"general_position": True}}
+
+
+def test_equal_json_parses_to_one_surface_object():
+    S = SurfaceModel.from_json(BLOWN_UP)
+    # an equal object read again, and one with its fields in another order
+    assert SurfaceModel.from_json(json.loads(json.dumps(BLOWN_UP))) is S
+    assert SurfaceModel.from_json(dict(reversed(BLOWN_UP.items()))) is S
+    d1 = DivisorClass.from_json({**BLOWN_UP, "coeffs": [1, 2, 3, 4]})
+    d2 = DivisorClass.from_json({**BLOWN_UP, "coeffs": [0, 1, -1, 0]})
+    assert d1.surface is d2.surface is S
+    # a null e reads as an absent one, here as in the parse
+    plane = SurfaceModel.from_json({"kind": "P2"})
+    assert SurfaceModel.from_json({"kind": "P2", "e": None}) is plane
+    # a kept surface is the value the parse gives, with its answers kept
+    assert S == blow_up(SurfaceModel.hirzebruch(1), 2, CFG)
+    assert signature(S) is signature(S) and S.canonical is S.canonical
+    assert "gram" not in vars(S)
+
+
+# (a valid surface, a request that differs from it in one field, today's
+# refusal of that request); each valid surface is parsed first, so an
+# equal-hashing value would find it kept
+TWINS = [
+    ({"kind": "Fe", "e": 1}, {"kind": "Fe", "e": True},
+     "surface fields e and l must be JSON integers"),
+    ({"kind": "Fe", "e": 1}, {"kind": "Fe", "e": 1.0},
+     "surface fields e and l must be JSON integers"),
+    ({"kind": "Fe", "e": 0}, {"kind": "Fe", "e": False},
+     "surface fields e and l must be JSON integers"),
+    ({"kind": "P2", "l": 1, "config": {}},
+     {"kind": "P2", "l": True, "config": {}},
+     "surface fields e and l must be JSON integers"),
+    ({"kind": "P2", "l": 1, "config": {}},
+     {"kind": "P2", "l": 1.0, "config": {}},
+     "surface fields e and l must be JSON integers"),
+    ({"kind": "P2", "l": 1, "config": {"general_position": True}},
+     {"kind": "P2", "l": 1, "config": {"general_position": 1}},
+     "config flags must be JSON booleans"),
+    ({"kind": "P2", "l": 1, "config": {"general_position": False}},
+     {"kind": "P2", "l": 1, "config": {"general_position": 0}},
+     "config flags must be JSON booleans"),
+    ({"kind": "P2", "l": 1, "config": {}},
+     {"kind": "P2", "l": 1, "config": {"spin": False}},
+     "unknown config flags: ['spin']"),
+    ({"kind": "P2"}, {"kind": "P2", "spin": 1},
+     "unknown surface fields: ['spin']"),
+    ({"kind": "P2", "l": 1, "config": {}},
+     {"kind": "P2", "l": 1, "config": {}, "spin": None},
+     "unknown surface fields: ['spin']"),
+    ({"kind": "P2", "l": 0, "config": {}},
+     {"kind": "P2", "l": 0, "config": []}, "config JSON must be an object"),
+    ({"kind": "P2", "l": 0, "config": {}},
+     {"kind": "P2", "l": 0, "config": None}, "config JSON must be an object"),
+    ({"kind": "P2"}, {"kind": "P2", "l": None},
+     "blow-up JSON needs both l and config"),
+    ({"kind": "P2"}, {"kind": "P2", "config": {}},
+     "blow-up JSON needs both l and config"),
+    ({"kind": "P2"}, {"e": None}, "surface JSON needs a kind field"),
+    ({"kind": "P2"}, {}, "surface JSON needs a kind field"),
+]
+
+
+@pytest.mark.parametrize("valid,twin,message", TWINS,
+                         ids=[json.dumps(t) for _, t, _ in TWINS])
+def test_a_kept_surface_never_answers_for_a_refused_twin(valid, twin, message):
+    rank = SurfaceModel.from_json(valid).rank
+    DivisorClass.from_json({**valid, "coeffs": [1] * rank})
+    with pytest.raises(LatticeError) as refused:
+        SurfaceModel.from_json(twin)
+    assert str(refused.value) == message
+    with pytest.raises(LatticeError) as refused:
+        DivisorClass.from_json({**twin, "coeffs": [1] * rank})
+    assert str(refused.value) == message
+
+
+def test_a_kept_surface_still_checks_every_divisor():
+    SurfaceModel.from_json(BLOWN_UP)
+    for coeffs, message in (([1, 2, 3], "expected 4 coefficients, got 3"),
+                            ([1, 2, 3, True], "coeffs must be a JSON array"),
+                            ((1, 2, 3, 4), "coeffs must be a JSON array")):
+        with pytest.raises(LatticeError, match=message):
+            DivisorClass.from_json({**BLOWN_UP, "coeffs": coeffs})
+    with pytest.raises(LatticeError, match="unknown surface fields"):
+        SurfaceModel.from_json({**BLOWN_UP, "coeffs": [1, 2, 3, 4]})
+
+
+def test_a_full_cache_of_the_largest_surfaces_keeps_no_gram():
+    # every kept surface blows up MAX_POINTS points and is asked for each
+    # answer it keeps; a kept gram alone would be rank**2 = 10,404 entries,
+    # about 87 KB, per surface
+    bound = 4_000 * lattice._MAX_SURFACES
+    lattice._SURFACES.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for e in range(lattice._MAX_SURFACES + 1):
+            obj = {"kind": "Fe", "e": e, "l": MAX_POINTS, "config": {}}
+            S = SurfaceModel.from_json(obj)
+            assert signature(S) == (1, S.rank - 1, 0)
+            k_squared(S)
+            sectional_genus(DivisorClass.from_json(
+                {**obj, "coeffs": [1] * S.rank}))
+        del S
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the oldest surface made room for the last
+    kept = [key[1] for key in lattice._SURFACES]
+    lattice._SURFACES.clear()
+    assert kept == list(range(1, lattice._MAX_SURFACES + 1))
+    assert retained < bound
