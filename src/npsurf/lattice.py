@@ -25,18 +25,18 @@ most ``MAX_POINTS``).  ``config`` lists only the flags that are set.
 
 Parsing keeps one object per surface JSON: ``SurfaceModel.from_json`` and
 ``DivisorClass.from_json`` return the surface parsed first from equal JSON
-(equal field by field, with each field of its exact JSON type), so a request
-stream that names the same surface again skips the parse, and the surface
-keeps its canonical class and its signature (not the rank**2 gram the
-signature is read from) once asked.  At most ``_MAX_SURFACES`` are kept,
-the oldest dropped first; a refused object is never kept, and every
-divisor's coefficients are checked on every parse.
+(equal field by field, with each field of its exact JSON type, and a config
+by the set of flags that are true), so a request stream that names the same
+surface again skips the parse.  A kept surface holds what it was built with:
+its fields, ranks, canonical class and signature, about 0.5 KB, and never
+the rank**2 gram.  At most ``_MAX_SURFACES`` are kept, the oldest dropped
+first; a refused object is never kept, and every divisor's coefficients are
+checked on every parse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from operator import mul
 
 KIND_P2 = "P2"
@@ -126,8 +126,12 @@ class SurfaceModel:
 
     ``l is None`` means the surface is a bare P2/F_e; ``0 <= l <=
     MAX_POINTS`` (with a config) means a single-stage blow-up of the base at
-    ``l`` points.  ``base_rank`` and ``rank`` are derived once, here, and are
-    neither compared nor shown.
+    ``l`` points.  ``base_rank``, ``rank``, ``canonical`` and ``signature``
+    are derived once, at construction, and are neither compared nor shown;
+    every instance writes them in one order, so instances share one dict
+    key table.  The rank**2 ``gram`` is built on each read and never kept:
+    a value written later would un-share the dict, and on CPython 3.11 a
+    written dict also slows every attribute read of the surface.
     """
 
     kind: str
@@ -136,6 +140,9 @@ class SurfaceModel:
     config: PointConfig | None = None
     base_rank: int = field(init=False, repr=False, compare=False)
     rank: int = field(init=False, repr=False, compare=False)
+    canonical: "DivisorClass" = field(init=False, repr=False, compare=False)
+    signature: tuple[int, int, int] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
         if type(self.e) not in _INT_OR_NONE or type(self.l) not in _INT_OR_NONE:
@@ -154,9 +161,21 @@ class SurfaceModel:
         if self.l is not None and self.l > MAX_POINTS:
             raise LatticeError(
                 f"cannot blow up more than {MAX_POINTS} points, got {self.l}")
-        base_rank = 1 if self.kind == KIND_P2 else 2
-        object.__setattr__(self, "base_rank", base_rank)
-        object.__setattr__(self, "rank", base_rank + (self.l or 0))
+        points = self.l or 0
+        if self.kind == KIND_P2:
+            base = [-3]
+        else:
+            base = [-2, -(self.e + 2)]
+        rank = len(base) + points
+        object.__setattr__(self, "base_rank", len(base))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "canonical",
+                           DivisorClass(self, tuple(base + [1] * points)))
+        # the gram is the base block and -1 once per point, so by
+        # Sylvester's law its inertia is the block's plus l negatives:
+        # [[1]] on P2 is positive, and [[-e, 1], [1, 0]] on F_e has
+        # determinant -1, so one positive and one negative eigenvalue
+        object.__setattr__(self, "signature", (1, rank - 1, 0))
 
     # --- constructors -----------------------------------------------------
 
@@ -174,7 +193,7 @@ class SurfaceModel:
     def is_blow_up(self) -> bool:
         return self.l is not None
 
-    @cached_property
+    @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         n = self.rank
         rows = [[0] * n for _ in range(n)]
@@ -187,22 +206,6 @@ class SurfaceModel:
         for i in range(self.base_rank, n):
             rows[i][i] = -1
         return tuple(tuple(r) for r in rows)
-
-    @cached_property
-    def _signature(self) -> tuple[int, int, int]:
-        # the gram is the base's block and -1 once per point, so by
-        # Sylvester's law its inertia is the base's plus l negatives; no
-        # rank**2 gram is built, and a kept surface holds the 3-tuple only
-        pos, neg, zero = _inertia(SurfaceModel(self.kind, self.e).gram)
-        return pos, neg + (self.l or 0), zero
-
-    @cached_property
-    def canonical(self) -> "DivisorClass":
-        if self.kind == KIND_P2:
-            base = [-3]
-        else:
-            base = [-2, -(self.e + 2)]
-        return DivisorClass(self, tuple(base + [1] * (self.l or 0)))
 
     # --- divisor helpers --------------------------------------------------
 
@@ -283,13 +286,19 @@ _SURFACES: dict[tuple, SurfaceModel] = {}
 _CONFIGS: dict[PointConfig, PointConfig] = {}
 
 
+# each config flag's bit in a surface key
+_FLAG_BITS = {name: 1 << i for i, name in enumerate(CONFIG_FLAGS)}
+
+
 def _surface_key(obj: dict, names: frozenset):
     """The key under which the surface of JSON object ``obj`` is kept, or
     None, leaving ``obj`` to the full parse, unless every field is a name
-    in ``names`` and of its exact JSON type.  Two keys are equal only for
-    objects whose surface fields are equal: ``true``, ``1`` and ``1.0`` are
-    equal, and hash alike, in Python, so the type check is what keeps them
-    apart.  An ``e`` of null reads as an absent ``e``, as in the parse."""
+    in ``names`` and of its exact JSON type and every config flag is one of
+    ``CONFIG_FLAGS``.  Two keys are equal only for objects whose surfaces
+    are equal: ``true``, ``1`` and ``1.0`` are equal, and hash alike, in
+    Python, so the type check is what keeps them apart.  An ``e`` of null
+    reads as an absent ``e``, as in the parse, and a config as the bitmask
+    of its true flags, so a false flag reads as an absent one."""
     kind, e, config = obj.get("kind"), obj.get("e"), obj.get("config")
     if type(kind) is not str or type(e) not in _INT_OR_NONE \
             or not names.issuperset(obj):
@@ -297,10 +306,16 @@ def _surface_key(obj: dict, names: frozenset):
     if "l" not in obj and "config" not in obj:
         return kind, e
     l = obj.get("l")
-    if type(l) is not int or type(config) is not dict \
-            or not {bool}.issuperset(map(type, config.values())):
+    if type(l) is not int or type(config) is not dict:
         return None
-    return kind, e, l, frozenset(config.items())
+    mask = 0
+    for name, value in config.items():
+        bit = _FLAG_BITS.get(name)
+        if bit is None or type(value) is not bool:
+            return None
+        if value:
+            mask |= bit
+    return kind, e, l, mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -441,59 +456,7 @@ def blow_up(surface: SurfaceModel, count: int, config: PointConfig) -> SurfaceMo
 
 
 def signature(surface: SurfaceModel) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of the gram matrix.
-
-    Computed exactly over the integers by ``_inertia`` on the base's gram,
-    so the answer carries no rounding caveats; once per surface.
-    """
-    return surface._signature
-
-
-def _inertia(rows) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric integer matrix.
-
-    Fraction-free symmetric elimination (cf. Bareiss 1968, with no division):
-    clearing entry ``(j, i)`` with pivot ``p`` replaces row and then column
-    ``j`` by ``p * (row|column j) - m[j][i] * (row|column i)``.  That is the
-    congruence ``E M E^T`` with ``E`` the identity except ``E[j][j] = p`` and
-    ``E[j][i] = -m[j][i]``; ``E`` is invertible, so by Sylvester's law of
-    inertia the signs of the pivots count the inertia.
-    """
-    n = len(rows)
-    m = [list(row) for row in rows]
-    pos = neg = zero = 0
-
-    def swap_rowcol(a: int, b: int) -> None:
-        m[a], m[b] = m[b], m[a]
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-
-    def add_rowcol(dst: int, src: int) -> None:
-        for j in range(n):
-            m[dst][j] += m[src][j]
-        for j in range(n):
-            m[j][dst] += m[j][src]
-
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if j is not None:
-                swap_rowcol(i, j)
-            else:
-                k = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
-                if k is None:
-                    zero += 1
-                    continue
-                add_rowcol(i, k)  # diagonal becomes 2*m[i][k] != 0
-        pivot = m[i][i]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(i + 1, n):
-            a = m[j][i]
-            if a:
-                m[j] = [pivot * x - a * y for x, y in zip(m[j], m[i])]
-                for row in m:
-                    row[j] = pivot * row[j] - a * row[i]
-    return pos, neg, zero
+    """(positive, negative, zero) inertia of the gram matrix: ``(1, rank -
+    1, 0)`` on every surface, as the Hodge index theorem requires, read
+    from the base block at construction (see ``SurfaceModel``)."""
+    return surface.signature

@@ -445,8 +445,8 @@ def check_fano() -> tuple[bool, str]:
 # --- 6: algebraic property suites ------------------------------------------
 
 
-def _slow_dot(d1: lattice.DivisorClass, d2: lattice.DivisorClass) -> int:
-    gram = d1.surface.gram
+def _slow_dot(gram, d1: lattice.DivisorClass,
+              d2: lattice.DivisorClass) -> int:
     return sum(ci * gram[i][j] * cj
                for i, ci in enumerate(d1.coeffs)
                for j, cj in enumerate(d2.coeffs))
@@ -532,10 +532,11 @@ def check_properties() -> tuple[bool, str]:
                         f"{fid}: characteristic/genus identity broke")
                     break
         # the linear-time pairing must match the gram-matrix pairing
+        gram = S.gram
         for _ in range(50):
             d1 = lattice.DivisorClass(S, tuple(ints(-4, 4, S.rank)))
             d2 = lattice.DivisorClass(S, tuple(ints(-4, 4, S.rank)))
-            if d1.dot(d2) != _slow_dot(d1, d2):
+            if d1.dot(d2) != _slow_dot(gram, d1, d2):
                 failures.append(f"{fid}: pairing disagrees with gram matrix")
                 break
 

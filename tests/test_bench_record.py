@@ -49,6 +49,27 @@ def test_summary_gives_the_requests_attempted_beside_peak_rss():
     assert "attempted" not in summary["ops_per_s"]["change"]
 
 
+def test_a_peak_rss_claim_gives_the_requests_attempted_per_side():
+    tool = _tool()
+    smaller = [(34.8 + i / 100, 34.2 + i / 100) for i in range(4)]
+    runs = _runs("peak_rss_mb", smaller)
+    for rec, attempted in zip(runs, (100, 120, 104, 126, 98, 118, 102, 130)):
+        rec["result"]["attempted"] = attempted
+    claim = tool.claim_summary(runs, "peak_rss_mb", "lower")
+    assert (claim["change_wins"], claim["holds"]) == (4, True)
+    assert (claim["parent"]["attempted"], claim["change"]["attempted"]) == (
+        101, 123)
+    # a run that left no result has no count
+    runs[0]["result"] = None
+    claim = tool.claim_summary(runs, "peak_rss_mb", "lower")
+    assert (claim["parent"]["attempted"], claim["change"]["attempted"]) == (
+        102, 123)
+    # other metrics carry no count, as in the seed summary
+    claim = tool.claim_summary(_runs("ops_per_s", smaller), "ops_per_s",
+                               "higher")
+    assert "attempted" not in claim["parent"]
+
+
 def test_summary_counts_the_runs_that_failed_per_workload_and_side():
     tool = _tool()
     runs = [{"workload": workload, "side": side, "trace": trace,

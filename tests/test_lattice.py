@@ -30,7 +30,6 @@ from npsurf.lattice import (
     k_squared,
     sectional_genus,
     signature,
-    _inertia,
 )
 
 CFG = PointConfig(general_position=True)
@@ -146,9 +145,9 @@ def test_signature_is_lorentzian_over_the_table_range():
 
 
 def _reference_inertia(rows) -> tuple[int, int, int]:
-    """Symmetric elimination over the rationals, with the same pivoting as
-    ``_inertia``; frozen here as the reference the integer version must
-    match."""
+    """(positive, negative, zero) inertia of a symmetric integer matrix, by
+    symmetric elimination over the rationals: each step is a congruence, so
+    by Sylvester's law of inertia the signs of the pivots count it."""
     n = len(rows)
     m = [[Fraction(x) for x in row] for row in rows]
     pos = neg = zero = 0
@@ -190,51 +189,12 @@ def _reference_inertia(rows) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def _random_symmetric(rng, n, zero_diagonal=False, repeat_row=False):
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = rng.randint(-3, 3)
-        if zero_diagonal:
-            m[i][i] = 0
-    if repeat_row and n > 1:
-        # row and column b copy a, so the matrix is singular
-        a, b = rng.sample(range(n), 2)
-        for k in range(n):
-            m[b][k] = m[k][b] = m[a][k]
-        m[b][b] = m[a][a]
-    return m
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_inertia_matches_the_rational_reference(n):
-    rng = random.Random(n)
-    for zero_diagonal in (False, True):
-        for repeat_row in (False, True):
-            for _ in range(40):
-                m = _random_symmetric(rng, n, zero_diagonal, repeat_row)
-                pos, neg, zero = _inertia(m)
-                assert (pos, neg, zero) == _reference_inertia(m)
-                assert pos + neg + zero == n
-                if repeat_row and n > 1:
-                    assert zero >= 1
-
-
-@pytest.mark.parametrize("rows, expected", [
-    ([[0, 1], [1, 0]], (1, 1, 0)),
-    ([[1, 1], [1, 1]], (1, 0, 1)),
-    ([[0] * 4 for _ in range(4)], (0, 0, 4)),
-])
-def test_inertia_hand_cases(rows, expected):
-    assert _inertia(rows) == expected == _reference_inertia(rows)
-
-
 @pytest.mark.parametrize("S", sample_surfaces() + [
     SurfaceModel("Fe", 0, MAX_POINTS, CFG), SurfaceModel("P2", None, 1, CFG)])
 def test_signature_is_the_inertia_of_the_whole_gram(S):
     # signature reads the base's block only; the elimination over the whole
     # gram (F_0 starts from a zero diagonal) must agree
-    assert signature(S) == _inertia(S.gram)
+    assert signature(S) == _reference_inertia(S.gram)
 
 
 def test_gram_matrix_blocks():
@@ -609,3 +569,68 @@ def test_a_full_cache_of_the_largest_surfaces_keeps_no_gram():
     lattice._SURFACES.clear()
     assert kept == list(range(1, lattice._MAX_SURFACES + 1))
     assert retained < bound
+
+
+def _flag_sets():
+    """The 64 configs, each as the JSON object of its true flags."""
+    return [{name: True for i, name in enumerate(lattice.CONFIG_FLAGS)
+             if mask >> i & 1} for mask in range(1 << len(lattice.CONFIG_FLAGS))]
+
+
+def test_a_surface_writes_every_derived_value_at_construction():
+    S = SurfaceModel.from_json({"kind": "Fe", "e": 3, "l": 4, "config": {}})
+    keys = list(vars(S))
+    assert keys == ["kind", "e", "l", "config", "base_rank", "rank",
+                    "canonical", "signature"]
+    signature(S), canonical_class(S), k_squared(S), S.gram
+    sectional_genus(S.divisor([1, 2, 0, 0, 0, 0]))
+    assert list(vars(S)) == keys
+
+
+def test_kept_surfaces_hold_about_half_a_kilobyte_each():
+    # 1,000 distinct blown-up P2 and F_e (l <= 8), each asked every answer
+    # it keeps; about 460-520 B each on CPython 3.10-3.13, about 1 KB when
+    # a value written after construction un-shares the instance dict
+    objs = [{"kind": kind, "e": e, "l": l, "config": config}
+            for l in range(9) for config in _flag_sets()
+            for kind, e in (("P2", None), ("Fe", l % 3))][:1000]
+    lattice._SURFACES.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for obj in objs:
+            S = SurfaceModel.from_json(obj)
+            signature(S), k_squared(S)
+            sectional_genus(S.canonical)
+        del S
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kept = len(lattice._SURFACES)
+    lattice._SURFACES.clear()
+    assert kept == len(objs) == 1000
+    assert retained < 640 * kept
+
+
+def test_a_config_is_keyed_by_its_true_flags():
+    lattice._SURFACES.clear()
+    for l, first, second in ((2, {}, {"general_position": False}),
+                             (3, {"general_position": False}, {}),
+                             (4, dict.fromkeys(lattice.CONFIG_FLAGS, False),
+                              {})):
+        S = SurfaceModel.from_json({"kind": "P2", "l": l, "config": first})
+        assert SurfaceModel.from_json(
+            {"kind": "P2", "l": l, "config": second}) is S
+        assert S.to_json() == {"kind": "P2", "l": l, "config": {}}
+    # every set of flags on one (kind, e, l) is its own surface, the one
+    # the full parse gives
+    objs = [{"kind": "Fe", "e": 2, "l": 5, "config": config}
+            for config in _flag_sets()]
+    kept = [SurfaceModel.from_json(obj) for obj in objs]
+    assert len(set(kept)) == 64
+    for obj, S in zip(objs, kept):
+        assert S == SurfaceModel._parse(obj)
+        assert SurfaceModel.from_json(json.loads(json.dumps(obj))) is S
+    lattice._SURFACES.clear()

@@ -15,8 +15,9 @@ into OUT with a summary: each side's median and quartiles per workload and
 metric, and for the claim the pairs the change won on METRIC, an end-to-end
 metric of ``BENCHMARK.json`` whose ``better`` direction decides a win.  Each
 side's ``peak_rss_mb`` also carries the median number of requests its runs
-``attempted``: the harness keeps samples per finished request, so a faster
-side holds more of them.  A run that exited non-zero or reported ``correct``
+``attempted``, in the seed summary and, when METRIC is ``peak_rss_mb``, in
+the claim: the harness keeps samples per finished request, so a faster side
+holds more of them.  A run that exited non-zero or reported ``correct``
 other than true still enters the medians, but each workload's
 ``failed_runs`` counts them per side, and a claim holds only when none of
 its runs failed.  A run that left no result line is recorded with
@@ -132,6 +133,11 @@ def claim_summary(claim_runs: list[dict], metric: str, better: str) -> dict:
     change = spread([v["change"] for v in vals if "change" in v])
     wins = sum(sign * (v["change"] - v["parent"]) > 0
                for v in vals if len(v) == 2)
+    if metric == "peak_rss_mb":
+        for side, stats in zip(SIDES, (parent, change)):
+            counts = [r["result"]["attempted"] for r in claim_runs
+                      if r["side"] == side and r["result"] is not None]
+            stats["attempted"] = statistics.median(counts) if counts else None
     failures = dict.fromkeys(SIDES, 0)
     for rec in claim_runs:
         failures[rec["side"]] += failed(rec)
