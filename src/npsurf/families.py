@@ -16,13 +16,11 @@ validates every request, but builds each instance once per table row and
 parameters and returns that same frozen object after it; the builder makes
 the fixed classes its claims subtract or pair with (and ``K2``) once, outside
 the claims function; the instance reads its claim names and its instance
-key once; the anticanonical class C of the bare P2/F_e under a blow-up, C's
-base form and the box that reaches C are computed once per ``(kind, e)`` for
-the points-on-C certificate and candidates; a certificate computes its
-validity once.  ``verify_example`` recomputes all that depends on the
-polarization on every call: the claims, the certificate, the oracle and the
-syzygy verdict; it decides ampleness, agreement and the failures from those
-results and builds its report, which holds those decisions, once.
+key once; a certificate computes its validity once.  ``verify_example``
+recomputes all that depends on the polarization on every call: the claims,
+the certificate, the oracle and the syzygy verdict; it decides ampleness,
+agreement and the failures from those results and builds its report, which
+holds those decisions, once.
 The frozen fixture table shipped in ``data/examples.json`` is the only
 expectation: ``verify_example`` recomputes every claim from the lattice, runs
 the ampleness certificate and the brute-force oracle, classifies the syzygy
@@ -53,8 +51,10 @@ The certificate bodies and the candidate generators read the polarization's
 pairings from the same two linear forms: ``_weights`` on the exceptional
 curves and ``_base_form`` on pulled-back base classes.  On F_e the classes
 (1,0) and (0,1) take their point budgets from ``_ruling_budgets``, which both
-checks read.  The certificate is conservative for the model: whenever it
-validates a (possibly perturbed) polarization, the oracle's minimum is >= 1.
+checks read, as they read C (``_anticanonical``) and the heaviest point loads
+(``_greedy_order``) for points on C.  The certificate is conservative for the
+model: whenever it validates a (possibly perturbed) polarization, the
+oracle's minimum is >= 1.
 """
 
 from __future__ import annotations
@@ -408,18 +408,26 @@ def _base_form(S: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
     return x[1] - S.e * x[0], x[0]
 
 
-# e comes from the request, so the cache is bounded; the table uses P2 and
-# F_0..F_8
-@lru_cache(maxsize=16)
-def _anticanonical(kind: str,
-                   e: int | None) -> tuple[DivisorClass, tuple[int, int], int]:
-    """The anticanonical class C of the bare P2 or F_e, its ``_base_form``
-    ``(cp, cq)``, and its largest coefficient, which a search box must reach:
-    fixed per ``(kind, e)``, so computed once for each and read by the
-    points-on-C certificate and candidates of every surface over that base."""
-    base = SurfaceModel(kind, e=e)
-    C = -canonical_class(base)
-    return C, _base_form(base, C), max(C.coeffs)
+def _greedy_order(weights: list[int]) -> tuple[list[int], ...]:
+    """The points of positive weight in greedy order, descending weight
+    with ties by index, their weights in that order and the prefix sums
+    (from 0): the heaviest load ``sum(w_i * m_i)`` with ``0 <= m_i <= cap``
+    and ``sum(m_i) <= budget`` fills the points in this order."""
+    # a reversed sort is still stable: equal weights stay in index order
+    order = sorted([i for i, w in enumerate(weights) if w > 0],
+                   key=weights.__getitem__, reverse=True)
+    top = list(map(weights.__getitem__, order))
+    return order, top, list(itertools.accumulate(top, initial=0))
+
+
+def _anticanonical(S: SurfaceModel) -> tuple[list[int], tuple[int, int], int]:
+    """The anticanonical class C of S's bare P2 or F_e, the base part of
+    ``-S.canonical``: its coefficients, its ``_base_form`` ``(cp, cq)`` and
+    its largest coefficient, which a search box must reach."""
+    K = S.canonical
+    C = [-k for k in K.coeffs[:S.base_rank]]
+    kp, kq = _base_form(S, K)
+    return C, (-kp, -kq), max(C)
 
 
 # the classes (1,0) and (0,1) of F_e: the two rulings of F_0, or the negative
@@ -491,9 +499,8 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     positive, which a valid certificate requires).
     """
     p, q = _base_form(S, A)
-    C, (cp, cq), _ = _anticanonical(S.kind, S.e)
+    C, (cp, cq), _ = _anticanonical(S)
     top = sorted(weights, reverse=True)
-    positive = [w for w in top if w > 0]
     if S.e == 0:
         w1 = top[0]
         wmax = top[1] if len(top) > 1 else w1
@@ -506,13 +513,14 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
         lhs, rhs = wmax * (cp * a + cq * b) + extra * a, p * a + q * b
         checks.append(CurveCaseCheck(f"ProperIntersection({a},{b})", lhs,
                                      rhs, rhs - lhs >= margin))
+    _, positive, prefix = _greedy_order(weights)
     for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
-        # ``_greedy_load`` with a cap of 1: the top ``budget`` positive weights
-        lhs = sum(positive[:budget])
+        # the greedy load with a cap of 1: the top ``budget`` positive weights
+        lhs = prefix[min(budget, len(positive))]
         rhs = p * a + q * b
         checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
                                      rhs - lhs >= 1))
-    lhs, rhs = sum(weights), sum(map(mul, (p, q), C.coeffs))
+    lhs, rhs = sum(weights), sum(map(mul, (p, q), C))
     return checks + [CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)]
 
 
@@ -661,25 +669,6 @@ class OracleResult:
     to_json = fields_json
 
 
-def _greedy_load(weights: list[int], cap: int,
-                 budget: int) -> tuple[int, ...]:
-    """Argmax of sum(w_i * m_i) with 0 <= m_i <= cap, sum(m_i) <= budget.
-
-    Greedy by descending weight (ties by index) is exact here; returns its
-    canonical assignment of multiplicities.
-    """
-    # a reversed sort is still stable: equal weights stay in index order
-    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-    m = [0] * len(weights)
-    left = budget
-    for i in order:
-        if left <= 0 or weights[i] <= 0:
-            break
-        m[i] = min(cap, left)
-        left -= m[i]
-    return tuple(m)
-
-
 def _base_classes(S: SurfaceModel, box: int):
     """Yield the irreducible-capable classes of S's bare base inside the box
     as ``(a, b)``: the ``d`` lines of P2 as ``(d, 0)``; on F_e the two
@@ -728,18 +717,16 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     alike.
     """
     plane = S.kind == KIND_P2
-    C, (cp, cq), reach = _anticanonical(S.kind, S.e)
+    C, (cp, cq), reach = _anticanonical(S)
     if box < reach:
         name = "cubic" if plane else "anticanonical base"
         raise OracleBoxError(f"box must reach the {name} class (>= {reach})")
     weights = _weights(S, D)
     yield from ((w, ("E", i)) for i, w in enumerate(weights))
-    # ``_greedy_load`` in O(1): with the positive weights sorted once and
-    # their prefix sums, a cap of ``cap`` at each point and ``budget`` points
-    # in all load the top ``budget // cap`` weights fully and the next one
-    # ``budget % cap`` times
-    top = sorted([w for w in weights if w > 0], reverse=True)
-    prefix = list(itertools.accumulate(top, initial=0))
+    # the greedy load in O(1): a cap of ``cap`` at each point and ``budget``
+    # points in all load the top ``budget // cap`` weights fully and the
+    # next one ``budget % cap`` times
+    _, top, prefix = _greedy_order(weights)
     n = len(top)
     top.append(0)          # once every point is full, the rest loads nothing
     p, q = _base_form(S, D)
@@ -752,7 +739,7 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
         k = min(budget // cap, n)
         load = cap * prefix[k] + budget % cap * top[k]
         yield p * a + q * b - load, ("D", a, b, cap, budget)
-    yield (sum(map(mul, (p, q), C.coeffs)) - sum(weights),
+    yield (sum(map(mul, (p, q), C)) - sum(weights),
            ("C", (1,) * len(weights)))
 
 
@@ -798,7 +785,15 @@ def _full_key(S: SurfaceModel, D: DivisorClass, key: tuple) -> tuple:
     if key[0] != "D":
         return key
     *head, cap, budget = key
-    return (*head, _greedy_load(_weights(S, D), cap, budget))
+    weights = _weights(S, D)
+    order, _, _ = _greedy_order(weights)
+    m = [0] * len(weights)
+    for i in order:
+        if budget <= 0:
+            break
+        m[i] = min(cap, budget)
+        budget -= m[i]
+    return (*head, tuple(m))
 
 
 def _search_box(box: int | None) -> int:

@@ -57,6 +57,11 @@ class FanoInput:
     morphism: str = MORPHISM_UNKNOWN
 
     def __post_init__(self) -> None:
+        for name in ("n", "m", "Hn", "h0H"):
+            value = getattr(self, name)
+            # an int, not a bool; h0(H) may also be absent
+            if type(value) is not int and (name != "h0H" or value is not None):
+                raise FanoError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise FanoError("dimension n must be >= 2")
         if self.m < 1:
@@ -110,8 +115,7 @@ class SurfaceProfile(TypedDict, total=False):
 def multiples_np_surface(B_profile: SurfaceProfile, l: int, p: int) -> BoolVerdict:
     """N_p for l*B on a surface profile: needs -K.B >= 4 (or the plane with
     its line bundle) and l >= p.  Sufficient only."""
-    allowed = {"minusK_dot_B", "is_P2_O1"}
-    unknown = set(B_profile) - allowed
+    unknown = set(B_profile) - SurfaceProfile.__optional_keys__
     if unknown:
         raise FanoError(f"unknown profile fields: {sorted(unknown)}")
     if "minusK_dot_B" not in B_profile:

@@ -47,14 +47,6 @@ KIND_FE = "Fe"
 # memory and work of any request; the family table goes up to l = 28
 MAX_POINTS = 100
 
-CONFIG_FLAGS = (
-    "on_smooth_anticanonical",
-    "distinct_fibers",
-    "away_from_min_section",
-    "anticanonical_effective",
-    "general_position",
-    "complete_intersection_of_cubics",
-)
 _INT_OR_NONE = (int, type(None))
 _SURFACE_FIELDS = frozenset({"kind", "e", "l", "config"})
 _DIVISOR_FIELDS = _SURFACE_FIELDS | {"coeffs"}
@@ -118,6 +110,9 @@ class PointConfig:
         if unknown:
             raise LatticeError(f"unknown config flags: {sorted(unknown)}")
         return cls(**obj)
+
+
+CONFIG_FLAGS = tuple(f.name for f in fields(PointConfig))
 
 
 @dataclass(frozen=True)
@@ -400,6 +395,8 @@ class DivisorClass:
 
 def from_json(obj: dict):
     """Parse either a surface or a divisor JSON object."""
+    if not isinstance(obj, dict):
+        raise LatticeError("surface or divisor JSON must be an object")
     if "coeffs" in obj:
         return DivisorClass.from_json(obj)
     return SurfaceModel.from_json(obj)

@@ -1,7 +1,9 @@
 """tools/bench_record.py: a claim is judged in its metric's own direction,
-and a run that failed its correctness gate is counted."""
+a run that failed its correctness gate is counted, and each workload
+alternates which side runs first."""
 
 import importlib.util
+import json
 import pathlib
 
 TOOL = (pathlib.Path(__file__).resolve().parent.parent / "tools"
@@ -13,6 +15,21 @@ def _tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_each_workload_alternates_which_side_runs_first():
+    tool = _tool()
+    spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    for workloads in ([w["name"] for w in spec["workloads"]],
+                      ["a"], ["a", "b"], ["a", "b", "c"]):
+        plan = tool.schedule(workloads)
+        assert sorted((s, w) for s, w, _ in plan) == sorted(
+            (s, w) for s in tool.SEEDS for w in workloads)
+        for w in workloads:
+            firsts = [first for s, name, first in plan if name == w]
+            assert set(firsts) == {True, False}, (workloads, w)
+            # seed by seed
+            assert all(a != b for a, b in zip(firsts, firsts[1:])), w
 
 
 def _runs(metric, pairs):

@@ -627,26 +627,13 @@ def test_linear_forms_match_the_pairing(model):
         for a, b in ((1, 0), (0, 1), (2, 3), (5, -4)):
             T = S.pullback([a, b][:S.base_rank])
             assert p * a + q * b == D.dot(T), (S, D, a, b)
-
-
-def test_anticanonical_constants_are_one_entry_per_base():
-    # one entry per (kind, e): C = -K of the bare base, its base form and
-    # the box that reaches it, each equal to its definition
-    bases = [SurfaceModel.projective_plane()] + [
-        SurfaceModel.hirzebruch(e) for e in range(9)]
-    for bare in bases:
-        C, form, reach = families._anticanonical(bare.kind, bare.e)
-        assert C == -canonical_class(bare), bare
-        assert form == families._base_form(bare, C), bare
-        assert reach == max(C.coeffs), bare
-    # a surface read from JSON shares the entry of the surface it encodes
-    for fid, params in (("1.16", {"e": 2, "n": 3}), ("1.17", {"l": 4}),
-                        ("1.19", {"n": -1})):
-        built = build_example(fid, params).surface
-        parsed = SurfaceModel.from_json(built.to_json())
-        assert parsed == built and parsed is not built
-        assert (families._anticanonical(parsed.kind, parsed.e)
-                is families._anticanonical(built.kind, built.e)), fid
+        # C is -K of the bare base, (cp, cq) its base form, and the box
+        # reaches its largest coefficient
+        bare = SurfaceModel(S.kind, e=S.e)
+        C, form, reach = families._anticanonical(S)
+        assert bare.divisor(C) == -canonical_class(bare), S
+        assert form == families._base_form(bare, bare.divisor(C)), S
+        assert reach == max(C), S
 
 
 @pytest.mark.parametrize("model", _MODELS)

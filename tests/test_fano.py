@@ -39,6 +39,16 @@ def test_input_validation():
     assert f.morphism in MORPHISM_KINDS
 
 
+@pytest.mark.parametrize("fields", [
+    {"Hn": 8.5}, {"n": 3.0}, {"m": True}, {"h0H": 6.0}, {"Hn": "8"},
+    {"n": None}, {"h0H": False}])
+def test_input_refuses_what_is_not_an_integer(fields):
+    name, value = next(iter(fields.items()))
+    with pytest.raises(FanoError,
+                       match=f"^{name} must be an integer, got {value!r}$"):
+        FanoInput(**{"n": 3, "m": 2, "Hn": 8, **fields})
+
+
 def test_input_json_omits_defaults():
     assert FanoInput(3, 2, 8).to_json() == {"n": 3, "m": 2, "Hn": 8}
     full = FanoInput(4, 1, 2, h0H=6, morphism="neither_of_those").to_json()

@@ -397,6 +397,13 @@ def test_json_round_trips():
     assert isinstance(from_json({"kind": "P2"}), SurfaceModel)
 
 
+@pytest.mark.parametrize("obj", [5, None, 2.5, True])
+def test_from_json_refuses_a_non_object(obj):
+    with pytest.raises(LatticeError,
+                       match="^surface or divisor JSON must be an object$"):
+        from_json(obj)
+
+
 def test_json_rejects_unknown_and_inconsistent_fields():
     with pytest.raises(LatticeError):
         SurfaceModel.from_json({"kind": "P2", "spin": 1})

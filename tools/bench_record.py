@@ -7,22 +7,22 @@
 PARENT and CHANGE are source checkouts of the commit before a change and of
 the change itself.  In each, ``perfbench/run.py`` runs untraced (``--trace
 0``, its default length) on every workload of ``BENCHMARK.json`` for seeds
-1-3, the two sides alternating which goes first.  ``--claim`` adds PAIRS
-alternating untraced pairs of WORKLOAD on SEED, which should be a seed the
-change was not developed on, and one traced run (``--trace 1``, seed 1) of
-that workload on each side.  Every run's ``env`` line and last-line JSON go
-into OUT with a summary: each side's median and quartiles per workload and
-metric, and for the claim the pairs the change won on METRIC, an end-to-end
-metric of ``BENCHMARK.json`` whose ``better`` direction decides a win.  Each
-side's ``peak_rss_mb`` also carries the median number of requests its runs
-``attempted``, in the seed summary and, when METRIC is ``peak_rss_mb``, in
-the claim: the harness keeps samples per finished request, so a faster side
-holds more of them.  A run that exited non-zero or reported ``correct``
-other than true still enters the medians, but each workload's
-``failed_runs`` counts them per side, and a claim holds only when none of
-its runs failed.  A run that left no result line is recorded with
-``result: null``, counted in ``failed_runs`` and left out of the medians:
-``perfbench/run.py`` stopped before measuring, or it ran past
+1-3; within each workload the two sides alternate, seed by seed, which goes
+first.  ``--claim`` adds PAIRS alternating untraced pairs of WORKLOAD on
+SEED, which should be a seed the change was not developed on, and one traced
+run (``--trace 1``, seed 1) of that workload on each side.  Every run's
+``env`` line and last-line JSON go into OUT with a summary: each side's
+median and quartiles per workload and metric, and for the claim the pairs the
+change won on METRIC, an end-to-end metric of ``BENCHMARK.json`` whose
+``better`` direction decides a win.  Each side's ``peak_rss_mb`` also carries
+the median number of requests its runs ``attempted``, in the seed summary
+and, when METRIC is ``peak_rss_mb``, in the claim: the harness keeps samples
+per finished request, so a faster side holds more of them.  A run that exited
+non-zero or reported ``correct`` other than true still enters the medians,
+but each workload's ``failed_runs`` counts them per side, and a claim holds
+only when none of its runs failed.  A run that left no result line is
+recorded with ``result: null``, counted in ``failed_runs`` and left out of
+the medians: ``perfbench/run.py`` stopped before measuring, or it ran past
 ``RUN_TIMEOUT_S`` and was killed (``exit: null``).
 """
 
@@ -79,6 +79,15 @@ def pair(checkouts: dict, workload: str, seed: int, trace: int,
         print(f"{side:6} {workload:13} seed {seed} trace {trace}: "
               f"{json.dumps(value)}", flush=True)
     return runs
+
+
+def schedule(workloads: list[str]) -> list[tuple[int, str, bool]]:
+    """The seed pairs as ``(seed, workload, parent_first)``, seed by seed:
+    each workload's pairs alternate which side runs first from one seed to
+    the next, so no workload runs all its pairs in one side order."""
+    return [(seed, workload, (i + j) % 2 == 0)
+            for i, seed in enumerate(SEEDS)
+            for j, workload in enumerate(workloads)]
 
 
 def failed(rec: dict) -> bool:
@@ -169,9 +178,8 @@ def main(argv=None) -> int:
         parser.error(f"--claim metric must be one of {sorted(better)}")
 
     runs = []
-    for i, (seed, workload) in enumerate(
-            (s, w) for s in SEEDS for w in workloads):
-        runs += pair(checkouts, workload, seed, 0, parent_first=i % 2 == 0)
+    for seed, workload, parent_first in schedule(workloads):
+        runs += pair(checkouts, workload, seed, 0, parent_first=parent_first)
     doc = {"runs": runs, "summary": summarize(runs)}
     if args.claim:
         workload, seed, pairs, metric = args.claim[0], int(args.claim[1]), \
