@@ -474,10 +474,10 @@ def reider_np(ksq: int, Lsq: int, p: int, minus_k_dot_L: int | None = None,
             "entry hypothesis missing: attest cond1 (L.C >= 3 on every curve "
             "and L^2 >= 10) or K + L very ample"
         )
-    assumed = tuple(
+    assumed = tuple([
         t for t, on in (("cond1", cond1_attested),
                         ("adjoint_very_ample", adjoint_very_ample)) if on
-    )
+    ])
     if ksq >= 1:
         box = (p + 3) ** 2
         if Lsq >= box + 1:

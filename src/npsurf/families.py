@@ -378,8 +378,8 @@ class AmpleCertificate:
     def flip_signature(self) -> tuple:
         """Pass/fail pattern of every check, for perturbation comparisons."""
         return (self.self_intersection > 0,
-                tuple(v > 0 for v in self.exceptional_values),
-                tuple((c.case, c.passed) for c in self.curve_case_checks))
+                tuple([v > 0 for v in self.exceptional_values]),
+                tuple([(c.case, c.passed) for c in self.curve_case_checks]))
 
     def to_json(self) -> dict:
         return {
@@ -500,7 +500,10 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     """
     p, q = _base_form(S, A)
     C, (cp, cq), _ = _anticanonical(S)
-    top = sorted(weights, reverse=True)
+    _, positive, prefix = _greedy_order(weights)
+    # the greedy order starts with the two largest weights unless fewer
+    # than two are positive, which no valid certificate allows
+    top = positive if len(positive) > 1 else sorted(weights, reverse=True)
     if S.e == 0:
         w1 = top[0]
         wmax = top[1] if len(top) > 1 else w1
@@ -513,7 +516,6 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
         lhs, rhs = wmax * (cp * a + cq * b) + extra * a, p * a + q * b
         checks.append(CurveCaseCheck(f"ProperIntersection({a},{b})", lhs,
                                      rhs, rhs - lhs >= margin))
-    _, positive, prefix = _greedy_order(weights)
     for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
         # the greedy load with a cap of 1: the top ``budget`` positive weights
         lhs = prefix[min(budget, len(positive))]

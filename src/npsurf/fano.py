@@ -42,6 +42,12 @@ _FULL_IMAGE_KINDS = (
 )
 
 
+def _check_int(name: str, value) -> None:
+    # an int, not a bool
+    if type(value) is not int:
+        raise FanoError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FanoInput:
     """Numeric profile of a polarized Fano n-fold (H ample, base-point free).
@@ -59,9 +65,9 @@ class FanoInput:
     def __post_init__(self) -> None:
         for name in ("n", "m", "Hn", "h0H"):
             value = getattr(self, name)
-            # an int, not a bool; h0(H) may also be absent
-            if type(value) is not int and (name != "h0H" or value is not None):
-                raise FanoError(f"{name} must be an integer, got {value!r}")
+            # h0(H) may be absent
+            if name != "h0H" or value is not None:
+                _check_int(name, value)
         if self.n < 2:
             raise FanoError("dimension n must be >= 2")
         if self.m < 1:
@@ -115,6 +121,8 @@ class SurfaceProfile(TypedDict, total=False):
 def multiples_np_surface(B_profile: SurfaceProfile, l: int, p: int) -> BoolVerdict:
     """N_p for l*B on a surface profile: needs -K.B >= 4 (or the plane with
     its line bundle) and l >= p.  Sufficient only."""
+    _check_int("l", l)
+    _check_int("p", p)
     unknown = set(B_profile) - SurfaceProfile.__optional_keys__
     if unknown:
         raise FanoError(f"unknown profile fields: {sorted(unknown)}")
@@ -142,6 +150,8 @@ def multiples_np_surface(B_profile: SurfaceProfile, l: int, p: int) -> BoolVerdi
 def multiples_np_fano(f: FanoInput, l: int, p: int) -> BoolVerdict:
     """N_p for l*H on a Fano n-fold of index >= n - 1.  Sufficient only:
     true iff l >= p and (index exceeds n - 1 or H^n >= 4)."""
+    _check_int("l", l)
+    _check_int("p", p)
     if f.m < f.n - 1:
         raise FanoError(f"needs index datum m >= n - 1 = {f.n - 1}, got {f.m}")
     if p < 1:
@@ -190,6 +200,7 @@ def index_nm3_n0(f: FanoInput, k: int) -> FanoN0Decision:
     space; with the morphism unknown the decision is conditional.  k = 2
     needs the morphism to avoid both special shapes; k <= 1 is out of range.
     """
+    _check_int("k", k)
     _require_index_nm3(f)
     if k >= 4:
         return FanoN0Decision(N0_YES, (), "Thm 3.1(1)")
@@ -212,6 +223,8 @@ def index_nm3_n0(f: FanoInput, k: int) -> FanoN0Decision:
 def index_nm3_np(f: FanoInput, k: int, p: int) -> BoolVerdict:
     """N_p for kH when -K = (n-3) H: needs h0(H) >= n + 2, k >= p + 2,
     p >= 1.  Sufficient only; an absent h0(H) is an error."""
+    _check_int("k", k)
+    _check_int("p", p)
     _require_index_nm3(f)
     if f.h0H is None:
         raise FanoError("needs h0(H)")

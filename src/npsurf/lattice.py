@@ -68,7 +68,7 @@ def fields_json(obj) -> dict:
     spec = _FIELD_SPECS.get(type(obj))
     if spec is None:
         spec = _FIELD_SPECS[type(obj)] = tuple(
-            (f.name, f.default) for f in fields(obj) if f.init)
+            [(f.name, f.default) for f in fields(obj) if f.init])
     out = {}
     for name, default in spec:
         value = getattr(obj, name)
@@ -200,7 +200,7 @@ class SurfaceModel:
             rows[1][0] = 1
         for i in range(self.base_rank, n):
             rows[i][i] = -1
-        return tuple(tuple(r) for r in rows)
+        return tuple([tuple(r) for r in rows])
 
     # --- divisor helpers --------------------------------------------------
 

@@ -576,6 +576,7 @@ def check_mutation_robustness() -> tuple[bool, str]:
             except families.CertificateRefused:
                 continue
             pinned = families.fixture_instance(fid, ex.instance_key)["claims"]
+            base_signature = base_cert.flip_signature()
             l = ex.surface.l or 0
             for i in range(l):
                 for delta in (1, -1):
@@ -583,8 +584,7 @@ def check_mutation_robustness() -> tuple[bool, str]:
                     mut = mutate_polarization(ex, i, delta)
                     claims_moved = mut.claims(mut.A) != pinned
                     mut_cert = nakai_certificate(mut)
-                    flipped = (mut_cert.flip_signature()
-                               != base_cert.flip_signature())
+                    flipped = mut_cert.flip_signature() != base_signature
                     if claims_moved or flipped:
                         detected += 1
                     if mut_cert.valid:

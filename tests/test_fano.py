@@ -111,6 +111,13 @@ def test_surface_profile_values_are_never_coerced(profile):
         multiples_np_surface(profile, 2, 2)
 
 
+def test_multiples_on_a_surface_refuse_a_twist_that_is_not_an_integer():
+    with pytest.raises(FanoError, match="^l must be an integer, got 2.5$"):
+        multiples_np_surface({"minusK_dot_B": 5}, 2.5, 1)
+    with pytest.raises(FanoError, match="^p must be an integer, got True$"):
+        multiples_np_surface({"minusK_dot_B": 5}, 2, True)
+
+
 def test_multiples_on_a_fano_profile():
     assert multiples_np_fano(FanoInput(4, 4, 2), 3, 3)   # index above n-1
     assert multiples_np_fano(FanoInput(4, 3, 4), 2, 2)   # degree rescue
@@ -121,6 +128,13 @@ def test_multiples_on_a_fano_profile():
         multiples_np_fano(FanoInput(4, 2, 3), 2, 2)
     with pytest.raises(FanoError):
         multiples_np_fano(FanoInput(4, 3, 3), 2, 0)
+
+
+def test_multiples_on_a_fano_profile_refuse_a_twist_that_is_not_an_integer():
+    with pytest.raises(FanoError, match="^l must be an integer, got 3.5$"):
+        multiples_np_fano(FanoInput(4, 4, 2), 3.5, True)
+    with pytest.raises(FanoError, match="^p must be an integer, got True$"):
+        multiples_np_fano(FanoInput(4, 4, 2), 3, True)
 
 
 # --- index n-3 -------------------------------------------------------------
@@ -147,6 +161,13 @@ def test_low_index_projective_normality_decision():
         index_nm3_n0(FanoInput(4, 2, 3), 4)
 
 
+def test_low_index_decision_refuses_a_twist_that_is_not_an_integer():
+    with pytest.raises(FanoError, match="^k must be an integer, got 4.5$"):
+        index_nm3_n0(FanoInput(5, 2, 3), 4.5)
+    with pytest.raises(FanoError, match="^k must be an integer, got False$"):
+        index_nm3_n0(FanoInput(5, 2, 3), False)
+
+
 def test_low_index_syzygy_levels():
     f = FanoInput(5, 2, 3, h0H=7)
     assert index_nm3_np(f, 4, 2)
@@ -158,6 +179,14 @@ def test_low_index_syzygy_levels():
     assert not zero and "p = 0 < 1" in zero.reason
     with pytest.raises(FanoError):
         index_nm3_np(FanoInput(5, 2, 3), 4, 2)   # h0H absent
+
+
+def test_low_index_levels_refuse_a_twist_that_is_not_an_integer():
+    f = FanoInput(5, 2, 3, h0H=7)
+    with pytest.raises(FanoError, match="^k must be an integer, got 9.0$"):
+        index_nm3_np(f, 9.0, 2)
+    with pytest.raises(FanoError, match="^p must be an integer, got True$"):
+        index_nm3_np(f, 9, True)
 
 
 # --- pinned twists ---------------------------------------------------------
