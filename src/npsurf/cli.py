@@ -118,6 +118,11 @@ def _int_option(value: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tags(value: str) -> list[str]:
+    """The argparse ``type`` of ``--summands``: its comma-separated tags."""
+    return [t.strip() for t in value.split(",") if t.strip()]
+
+
 def _parse_params(pairs: list[str]) -> dict | None:
     out = {}
     for item in pairs:
@@ -155,9 +160,8 @@ def _load_divisor_file(path: str) -> tuple[dict, dict]:
 
 
 def _eval(op: str, **args) -> dict:
-    """Evaluate one op, leaving out the arguments that were not given."""
-    return api.evaluate({"op": op, "args": {k: v for k, v in args.items()
-                                            if v is not None}})
+    """Evaluate one op on its JSON args (None is null)."""
+    return api.evaluate({"op": op, "args": args})
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -179,17 +183,19 @@ def _cmd_classify(args) -> tuple[int, dict]:
     if args.check_bpf and p is not None:
         raise api.ApiError("--check-bpf answers base-point-freeness only; "
                            "drop --p")
+    # a command-line flag the chosen op does not read is refused
+    cli_flags = {name: True for name in _FLAGS if getattr(args, name)}
     if curve:
         if args.curve_genus is None or args.curve_degree is None:
             raise api.ApiError(
                 "curve classification needs both --curve-genus and "
                 "--curve-degree")
+        if cli_flags:       # curve_np_reference reads no flag
+            raise api.ApiError(f"unknown flags: {sorted(cli_flags)}")
         payload = _eval("curve_np_reference", genus=args.curve_genus,
                         degree=args.curve_degree)
         return 0, _augment_query(payload, p)
 
-    # a command-line flag the chosen op does not read is refused by the op
-    cli_flags = {name: True for name in _FLAGS if getattr(args, name)}
     if args.surface is not None:
         divisor, flags = _load_divisor_file(args.surface)
         # a file may hold both ops' flags; the chosen op gets its own
@@ -207,47 +213,43 @@ def _cmd_classify(args) -> tuple[int, dict]:
                        "--curve-genus/--curve-degree")
 
 
-def _cmd_bounds(args) -> tuple[int, dict]:
-    if args.Lsq is not None:
-        if args.p is None:
-            raise api.ApiError("the quadratic degree bound needs --p")
-        return 0, _eval("lemma_125_bound", ksq=args.ksq, Lsq=args.Lsq,
-                        p=args.p, multiple_of_minus_k=args.multiple,
-                        adjoint_effective=args.adjoint_effective)
-    if args.summand is not None or args.conic:
-        return 0, _eval("min_kA_bound", ksq=args.ksq, summand=args.summand,
-                        e=args.e, conic_fibration=args.conic)
-    if args.p is None:
-        raise api.ApiError("give --p for the summand-count table, --L2 for "
-                           "the degree bound, or --summand for the "
-                           "per-summand bound")
-    return 0, _eval("adjoint_np_min_n", ksq=args.ksq, p=args.p, e=args.e,
-                    exclude=args.exclude)
+# what ``main`` and the parser keep beside a table subcommand's options
+_NOT_OP_ARGS = frozenset({"json", "eval_file", "command", "action", "handler",
+                          "op"})
 
 
-def _cmd_adjoint(args) -> tuple[int, dict]:
-    if args.equivalence:
-        return 0, _eval("thm_121_equivalence", ksq=args.ksq,
-                        summand=args.summand, e=args.e)
-    if args.summands is None:
-        raise api.ApiError("give --summands TAG[,TAG...] for the "
-                           "very-ampleness table or --equivalence")
-    tags = [t.strip() for t in args.summands.split(",") if t.strip()]
-    return 0, _eval("adjoint_very_ample", ksq=args.ksq, summands=tags)
+def _cmd_table(args) -> tuple[int, dict]:
+    """A table subcommand: the options given, each under its op's JSON
+    argument name, are the op's args, and the op refuses a missing one or
+    one it does not read.  ``args.op`` is the op, or a function that picks
+    it from them (taking out a routing switch, or renaming for its op)."""
+    given = {k: v for k, v in vars(args).items() if k not in _NOT_OP_ARGS}
+    op = args.op if isinstance(args.op, str) else args.op(given)
+    return 0, _eval(op, **given)
 
 
-def _cmd_reider(args) -> tuple[int, dict]:
-    return 0, _eval("reider_np", ksq=args.ksq, Lsq=args.Lsq, p=args.p,
-                    minus_k_dot_L=args.minus_k_dot_L,
-                    cond1_attested=args.cond1,
-                    adjoint_very_ample=args.adjoint_va,
-                    multiple_of_minus_k=args.multiple)
+def _bounds_op(given: dict) -> str:
+    if "Lsq" in given:
+        return "lemma_125_bound"
+    if given.keys() & {"summand", "conic_fibration"}:
+        return "min_kA_bound"
+    return "adjoint_np_min_n"
 
 
-def _cmd_terminate(args) -> tuple[int, dict]:
-    return 0, _eval("ampleness_termination", ksq=args.ksq, p=args.p, e=args.e,
-                    multiple_of_minus_k=not args.not_multiple,
-                    np_sharp_attested=args.np_sharp)
+def _adjoint_op(given: dict) -> str:
+    # --equivalence routes to the report; no op reads it
+    return ("thm_121_equivalence" if given.pop("equivalence", False)
+            else "adjoint_very_ample")
+
+
+def _fano_classify_op(given: dict) -> str:
+    if not given.keys() & {"k", "p"}:
+        return "primitive_np"
+    if given["m"] == given["n"] - 3:
+        return "index_nm3_np" if "p" in given else "index_nm3_n0"
+    if "k" in given:        # the multiples criterion calls the twist l
+        given["l"] = given.pop("k")
+    return "multiples_np_fano"
 
 
 def _cmd_example(args) -> tuple[int, dict | list[str]]:
@@ -294,29 +296,12 @@ def _cmd_fano(args) -> tuple[int, dict]:
                    "is_P2_O1": args.is_P2_O1}
         return 0, _eval("multiples_np_surface", profile=profile, l=args.l,
                         p=args.p)
-    if args.action == "twist":
-        from .fano import projective_space_twist_max_np
+    from .fano import projective_space_twist_max_np
 
-        verdict = projective_space_twist_max_np(args.dim, args.k)
-        return 0, {"op": "projective_space_twist_max_np", "kind": "NpVerdict",
-                   "verdict": verdict.to_json(),
-                   "justification": verdict.justification}
-
-    base = {"n": args.n, "m": args.m, "Hn": args.Hn, "h0H": args.h0H,
-            "morphism": args.morphism}
-    if args.k is None and args.p is None:
-        return 0, _eval("primitive_np", **base)
-    if args.k is None:
-        raise api.ApiError("--p without --k: the twist criteria need the "
-                           "twist --k")
-    if args.m == args.n - 3:
-        if args.p is None:
-            return 0, _eval("index_nm3_n0", **base, k=args.k)
-        return 0, _eval("index_nm3_np", **base, k=args.k, p=args.p)
-    if args.p is None:
-        raise api.ApiError("--k without --p only applies at index n-3; give "
-                           "--p for the multiples criterion")
-    return 0, _eval("multiples_np_fano", **base, l=args.k, p=args.p)
+    verdict = projective_space_twist_max_np(args.dim, args.k)
+    return 0, {"op": "projective_space_twist_max_np", "kind": "NpVerdict",
+               "verdict": verdict.to_json(),
+               "justification": verdict.justification}
 
 
 def _cmd_oracle(args) -> tuple[int, dict]:
@@ -369,6 +354,16 @@ class _BoxHelp(str):
         return f"{self} (default {DEFAULT_BOX})"
 
 
+def _add_table(subs, name: str, op, help: str) -> argparse.ArgumentParser:
+    """Add a table subcommand calling ``op``, or the op that ``op`` picks from
+    the options given; the parser keeps only those, each under its op's JSON
+    argument name."""
+    parser = subs.add_parser(name, help=help,
+                             argument_default=argparse.SUPPRESS)
+    parser.set_defaults(handler=_cmd_table, op=op)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npsurf",
@@ -395,54 +390,56 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--curve-genus", type=_int_option)
     c.add_argument("--curve-degree", type=_int_option)
 
-    b = sub.add_parser("bounds", help="degree and summand-count bounds")
-    b.set_defaults(handler=_cmd_bounds)
+    b = _add_table(sub, "bounds", _bounds_op,
+                   "degree and summand-count bounds")
     b.add_argument("--k2", type=_int_option, required=True, dest="ksq")
     b.add_argument("--p", type=_int_option)
     b.add_argument("--L2", type=_int_option, dest="Lsq")
     b.add_argument("--e", type=_int_option)
-    b.add_argument("--exclude", action="append", default=[], metavar="TAG")
+    b.add_argument("--exclude", action="append", metavar="TAG")
     b.add_argument("--summand", metavar="TAG")
-    b.add_argument("--conic", action="store_true",
+    b.add_argument("--conic", action="store_true", dest="conic_fibration",
                    help="the adjoint maps onto a pencil of conics")
     b.add_argument("--multiple", action="store_true",
+                   dest="multiple_of_minus_k",
                    help="the bundle is a multiple of the anticanonical class")
     b.add_argument("--adjoint-effective", action="store_true")
 
-    a = sub.add_parser("adjoint",
-                       help="very-ampleness of canonical-plus-ample bundles")
-    a.set_defaults(handler=_cmd_adjoint)
+    a = _add_table(sub, "adjoint", _adjoint_op,
+                   "very-ampleness of canonical-plus-ample bundles")
     a.add_argument("--k2", type=_int_option, required=True, dest="ksq")
-    a.add_argument("--summands", metavar="TAG[,TAG...]",
+    a.add_argument("--summands", metavar="TAG[,TAG...]", type=_tags,
                    help="shape tags of the ample summands")
     a.add_argument("--equivalence", action="store_true",
                    help="report the ampleness/very-ampleness/syzygy "
                         "equivalence for this K^2 instead")
-    a.add_argument("--summand", default="other")
+    a.add_argument("--summand")
     a.add_argument("--e", type=_int_option)
 
-    r = sub.add_parser("reider", help="quadratic and degree gates for N_p")
-    r.set_defaults(handler=_cmd_reider)
+    r = _add_table(sub, "reider", "reider_np",
+                   "quadratic and degree gates for N_p")
     r.add_argument("--k2", type=_int_option, required=True, dest="ksq")
     r.add_argument("--L2", type=_int_option, required=True, dest="Lsq")
     r.add_argument("--p", type=_int_option, required=True)
     r.add_argument("--minus-k-dot-L", type=_int_option, dest="minus_k_dot_L")
-    r.add_argument("--cond1", action="store_true",
+    r.add_argument("--cond1", action="store_true", dest="cond1_attested",
                    help="attest L.C >= 3 on every curve and L^2 >= 10")
     r.add_argument("--adjoint-va", action="store_true",
-                   help="attest K + L very ample")
-    r.add_argument("--multiple", action="store_true")
+                   dest="adjoint_very_ample", help="attest K + L very ample")
+    r.add_argument("--multiple", action="store_true",
+                   dest="multiple_of_minus_k")
 
-    t = sub.add_parser("terminate",
-                       help="twist threshold where the adjoint bundle stops "
-                            "being ample")
-    t.set_defaults(handler=_cmd_terminate)
+    t = _add_table(sub, "terminate", "ampleness_termination",
+                   "twist threshold where the adjoint bundle stops "
+                   "being ample")
     t.add_argument("--k2", type=_int_option, required=True, dest="ksq")
     t.add_argument("--p", type=_int_option, required=True)
     t.add_argument("--e", type=_int_option)
-    t.add_argument("--not-multiple", action="store_true",
+    t.add_argument("--not-multiple", action="store_false",
+                   dest="multiple_of_minus_k",
                    help="the polarization is not a multiple of -K")
     t.add_argument("--np-sharp", action="store_true",
+                   dest="np_sharp_attested",
                    help="attest that p is the exact syzygy level")
 
     ex = sub.add_parser("example",
@@ -462,15 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fano", help="Fano n-fold criteria")
     f.set_defaults(handler=_cmd_fano)
     fs = f.add_subparsers(dest="action", required=True)
-    fc = fs.add_parser("classify", help="classify (X, H) or a twist of it")
+    fc = _add_table(fs, "classify", _fano_classify_op,
+                    "classify (X, H) or a twist of it")
     fc.add_argument("--n", type=_int_option, required=True, help="dimension")
     fc.add_argument("--index", type=_int_option, required=True, dest="m")
     fc.add_argument("--deg", type=_int_option, required=True, dest="Hn",
                     help="top self-intersection H^n")
     fc.add_argument("--h0", type=_int_option, dest="h0H",
                     help="section count of H")
-    fc.add_argument("--morphism", choices=criteria.MORPHISM_KINDS,
-                    default=criteria.MORPHISM_UNKNOWN)
+    fc.add_argument("--morphism", choices=criteria.MORPHISM_KINDS)
     fc.add_argument("--k", type=_int_option, help="twist kH to classify")
     fc.add_argument("--p", type=_int_option, help="syzygy level to test")
     fp = fs.add_parser("surface",
@@ -500,6 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval_file(args) -> tuple[int, dict]:
+    if args.command is not None:
+        raise api.ApiError("--eval-file evaluates its request alone; drop "
+                           f"the {args.command} subcommand")
     if args.eval_file == "-":
         request = _read_json(sys.stdin, "stdin")
     else:

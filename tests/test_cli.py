@@ -480,6 +480,72 @@ def test_classify_file_may_hold_both_ops_flags(tmp_path, capsys):
     assert code == 0 and out.startswith("bpf_check: yes")
 
 
+# --- table subcommands -----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("bounds", "--k2", "3", "--summand", "other", "--p", "4", "--exclude",
+      "minus_k", "--multiple", "--adjoint-effective"),
+     "unknown args: ['adjoint_effective', 'exclude', 'multiple_of_minus_k', "
+     "'p']"),
+    (("bounds", "--k2", "3", "--L2", "50", "--p", "2", "--e", "1", "--conic",
+      "--adjoint-effective"), "unknown args: ['conic_fibration', 'e']"),
+    (("bounds", "--k2", "3", "--p", "4", "--multiple", "--adjoint-effective"),
+     "unknown args: ['adjoint_effective', 'multiple_of_minus_k']"),
+    (("adjoint", "--k2", "5", "--summands", "other", "--e", "1", "--summand",
+      "minus_k"), "unknown args: ['e', 'summand']"),
+    (("adjoint", "--k2", "5", "--equivalence", "--summands", "other,other"),
+     "unknown args: ['summands']"),
+    (("classify", "--curve-genus", "1", "--curve-degree", "5", "--bpf"),
+     "unknown flags: ['bpf']"),
+    (("classify", "--curve-genus", "1", "--curve-degree", "5", "--ample",
+      "--anticanonical", "--nef"),
+     "unknown flags: ['ample', 'anticanonical', 'nef']"),
+    (("--eval-file", "REQUEST", "bounds", "--k2", "3", "--p", "4"),
+     "--eval-file evaluates its request alone; drop the bounds subcommand"),
+], ids=["bounds min_kA", "bounds lemma_125", "bounds min_n", "adjoint table",
+        "adjoint equivalence", "curve bpf", "curve flags", "eval-file"])
+def test_options_no_op_reads_are_refused(tmp_path, capsys, argv, message):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps({"op": "adjoint_np_min_n",
+                               "args": {"ksq": 1, "p": 0}}))
+    argv = [str(req) if a == "REQUEST" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"npsurf: error: {message}\n"
+
+
+def _subparser(parser, *path):
+    for name in path:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)
+                      ).choices[name]
+    return parser
+
+
+# every op a table subcommand can call
+TABLE_OPS = {
+    ("bounds",): ("lemma_125_bound", "min_kA_bound", "adjoint_np_min_n"),
+    ("adjoint",): ("adjoint_very_ample", "thm_121_equivalence"),
+    ("reider",): ("reider_np",),
+    ("terminate",): ("ampleness_termination",),
+    ("fano", "classify"): ("primitive_np", "index_nm3_n0", "index_nm3_np",
+                           "multiples_np_fano"),
+}
+
+
+@pytest.mark.parametrize("path", TABLE_OPS, ids=" ".join)
+def test_every_table_option_is_an_argument_of_its_ops(path):
+    from npsurf import api
+
+    names = set().union(*(api._call(op).names for op in TABLE_OPS[path]))
+    dests = {action.dest for action in _subparser(cli.build_parser(),
+                                                  *path)._actions
+             if action.option_strings and action.dest != "help"}
+    # --equivalence only chooses the op
+    assert dests - {"equivalence"} <= names, sorted(dests - names)
+
+
 # --- fuzz ------------------------------------------------------------------
 
 
