@@ -687,9 +687,13 @@ def _base_classes(S: SurfaceModel, box: int):
 def _cone_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     """The cone of base classes (a bare surface or a zero-point blow-up)."""
     p, q = _base_form(S, D)
-    plane = S.kind == KIND_P2
-    for a, b in _base_classes(S, box):
-        yield p * a + q * b, ("base", a) if plane else ("base", a, b)
+    classes = _base_classes(S, box)
+    if S.kind == KIND_P2:
+        for a, b in classes:
+            yield p * a + q * b, ("base", a)
+    else:
+        for a, b in classes:
+            yield p * a + q * b, ("base", a, b)
 
 
 def _pencil_candidates(S: SurfaceModel, D: DivisorClass, box: int):
@@ -717,6 +721,12 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     inputs where the oracle's key has the multiplicities; ``_full_key`` puts
     them in.  Coordinates are unique within a tag, so the two keys sort
     alike.
+
+    A curve of class T has multiplicity at most ``cap`` at a point and
+    passes through at most ``budget`` points, counted with multiplicity:
+    ``C.T`` of them, or on F_e a ruling's ``_ruling_budgets`` with a cap of
+    1.  The cap is ``max(1, d - 1)`` on a plane curve of degree d and
+    ``min(a, b)`` on the grid of F_e, where ``a, b >= 1``.
     """
     plane = S.kind == KIND_P2
     C, (cp, cq), reach = _anticanonical(S)
@@ -732,15 +742,24 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     n = len(top)
     top.append(0)          # once every point is full, the rest loads nothing
     p, q = _base_form(S, D)
-    rulings = {} if plane else dict(zip(_RULINGS, _ruling_budgets(S)))
-    for a, b in _base_classes(S, box):
-        # a curve of class T has multiplicity at most ``cap`` at a point and
-        # passes through at most C.T points of C, counted with multiplicity
-        cap = max(1, a - 1) if plane else max(1, min(a, b))
-        budget = rulings[a, b] if (a, b) in rulings else cp * a + cq * b
-        k = min(budget // cap, n)
-        load = cap * prefix[k] + budget % cap * top[k]
-        yield p * a + q * b - load, ("D", a, b, cap, budget)
+    classes = _base_classes(S, box)
+    if plane:
+        for a, b in classes:
+            cap, budget = max(1, a - 1), cp * a + cq * b
+            k = min(budget // cap, n)
+            load = cap * prefix[k] + budget % cap * top[k]
+            yield p * a + q * b - load, ("D", a, b, cap, budget)
+    else:
+        # the rulings lead the classes; zip pulls a class only after a budget,
+        # so it stops without taking the first grid class
+        for budget, (a, b) in zip(_ruling_budgets(S), classes):
+            load = prefix[min(budget, n)]
+            yield p * a + q * b - load, ("D", a, b, 1, budget)
+        for a, b in classes:
+            cap, budget = min(a, b), cp * a + cq * b
+            k = min(budget // cap, n)
+            load = cap * prefix[k] + budget % cap * top[k]
+            yield p * a + q * b - load, ("D", a, b, cap, budget)
     yield (sum(map(mul, (p, q), C)) - sum(weights),
            ("C", (1,) * len(weights)))
 

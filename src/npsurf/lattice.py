@@ -36,7 +36,7 @@ checked on every parse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from operator import mul
 
 KIND_P2 = "P2"
@@ -56,8 +56,9 @@ class LatticeError(ValueError):
     """Raised for ill-formed surfaces, divisors, or cross-surface pairings."""
 
 
-# class -> (name, default or MISSING) of each init field, read on first use
-_FIELD_SPECS: dict[type, tuple[tuple[str, object], ...]] = {}
+# class -> (name, whether it declares a default, that default) of each init
+# field, read on first use
+_FIELD_SPECS: dict[type, tuple[tuple[str, bool, object], ...]] = {}
 _JSON_SCALARS = frozenset({str, int, bool, type(None)})
 
 
@@ -68,11 +69,12 @@ def fields_json(obj) -> dict:
     spec = _FIELD_SPECS.get(type(obj))
     if spec is None:
         spec = _FIELD_SPECS[type(obj)] = tuple(
-            [(f.name, f.default) for f in fields(obj) if f.init])
+            [(f.name, f.default is not MISSING, f.default)
+             for f in fields(obj) if f.init])
     out = {}
-    for name, default in spec:
+    for name, defaulted, default in spec:
         value = getattr(obj, name)
-        if value == default:
+        if defaulted and value == default:
             continue
         if type(value) not in _JSON_SCALARS:
             value = list(value) if type(value) is tuple else value.to_json()

@@ -428,6 +428,26 @@ def test_oracle_pins_every_model(A, box, pin):
     assert (res.min_value, res.argmin, res.candidates) == pin
 
 
+def test_oracle_pins_every_modelled_instance_at_wide_boxes():
+    # the minimum, argmin and candidate count of every sweep instance the
+    # oracle models, at the boxes 24, 44 and 64 of the oracle-wide workload
+    records = []
+    for fid in FAMILY_IDS:
+        for params in FAMILY_SWEEPS[fid]:
+            ex = build_example(fid, params)
+            for box in (24, 44, 64):
+                try:
+                    res = ample_oracle(ex.A, box)
+                except OracleNotApplicable:
+                    break
+                records.append([fid, ex.instance_key, box, res.min_value,
+                                res.argmin, res.candidates])
+    assert len(records) == 3 * 72
+    digest = hashlib.sha256(json.dumps(records).encode())
+    assert digest.hexdigest() == (
+        "e15e8edd7fed13443b83c784f9c02cb0e47767a4ac2fdefc96abcab03cb56115")
+
+
 def test_oracle_box_error_messages():
     ex = build_example("1.16", {"e": 2, "n": 0})
     with pytest.raises(OracleBoxError,
