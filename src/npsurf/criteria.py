@@ -125,12 +125,20 @@ def _require_flags(flags, allowed: frozenset[str]) -> dict[str, bool]:
     return flags
 
 
+def _check_int(name: str, value) -> None:
+    # an int, not a bool: 2.5 would be answered with a fractional level
+    if type(value) is not int:
+        raise CriteriaError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_ksq(ksq: int) -> None:
+    _check_int("ksq", ksq)
     if ksq > 9:
         raise CriteriaError(f"K^2 = {ksq} exceeds the rational-surface range")
 
 
 def _check_p(p: int) -> None:
+    _check_int("p", p)
     if p < 0:
         raise CriteriaError("p must be >= 0")
 
@@ -139,6 +147,7 @@ def _check_e(ksq: int, e: int | None) -> None:
     """``e`` is the invariant of a minimal Hirzebruch surface F_e."""
     if e is None:
         return
+    _check_int("e", e)
     if ksq != 8:
         raise CriteriaError("e is only meaningful for K^2 = 8")
     if e < 0:
@@ -151,6 +160,7 @@ def green_lazarsfeld_failure(effective_degree: int) -> int:
     For a line bundle ``K_C + N`` on a curve with ``N`` effective and nonzero
     of degree ``d``, property N_{d-2} fails.  Returns ``d - 2``.
     """
+    _check_int("effective_degree", effective_degree)
     if effective_degree < 1:
         raise CriteriaError("needs an effective nonzero twist (degree >= 1)")
     return effective_degree - 2
@@ -175,6 +185,7 @@ def np_classify_degree(t: int, flags: Mapping[str, bool]) -> NpVerdict:
     ample ``L`` meets the nonzero effective ``-K`` positively) and are
     refused.
     """
+    _check_int("t", t)
     f = _require_flags(flags, CLASSIFY_FLAGS)
     if not f.get("ample"):
         raise CriteriaError("np_classify requires the ample flag")
@@ -466,6 +477,9 @@ def reider_np(ksq: int, Lsq: int, p: int, minus_k_dot_L: int | None = None,
     """
     _check_p(p)
     _check_ksq(ksq)
+    _check_int("Lsq", Lsq)
+    if minus_k_dot_L is not None:
+        _check_int("minus_k_dot_L", minus_k_dot_L)
     _check_bool("cond1_attested", cond1_attested)
     _check_bool("adjoint_very_ample", adjoint_very_ample)
     _check_bool("multiple_of_minus_k", multiple_of_minus_k)
@@ -510,6 +524,9 @@ def lemma_125_bound(ksq: int, Lsq: int, p: int,
     p >= 1 (p >= 2 when K^2 = 8), and L not a multiple of -K when K^2 = 1.
     Returns ``p + 3 + ksq`` when ``L^2 >= (p+3)^2 - 1``, else ``None``.
     """
+    _check_int("ksq", ksq)
+    _check_int("Lsq", Lsq)
+    _check_int("p", p)
     if not 1 <= ksq <= 8:
         raise CriteriaError("needs 1 <= K^2 <= 8")
     _check_bool("multiple_of_minus_k", multiple_of_minus_k)
@@ -535,6 +552,9 @@ def verify_inequality_chain(p: int, m: int, ksq: int) -> tuple[bool, bool, bool]
     2. (p-m)^2 + 5(p-m) + 6 >= 0, with equality exactly at p - m in {-2, -3}
     3. p^2 + (5-2m)p + (2m^2 - 6m + 4) > 0
     """
+    _check_int("p", p)
+    _check_int("m", m)
+    _check_int("ksq", ksq)
     if not 1 <= ksq <= 8:
         raise CriteriaError("needs 1 <= K^2 <= 8")
     min_p = 2 if ksq == 8 else 1
@@ -661,9 +681,9 @@ def thm_121_equivalence(ksq: int, summand: str = "other",
     ``summand`` tags the bundle ({"minus_k", "other"}).  K^2 < 2 is out of
     scope.  K^2 = 8 is the minimal Hirzebruch case and needs ``e``.
     """
+    _check_ksq(ksq)
     if ksq < 2:
         raise CriteriaError("needs K^2 >= 2")
-    _check_ksq(ksq)
     if summand not in ("minus_k", "other"):
         raise CriteriaError(f"unknown summand tag {summand!r}")
     _check_e(ksq, e)
@@ -693,6 +713,8 @@ def curve_np_reference(genus: int, degree: int) -> NpVerdict:
     only the one-sided bound applies (Green): degree >= 2g + 1 + p gives N_p,
     hence ``AtLeast(degree - 2g - 1)``; below 2g + 1 the procedure is silent.
     """
+    _check_int("genus", genus)
+    _check_int("degree", degree)
     if genus < 0:
         raise CriteriaError("genus must be >= 0")
     if genus == 1:

@@ -7,9 +7,12 @@ its row and assembles the instance; ``FAMILY_IDS`` and ``FAMILY_SWEEPS`` (the
 product of each row's ranges) derive from the table.
 
 Each builder returns the polarization, whose surface is the instance's, and
-a claims function mapping a polarization to the family's named integers
-(intersection numbers, adjoint identities); the builders hold no expected
-values.
+a claims function mapping a polarization to the family's named integers; the
+builders hold no expected values.  Examples 1.11-1.20 state one claim set,
+made by one rule, ``_adjoint_claims``: ``K2``, ``A2``, ``-K.A``, the residual
+of ``K + mA - X`` for the example's m and class X, and at most one more
+integer read off ``K + mA``.  Obs1.4 states a different set (``-K.L``,
+``chi(-K - L)``) and keeps its own claims function.
 
 What does not depend on the polarization is built once.  ``build_example``
 validates every request, but builds each instance once per table row and
@@ -167,11 +170,25 @@ def _residual(D: DivisorClass) -> int:
     return max(map(abs, D.coeffs), default=0)
 
 
-def _common(S: SurfaceModel) -> Callable[[DivisorClass], dict[str, int]]:
-    """The claims every family but Obs1.4 states first, as a function of the
-    polarization; ``K2`` is computed once, here."""
+def _adjoint_claims(S: SurfaceModel, m: int, residual_name: str,
+                    X: DivisorClass | None = None, extra: tuple | None = None
+                    ) -> Callable[[DivisorClass], dict[str, int]]:
+    """The claims of Examples 1.11-1.20, where ``K + mA`` equals the class X
+    (the zero class where X is None): ``K2``, ``A2``, ``-K.A``, then the
+    residual of ``K + mA - X`` under ``residual_name`` and, where the example
+    states one more integer, ``extra = (name, f)`` gives ``f(K + mA)``.
+    ``K2`` and K are computed once, here; the builder makes X and any class
+    ``f`` pairs with once."""
     K2, K = k_squared(S), canonical_class(S)
-    return lambda A: {"K2": K2, "A2": A.dot(A), "-K.A": -K.dot(A)}
+
+    def claims(A):
+        KmA = K + (A if m == 1 else m * A)
+        out = {"K2": K2, "A2": A.dot(A), "-K.A": -K.dot(A),
+               residual_name: _residual(KmA if X is None else KmA - X)}
+        if extra is not None:
+            out[extra[0]] = extra[1](KmA)
+        return out
+    return claims
 
 
 # --- builders --------------------------------------------------------------
@@ -179,25 +196,15 @@ def _common(S: SurfaceModel) -> Callable[[DivisorClass], dict[str, int]]:
 
 def _build_1_11():
     S = SurfaceModel.projective_plane()
-    A = S.divisor([1])
-    common, K = _common(S), canonical_class(S)
-
-    def claims(A):
-        return {**common(A), "residual(K + 3A)": _residual(K + 3 * A)}
-    return A, claims
+    return S.divisor([1]), _adjoint_claims(S, 3, "residual(K + 3A)")
 
 
 def _build_1_12(e):
     S = SurfaceModel.hirzebruch(e)
-    A = S.divisor([1, e + 1])
-    common, K, e_fibers = _common(S), canonical_class(S), S.divisor([0, e])
-
-    def claims(A):
-        K2A = K + 2 * A
-        return {**common(A),
-                "residual(K + 2A - e*fiber)": _residual(K2A - e_fibers),
-                "oracle_min(K + 2A)": ample_oracle(K2A, 8).min_value}
-    return A, claims
+    # ``ample_oracle`` is looked up when the claim runs, not bound here
+    return S.divisor([1, e + 1]), _adjoint_claims(
+        S, 2, "residual(K + 2A - e*fiber)", S.divisor([0, e]),
+        ("oracle_min(K + 2A)", lambda D: ample_oracle(D, 8).min_value))
 
 
 def _del_pezzo(l: int) -> SurfaceModel:
@@ -207,31 +214,20 @@ def _del_pezzo(l: int) -> SurfaceModel:
 
 def _build_1_13(l):
     S = _del_pezzo(l)
-    common, K = _common(S), canonical_class(S)
-
-    def claims(A):
-        return {**common(A), "residual(K + A)": _residual(K + A)}
-    return -K, claims
+    return -canonical_class(S), _adjoint_claims(S, 1, "residual(K + A)")
 
 
 def _build_1_14():
     S = _del_pezzo(7)
-    common, K = _common(S), canonical_class(S)
-
-    def claims(A):
-        return {**common(A),
-                "residual(K + 2A - (-K))": _residual(K + 2 * A - (-K))}
-    return -K, claims
+    minus_K = -canonical_class(S)
+    return minus_K, _adjoint_claims(S, 2, "residual(K + 2A - (-K))", minus_K)
 
 
 def _build_1_15():
     S = _del_pezzo(8)
-    common, K = _common(S), canonical_class(S)
-
-    def claims(A):
-        return {**common(A),
-                "residual(K + 3A - (-2K))": _residual(K + 3 * A - (-2 * K))}
-    return -K, claims
+    minus_K = -canonical_class(S)
+    return minus_K, _adjoint_claims(S, 3, "residual(K + 3A - (-2K))",
+                                    2 * minus_K)
 
 
 # points on the anticanonical curve, one in each fiber (1.16, 1.19, 1.20)
@@ -243,86 +239,49 @@ _ON_C_DISTINCT = PointConfig(on_smooth_anticanonical=True,
 def _build_1_16(e, n):
     l = 8 - n
     S = blow_up(SurfaceModel.hirzebruch(e), l, _ON_C_DISTINCT)
-    A = S.divisor([2, e + 3] + [-1] * l)
-    common, K, fiber = _common(S), canonical_class(S), S.pullback([0, 1])
-
-    def claims(A):
-        KA = K + A
-        return {**common(A),
-                "residual(K + A - pullback(fiber))": _residual(KA - fiber),
-                "(K+A)^2": KA.dot(KA)}
-    return A, claims
+    return S.divisor([2, e + 3] + [-1] * l), _adjoint_claims(
+        S, 1, "residual(K + A - pullback(fiber))", S.pullback([0, 1]),
+        ("(K+A)^2", lambda D: D.dot(D)))
 
 
 def _build_1_17(l):
     cfg = PointConfig(on_smooth_anticanonical=True, away_from_min_section=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.hirzebruch(1), l, cfg)
-    A = S.divisor([3, 4] + [-1] * l)
-    common, K, C0_fiber = _common(S), canonical_class(S), S.pullback([1, 1])
-
-    def claims(A):
-        KA = K + A
-        return {**common(A),
-                "residual(K + A - pullback(C0 + fiber))":
-                    _residual(KA - C0_fiber),
-                "-K.(K+A)": -K.dot(KA)}
-    return A, claims
+    return S.divisor([3, 4] + [-1] * l), _adjoint_claims(
+        S, 1, "residual(K + A - pullback(C0 + fiber))", S.pullback([1, 1]),
+        ("-K.(K+A)", (-canonical_class(S)).dot))
 
 
 def _build_1_18():
     cfg = PointConfig(complete_intersection_of_cubics=True,
                       anticanonical_effective=True)
     S = blow_up(SurfaceModel.projective_plane(), 9, cfg)
-    common, K = _common(S), canonical_class(S)
-    F = -K                           # elliptic fiber class
+    F = -canonical_class(S)          # elliptic fiber class
     E = S.exceptional(8)             # a section of the fibration
-    A = E + 2 * F
-    sections_fibers = 2 * E + 3 * F
-
-    def claims(A):
-        K2A = K + 2 * A
-        return {**common(A),
-                "residual(K + 2A - (2*section + 3*fiber))":
-                    _residual(K2A - sections_fibers),
-                "(K+2A).fiber": K2A.dot(F)}
-    return A, claims
+    return E + 2 * F, _adjoint_claims(
+        S, 2, "residual(K + 2A - (2*section + 3*fiber))", 2 * E + 3 * F,
+        ("(K+2A).fiber", F.dot))
 
 
 def _build_1_19(n):
     l = 8 - n
     k = (l - 3) // 2
     S = blow_up(SurfaceModel.hirzebruch(0), l, _ON_C_DISTINCT)
-    A = S.divisor([2, k] + [-1] * l)
-    common, K, fibers2 = _common(S), canonical_class(S), S.pullback([0, k - 2])
-
-    def claims(A):
-        KA = K + A
-        return {**common(A),
-                "residual(K + A - pullback((k-2)*fiber2))":
-                    _residual(KA - fibers2),
-                "(K+A)^2": KA.dot(KA)}
-    return A, claims
+    return S.divisor([2, k] + [-1] * l), _adjoint_claims(
+        S, 1, "residual(K + A - pullback((k-2)*fiber2))",
+        S.pullback([0, k - 2]), ("(K+A)^2", lambda D: D.dot(D)))
 
 
 def _build_1_20(n):
     l = 8 - n
     k = (l - 4) // 2
     S = blow_up(SurfaceModel.hirzebruch(0), l, _ON_C_DISTINCT)
-    A = S.divisor([3, k, -2] + [-1] * (l - 1))
-    common, K = _common(S), canonical_class(S)
     E1 = S.exceptional(0)
-    residual_class = S.pullback([1, k - 2]) - E1
-    fiber2_through_E1 = S.pullback([0, 1]) - E1
-
-    def claims(A):
-        KA = K + A
-        return {**common(A),
-                "residual(K + A - (pullback(fiber1 + (k-2)*fiber2) - E1))":
-                    _residual(KA - residual_class),
-                "(K+A).(fiber2 through first point)":
-                    KA.dot(fiber2_through_E1)}
-    return A, claims
+    return S.divisor([3, k, -2] + [-1] * (l - 1)), _adjoint_claims(
+        S, 1, "residual(K + A - (pullback(fiber1 + (k-2)*fiber2) - E1))",
+        S.pullback([1, k - 2]) - E1,
+        ("(K+A).(fiber2 through first point)", (S.pullback([0, 1]) - E1).dot))
 
 
 def _build_obs_1_4(n):
@@ -645,7 +604,8 @@ def build_example(family_id: str,
     first call for its row and parameters, and that same object is returned
     after it.
     """
-    family = FAMILIES.get(family_id)
+    # an unhashable id is unknown, not a TypeError
+    family = FAMILIES.get(family_id) if isinstance(family_id, str) else None
     if family is None:
         raise FamilyError(f"unknown family id {family_id!r}")
     p = family.validate(family_id, params)
@@ -926,8 +886,8 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
     """Recompute every claim of one family instance and diff it against the
     instance's fixture pin; the oracle searches ``DEFAULT_BOX``.
 
-    Raises ``VerificationError`` naming the first failing quantity when
-    ``strict`` (the default); otherwise returns the report with failures
+    Raises ``VerificationError`` when ``strict`` (the default), its message
+    joining every failure; otherwise returns the report with failures
     recorded.
     """
     ex = build_example(family_id, params)
@@ -1007,7 +967,7 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
 def sweep_family(family_id: str) -> list[VerifyReport]:
     """Verify every instance of a family over its full stated range; each
     report records its own failures."""
-    if family_id not in FAMILY_SWEEPS:
+    if not isinstance(family_id, str) or family_id not in FAMILY_SWEEPS:
         raise FamilyError(f"unknown family id {family_id!r}")
     return [verify_example(family_id, params, strict=False)
             for params in FAMILY_SWEEPS[family_id]]

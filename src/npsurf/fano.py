@@ -254,6 +254,8 @@ PROJECTIVE_SPACE_TWIST_MAX_NP: dict[tuple[int, int], int] = {
 
 def projective_space_twist_max_np(dim: int, k: int) -> NpVerdict:
     """Pinned exact level for O(k) on projective space of small dimension."""
+    _check_int("dim", dim)
+    _check_int("k", k)
     try:
         level = PROJECTIVE_SPACE_TWIST_MAX_NP[(dim, k)]
     except KeyError:

@@ -178,3 +178,32 @@ def test_a_run_that_leaves_no_result_is_recorded_as_failed(tmp_path,
                                 for side in ("parent", "change")],
                                "ops_per_s", "higher")
     assert (claim["median_ratio"], claim["holds"]) == (None, False)
+
+
+def test_pair_prints_a_traced_runs_gate_and_a_missing_result(monkeypatch,
+                                                             capsys):
+    tool = _tool()
+    results = {
+        ("parent", 0): (0, {"correct": True,
+                            "metrics": {"ops_per_s": {"value": 5.0}}}),
+        ("change", 0): (2, None),
+        # a traced run carries per-layer metrics only
+        ("parent", 1): (0, {"correct": True, "metrics": {}}),
+        ("change", 1): (1, {"correct": False, "metrics": {}}),
+    }
+
+    def stub(checkout, workload, seed, trace):
+        code, result = results[(checkout, trace)]
+        return {"workload": workload, "seed": seed, "trace": trace,
+                "env": None, "exit": code, "result": result}
+
+    monkeypatch.setattr(tool, "run", stub)
+    checkouts = {"parent": "parent", "change": "change"}
+    for trace in (0, 1):
+        runs = tool.pair(checkouts, "oracle-wide", 1, trace,
+                         parent_first=True)
+        assert [r["side"] for r in runs] == ["parent", "change"]
+    shown = [line.split(": ", 1)[1]
+             for line in capsys.readouterr().out.splitlines()]
+    assert shown == ['{"value": 5.0}', "no result (exit 2)",
+                     "exit 0, correct true", "exit 1, correct false"]

@@ -441,3 +441,40 @@ def test_curve_reference_levels():
     assert curve_np_reference(3, 6).status == "NotApplicable"
     with pytest.raises(CriteriaError):
         curve_np_reference(-1, 5)
+
+
+# --- integer arguments -----------------------------------------------------
+
+
+_INTEGER_REFUSALS = [
+    (np_classify_degree, (7.5, ANTI), "t", 7.5),
+    (np_classify_degree, (True, ANTI), "t", True),
+    (curve_np_reference, (1, 3.5), "degree", 3.5),
+    (curve_np_reference, (1, True), "degree", True),
+    (curve_np_reference, (True, 5), "genus", True),
+    (curve_np_reference, (1.0, 5), "genus", 1.0),
+    (adjoint_np_min_n, (3, 2.5), "p", 2.5),
+    (adjoint_np_min_n, (3, True), "p", True),
+    (adjoint_np_min_n, (3.0, 2), "ksq", 3.0),
+    (adjoint_np_min_n, (8, 2, 1.0), "e", 1.0),
+    (adjoint_np_min_n, (8, 2, True), "e", True),
+    (ampleness_termination, (9, 1.5, None, True, True), "p", 1.5),
+    (ampleness_termination, (9, True, None, True, True), "p", True),
+    (green_lazarsfeld_failure, (2.5,), "effective_degree", 2.5),
+    (reider_np, (3, 50.5, 2, None, True), "Lsq", 50.5),
+    (reider_np, (0, 50, 2, True, True), "minus_k_dot_L", True),
+    (lemma_125_bound, (3, 50, 1.5, False, True), "p", 1.5),
+    (lemma_125_bound, (3, True, 1, False, True), "Lsq", True),
+    (verify_inequality_chain, (2, 2.5, 3), "m", 2.5),
+    (verify_inequality_chain, (2, 3, True), "ksq", True),
+    (thm_121_equivalence, (5.0,), "ksq", 5.0),
+    (min_kA_bound, (True,), "ksq", True),
+]
+
+
+@pytest.mark.parametrize("fn, args, name, value", _INTEGER_REFUSALS)
+def test_integer_arguments_are_ints_never_coerced(fn, args, name, value):
+    # a float or a bool is refused, never answered with a fractional level
+    with pytest.raises(CriteriaError,
+                       match=f"^{name} must be an integer, got {value!r}$"):
+        fn(*args)

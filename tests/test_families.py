@@ -73,6 +73,14 @@ def test_build_validation():
             build_example("1.12", {"e": value})
 
 
+@pytest.mark.parametrize("family_id", [["1.11"], {"1.11": 1}])
+def test_an_unhashable_family_id_is_unknown(family_id):
+    with pytest.raises(FamilyError, match="unknown family id"):
+        build_example(family_id)
+    with pytest.raises(FamilyError, match="unknown family id"):
+        sweep_family(family_id)
+
+
 def test_instance_keys_and_parameters():
     assert build_example("1.11").instance_key == "-"
     ex = build_example("1.16", {"e": 0, "n": -1})
@@ -887,6 +895,29 @@ def test_every_instance_json_is_pinned():
     assert count == 88
     assert digest.hexdigest() == (
         "c96b2348d436f6577a6b753d7c5343737b02929efb6b7ec5568dbc9dc709a627")
+
+
+def test_claims_pin_every_instance_and_mutant():
+    # the claims of each sweep instance's polarization A, of 2A and of each
+    # +-1 and +-2 change to one exceptional coefficient: a claim that reads
+    # a fixed class off A, rather than off the surface, changes the digest
+    digest = hashlib.sha256()
+    count = 0
+    for fid, sweep in FAMILY_SWEEPS.items():
+        for params in sweep:
+            ex = build_example(fid, params)
+            variants = [("A", ex), ("2A", ex.with_polarization(2 * ex.A))]
+            variants += [(f"E{i}{d:+d}", mutate_polarization(ex, i, d))
+                         for i in range(ex.surface.l or 0)
+                         for d in (1, -1, 2, -2)]
+            for tag, v in variants:
+                count += 1
+                digest.update(json.dumps(
+                    [fid, ex.instance_key, tag,
+                     list(v.claims(v.A).items())]).encode())
+    assert count == 2916
+    assert digest.hexdigest() == (
+        "fb42f07decb801121bffc05511d664e1f0d582961c3107a95899aaeaf5ef7629")
 
 
 def test_verify_strictness_raises_with_the_culprit_named(monkeypatch):

@@ -206,6 +206,14 @@ def test_projective_space_twist_pins():
         projective_space_twist_max_np(5, 2)
 
 
+@pytest.mark.parametrize("dim, k, name", [(3.0, 2.0, "dim"), (3, 2.0, "k"),
+                                         (True, 2, "dim"), (3, True, "k")])
+def test_projective_space_twist_arguments_are_ints(dim, k, name):
+    # 3.0 would hash like 3 and find the (3, 2) pin
+    with pytest.raises(FanoError, match=f"^{name} must be an integer"):
+        projective_space_twist_max_np(dim, k)
+
+
 def test_decisions_never_weaken_with_more_positivity():
     rank = {"NotN0": 0, "Silent": 1, "ConditionalN0": 2, "N0": 3}
     f = FanoInput(6, 3, 2)

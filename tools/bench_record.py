@@ -75,9 +75,17 @@ def pair(checkouts: dict, workload: str, seed: int, trace: int,
     for side in order:
         rec = run(checkouts[side], workload, seed, trace)
         runs.append({"side": side, **rec})
-        value = rec["result"] and rec["result"]["metrics"].get(metric)
-        print(f"{side:6} {workload:13} seed {seed} trace {trace}: "
-              f"{json.dumps(value)}", flush=True)
+        # a traced run reports per-layer metrics only, so it shows its gate
+        result = rec["result"]
+        if result is None:
+            shown = f"no result (exit {rec['exit']})"
+        elif trace:
+            shown = (f"exit {rec['exit']}, correct "
+                     f"{json.dumps(result.get('correct'))}")
+        else:
+            shown = json.dumps(result["metrics"].get(metric))
+        print(f"{side:6} {workload:13} seed {seed} trace {trace}: {shown}",
+              flush=True)
     return runs
 
 
