@@ -874,8 +874,11 @@ def _fixture_table() -> dict:
 
 
 def fixture_instance(family_id: str, instance_key: str) -> dict | None:
-    table = _fixture_table()
-    fam = table["families"].get(family_id)
+    """The pin of one instance, or None for an unknown family id or
+    instance key, a non-``str`` one included."""
+    if not (isinstance(family_id, str) and isinstance(instance_key, str)):
+        return None
+    fam = _fixture_table()["families"].get(family_id)
     if fam is None:
         return None
     return fam["instances"].get(instance_key)

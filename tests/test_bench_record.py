@@ -207,3 +207,16 @@ def test_pair_prints_a_traced_runs_gate_and_a_missing_result(monkeypatch,
              for line in capsys.readouterr().out.splitlines()]
     assert shown == ['{"value": 5.0}', "no result (exit 2)",
                      "exit 0, correct true", "exit 1, correct false"]
+
+
+def test_the_note_is_stored_with_the_runs(monkeypatch, tmp_path):
+    tool = _tool()
+    ok = {"correct": True, "attempted": 1, "metrics": {
+        "ops_per_s": {"value": 5.0}, "peak_rss_mb": {"value": 1.0}}}
+    monkeypatch.setattr(tool, "run", lambda checkout, workload, seed, trace: {
+        "workload": workload, "seed": seed, "trace": trace, "env": None,
+        "exit": 0, "result": ok})
+    for extra, note in (([], None), (["--note", "less work"], "less work")):
+        out = tmp_path / "bench.json"
+        assert tool.main(["parent", "change", str(out), *extra]) == 0
+        assert json.loads(out.read_text()).get("note") == note

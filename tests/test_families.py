@@ -79,6 +79,8 @@ def test_an_unhashable_family_id_is_unknown(family_id):
         build_example(family_id)
     with pytest.raises(FamilyError, match="unknown family id"):
         sweep_family(family_id)
+    assert fixture_instance(family_id, "-") is None
+    assert fixture_instance("1.11", family_id) is None
 
 
 def test_instance_keys_and_parameters():

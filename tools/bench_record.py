@@ -2,7 +2,7 @@
 """Record a perf trajectory file (``BENCH_<n>.json``) from two checkouts.
 
     python3 tools/bench_record.py PARENT CHANGE OUT \
-        [--claim WORKLOAD SEED PAIRS METRIC]
+        [--claim WORKLOAD SEED PAIRS METRIC] [--note TEXT]
 
 PARENT and CHANGE are source checkouts of the commit before a change and of
 the change itself.  In each, ``perfbench/run.py`` runs untraced (``--trace
@@ -23,7 +23,8 @@ but each workload's ``failed_runs`` counts them per side, and a claim holds
 only when none of its runs failed.  A run that left no result line is
 recorded with ``result: null``, counted in ``failed_runs`` and left out of
 the medians: ``perfbench/run.py`` stopped before measuring, or it ran past
-``RUN_TIMEOUT_S`` and was killed (``exit: null``).
+``RUN_TIMEOUT_S`` and was killed (``exit: null``).  ``--note`` stores TEXT
+as the file's ``note``: where the measured change comes from.
 """
 
 from __future__ import annotations
@@ -177,6 +178,7 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path)
     parser.add_argument("--claim", nargs=4, metavar=("WORKLOAD", "SEED",
                                                      "PAIRS", "METRIC"))
+    parser.add_argument("--note")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -189,6 +191,8 @@ def main(argv=None) -> int:
     for seed, workload, parent_first in schedule(workloads):
         runs += pair(checkouts, workload, seed, 0, parent_first=parent_first)
     doc = {"runs": runs, "summary": summarize(runs)}
+    if args.note:
+        doc["note"] = args.note
     if args.claim:
         workload, seed, pairs, metric = args.claim[0], int(args.claim[1]), \
             int(args.claim[2]), args.claim[3]
