@@ -985,4 +985,6 @@ def mutate_polarization(ex: ExampleFamily, index: int, delta: int) -> ExampleFam
         raise FamilyError(f"delta must be an integer, got {delta!r}")
     if not 0 <= index < (ex.surface.l or 0):
         raise FamilyError(f"no exceptional index {index}")
-    return ex.with_polarization(ex.A + delta * ex.surface.exceptional(index))
+    coeffs = [*ex.A.coeffs]
+    coeffs[ex.surface.base_rank + index] += delta
+    return ex.with_polarization(DivisorClass(ex.surface, tuple(coeffs)))

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from npsurf import lattice, selftest
+from npsurf import families, lattice, selftest
 
 
 def test_family_sweeps_and_ampleness_agreement_under_ten_seconds():
@@ -106,6 +106,22 @@ def test_property_suite_rejects_each_mutant(monkeypatch, owner, name, mutant):
     monkeypatch.setattr(owner, name, mutant)
     ok, detail = selftest.check_properties()
     assert not ok and detail
+
+
+def test_mutation_check_rejects_a_certificate_blind_to_the_polarization(
+        monkeypatch):
+    # never valid, and the same certificate for every polarization
+    def blind(ex):
+        return families.AmpleCertificate(ex.id, 0, (), (), ())
+    monkeypatch.setattr(selftest, "nakai_certificate", blind)
+    ok, detail = selftest.check_mutation_robustness()
+    assert not ok and detail
+    # refusing where the real certificate refuses leaves the flip rate
+    real = families.nakai_certificate
+    monkeypatch.setattr(selftest, "nakai_certificate",
+                        lambda ex: real(ex) and blind(ex))
+    assert selftest.check_mutation_robustness() == (
+        False, "certificate flip rate 0.000 < 0.9")
 
 
 def test_a_check_reports_the_failure_it_found(monkeypatch):
