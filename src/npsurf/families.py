@@ -487,17 +487,14 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
 
 def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
     """Write A = alpha * section + beta * fiber on the 9-point pencil blow-up,
-    if A lies in that rank-2 span; otherwise None."""
-    F = -canonical_class(S)
-    E = S.exceptional(8)
+    if A lies in that rank-2 span; otherwise None.  The section is E_9 and
+    the fiber is -K = (3, -1, ..., -1), so A = (3beta, -beta x 8,
+    alpha - beta); as F^2 = 0 and E_9.F = 1, A.F = alpha."""
     c = A.coeffs
-    if c[0] % 3:
+    beta, rest = divmod(c[0], 3)
+    if rest or c[1:9] != (-beta,) * 8:
         return None
-    beta = c[0] // 3
-    alpha = c[9] + beta
-    if (alpha * E + beta * F).coeffs != c:
-        return None
-    return alpha, beta
+    return c[9] + beta, beta
 
 
 def _elliptic_pencil_certificate(S, A, weights) -> list[CurveCaseCheck]:
@@ -505,10 +502,9 @@ def _elliptic_pencil_certificate(S, A, weights) -> list[CurveCaseCheck]:
     if span is None:
         return [CurveCaseCheck("ProperIntersection(span)", 1, 0, False)]
     alpha, beta = span
-    fiber_value = A.dot(-canonical_class(S))
     section_value = weights[8]
     return [
-        CurveCaseCheck("FiberSpecial(F)", 0, fiber_value, fiber_value >= 1),
+        CurveCaseCheck("FiberSpecial(F)", 0, alpha, alpha >= 1),
         CurveCaseCheck("EqualsC", 0, section_value, section_value >= 1),
         # any other irreducible curve T has section.T >= 0 and fiber.T >= 1,
         # so A.T = alpha*(section.T) + beta*(fiber.T) >= beta when alpha >= 0
@@ -666,7 +662,7 @@ def _pencil_candidates(S: SurfaceModel, D: DivisorClass, box: int):
             "admissible-curve model only covers that span")
     alpha, beta = span
     yield from ((w, ("E", i)) for i, w in enumerate(_weights(S, D)))
-    yield D.dot(-canonical_class(S)), ("F",)
+    yield alpha, ("F",)
     for x in range(box + 1):
         for y in range(1, box + 1):
             yield alpha * x + beta * y, ("T", x, y)

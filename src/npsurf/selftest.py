@@ -11,6 +11,11 @@ there are none.  Everything is deterministic: fixed seeds, fixed sizes
 certificate flips of the perturbation suite, the default oracle box for
 the sweeps), no network, no files outside the installed package data.
 
+A check states only what the package computes, and each fact once: a
+statement that calls no npsurf code can catch no fault of the package.
+Check 1 is the home of the family facts, since ``verify_example`` compares
+every instance's claims and certificate with its frozen fixture pin.
+
 A check does not recompute what a proof already gives.  A +-1 change d to
 an exceptional coefficient c moves ``A^2`` by ``-(2cd + 1)``, an odd
 number, so every perturbation moves the ``A2`` claim and only the
@@ -192,7 +197,7 @@ def check_min_n_table() -> tuple[bool, str]:
 
 def check_degree_chain() -> tuple[bool, str]:
     """The quadratic-to-degree bound and its proof inequalities over the
-    full integer grid, with the exact equality locus."""
+    full integer grid."""
     failures = _Failures()
     cells = 0
     for ksq in range(1, 9):
@@ -204,9 +209,6 @@ def check_degree_chain() -> tuple[bool, str]:
                 if not (i1 and i2 and i3):
                     failures.append(f"chain failed at p={p} m={m} ksq={ksq}: "
                                     f"{(i1, i2, i3)}")
-                d = p - m
-                if ((d * d + 5 * d + 6 == 0) != (d in (-2, -3))):
-                    failures.append(f"equality locus wrong at p={p} m={m}")
     # the bound itself: fires exactly on the quadratic threshold
     for ksq in range(1, 9):
         p_lo = 2 if ksq == 8 else 1
@@ -229,11 +231,6 @@ def check_degree_chain() -> tuple[bool, str]:
 
 
 # --- 4: sharpness boundaries ----------------------------------------------
-
-
-def _fe_ample(e: int, a: int, b: int) -> bool:
-    """Ampleness on a bare Hirzebruch surface via its curve cone."""
-    return a > 0 and b > a * e
 
 
 def check_sharpness() -> tuple[bool, str]:
@@ -285,18 +282,13 @@ def check_sharpness() -> tuple[bool, str]:
 
     # termination thresholds, equality-adjacent on both sides
     for d in range(1, 13):
-        thr = ampleness_termination(9, 3 * d - 3, np_sharp_attested=True)
-        m1 = thr.m_min
-        expect(m1 == (d - 1) // 3 + 1, f"plane threshold off at d={d}")
+        m1 = ampleness_termination(9, 3 * d - 3, np_sharp_attested=True).m_min
         expect(d - 3 * m1 < 1, f"plane twist m={m1} still ample at d={d}")
         expect(d - 3 * (m1 - 1) >= 1,
                f"plane twist m={m1 - 1} lost ampleness at d={d}")
     for e in range(0, 9):
         thr = ampleness_termination(8, e + 1, e=e, np_sharp_attested=True)
         expect(thr.m_min == 1, f"ruled threshold off at e={e}")
-        expect(not _fe_ample(e, -2 + 1, -(e + 2) + (e + 1)),
-               f"adjoint twist unexpectedly ample at e={e}")
-        expect(_fe_ample(e, 1, e + 1), f"polarization not ample at e={e}")
     for ksq in range(1, 8):
         for scale in range(1, 7):
             p = scale * ksq - 3
@@ -309,19 +301,11 @@ def check_sharpness() -> tuple[bool, str]:
                    f"scale={scale}")
             expect(thr.contains(scale) and not thr.contains(scale - 1),
                    f"threshold membership off at ksq={ksq} scale={scale}")
-    for e in range(0, 3):
-        for n in range(1, 8):
-            thr = ampleness_termination(n, n - 1, multiple_of_minus_k=False,
-                                        np_sharp_attested=True)
-            expect(thr.m_min == 1,
-                   f"non-multiple threshold off at ksq={n}")
-            ex = build_example("1.16", {"e": e, "n": n})
-            adjoint = lattice.canonical_class(ex.surface) + ex.A
-            expect(adjoint.dot(adjoint) == 0,
-                   f"adjoint of the boundary family not on the cone edge "
-                   f"(e={e}, n={n})")
-            cert = nakai_certificate(ex)
-            expect(cert.valid, f"boundary family not certified (e={e}, n={n})")
+    # Example 1.16's threshold; check 1 pins its (K + A)^2 = 0 and ampleness
+    for n in range(1, 8):
+        thr = ampleness_termination(n, n - 1, multiple_of_minus_k=False,
+                                    np_sharp_attested=True)
+        expect(thr.m_min == 1, f"non-multiple threshold off at ksq={n}")
     thr = ampleness_termination(-2, 1, np_sharp_attested=True)
     expect(thr.direction == "below" and thr.m_max == -2,
            "negative-range threshold off at p=1")

@@ -5,6 +5,7 @@ Each test delegates to the corresponding hermetic check in
 can never drift apart.
 """
 
+import dataclasses
 import subprocess
 import sys
 import time
@@ -123,6 +124,58 @@ def test_mutation_check_rejects_a_certificate_blind_to_the_polarization(
     monkeypatch.setattr(selftest, "nakai_certificate", refusing_blind)
     assert selftest.check_mutation_robustness() == (
         False, "certificate flip rate 0.000 < 0.9")
+
+
+_termination = selftest.ampleness_termination
+_chain = selftest.verify_inequality_chain
+
+
+def _plane_one_lower(ksq, p, **kw):
+    thr = _termination(ksq, p, **kw)
+    return dataclasses.replace(thr, m_min=thr.m_min - 1) if ksq == 9 else thr
+
+
+def _ruled_blind_to_e(ksq, p, e=None, **kw):
+    return _termination(ksq, p, e=0 if ksq == 8 else e, **kw)
+
+
+def _case_d_reads_p_plus_2(ksq, p, multiple_of_minus_k=True, **kw):
+    # (p + 1)/K^2 - 1 written (p + 2)/K^2 - 1
+    return _termination(ksq, p + (1 <= ksq <= 7 and not multiple_of_minus_k),
+                        multiple_of_minus_k=multiple_of_minus_k, **kw)
+
+
+def _chain_strict(i):
+    """``verify_inequality_chain`` with inequality ``i`` (0 or 1) strict."""
+    def chain(p, m, ksq):
+        d = p - m
+        ineqs = list(_chain(p, m, ksq))
+        ineqs[i] = (p * p + 3 * p + 3 - ksq, d * d + 5 * d + 6)[i] > 0
+        return tuple(ineqs)
+    return chain
+
+
+# single slips in the criteria that checks 3 and 4 must reject, each
+# patched into the name selftest imports
+CHECK_MUTANTS = {
+    "plane-m-min-one-lower": ("ampleness_termination", _plane_one_lower),
+    "ruled-case-ignores-e": ("ampleness_termination", _ruled_blind_to_e),
+    "case-d-reads-p-plus-2": ("ampleness_termination",
+                              _case_d_reads_p_plus_2),
+    "inequality-1-strict": ("verify_inequality_chain", _chain_strict(0)),
+    "inequality-2-strict": ("verify_inequality_chain", _chain_strict(1)),
+}
+_CHECK_OF = {"ampleness_termination": selftest.check_sharpness,
+             "verify_inequality_chain": selftest.check_degree_chain}
+
+
+@pytest.mark.parametrize("name, mutant", CHECK_MUTANTS.values(),
+                         ids=list(CHECK_MUTANTS))
+def test_threshold_and_chain_checks_reject_each_mutant(monkeypatch, name,
+                                                       mutant):
+    monkeypatch.setattr(selftest, name, mutant)
+    ok, detail = _CHECK_OF[name]()
+    assert not ok and detail
 
 
 def test_a_check_reports_the_failure_it_found(monkeypatch):

@@ -638,6 +638,30 @@ def _random_class(rng, S):
                      + [rng.randrange(-4, 2) for _ in range(S.l or 0)])
 
 
+def test_fibration_span_is_the_section_fiber_decomposition():
+    # _reference_candidates reads the span from _fibration_span itself, so
+    # its closed form is checked here against class arithmetic: on the span
+    # A = alpha E_9 + beta F with A.F = alpha and A.E_9 = beta - alpha
+    S = blow_up(SurfaceModel.projective_plane(), 9,
+                PointConfig(complete_intersection_of_cubics=True))
+    F, E9 = -canonical_class(S), S.exceptional(8)
+    rng = random.Random("fibration-span")
+    seen = set()
+    for _ in range(400):
+        A = rng.randrange(-9, 10) * E9 + rng.randrange(-9, 10) * F
+        if rng.random() < 0.5:
+            # one coefficient moved: off the span unless it is E_9's
+            c = [*A.coeffs]
+            c[rng.randrange(S.rank)] += rng.choice((-3, -1, 1, 3))
+            A = S.divisor(c)
+        alpha, beta = A.dot(F), A.dot(E9) + A.dot(F)
+        in_span = alpha * E9 + beta * F == A
+        assert families._fibration_span(S, A) == (
+            (alpha, beta) if in_span else None), A
+        seen.add(in_span)
+    assert seen == {True, False}
+
+
 _MODELS = ["bare-P2", "bare-Fe", "zero-point", "pencil", "P2-points",
            "Fe-points", "Fe-points-away", "Fe-points-distinct",
            "Fe-points-away-distinct", "no-model"]
