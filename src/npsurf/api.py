@@ -210,6 +210,7 @@ _ROWS = {
     "multiples_np_fano": ("fano",),
     "index_nm3_n0": ("fano",),
     "index_nm3_np": ("fano",),
+    "projective_space_twist_max_np": ("fano",),
 }
 OPERATIONS = tuple(sorted(_ROWS))
 _OPS: dict[str, _Call] = {}     # the ops derived so far

@@ -222,7 +222,7 @@ def _cmd_table(args) -> tuple[int, dict]:
     """A table subcommand: the options given, each under its op's JSON
     argument name, are the op's args, and the op refuses a missing one or
     one it does not read.  ``args.op`` is the op, or a function that picks
-    it from them (taking out a routing switch, or renaming for its op)."""
+    it from them (taking out a routing switch, renaming or nesting args)."""
     given = {k: v for k, v in vars(args).items() if k not in _NOT_OP_ARGS}
     op = args.op if isinstance(args.op, str) else args.op(given)
     return 0, _eval(op, **given)
@@ -250,6 +250,15 @@ def _fano_classify_op(given: dict) -> str:
     if "k" in given:        # the multiples criterion calls the twist l
         given["l"] = given.pop("k")
     return "multiples_np_fano"
+
+
+def _fano_surface_op(given: dict) -> str:
+    from .fano import SurfaceProfile
+
+    # the profile's fields are options of their own
+    keys = given.keys() & SurfaceProfile.__optional_keys__
+    given["profile"] = {key: given.pop(key) for key in keys}
+    return "multiples_np_surface"
 
 
 def _cmd_example(args) -> tuple[int, dict | list[str]]:
@@ -288,20 +297,6 @@ def _cmd_example(args) -> tuple[int, dict | list[str]]:
             lines.append(f"FAIL {name}: {inst['failures'][0]}")
     verdict = "all passed" if code == 0 else "FAILURES above"
     return code, [*lines, f"{len(instances)} instance(s): {verdict}"]
-
-
-def _cmd_fano(args) -> tuple[int, dict]:
-    if args.action == "surface":
-        profile = {"minusK_dot_B": args.minusK_dot_B,
-                   "is_P2_O1": args.is_P2_O1}
-        return 0, _eval("multiples_np_surface", profile=profile, l=args.l,
-                        p=args.p)
-    from .fano import projective_space_twist_max_np
-
-    verdict = projective_space_twist_max_np(args.dim, args.k)
-    return 0, {"op": "projective_space_twist_max_np", "kind": "NpVerdict",
-               "verdict": verdict.to_json(),
-               "justification": verdict.justification}
 
 
 def _cmd_oracle(args) -> tuple[int, dict]:
@@ -457,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     exs.add_parser("list", help="list families and parameter ranges")
 
     f = sub.add_parser("fano", help="Fano n-fold criteria")
-    f.set_defaults(handler=_cmd_fano)
     fs = f.add_subparsers(dest="action", required=True)
     fc = _add_table(fs, "classify", _fano_classify_op,
                     "classify (X, H) or a twist of it")
@@ -470,15 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--morphism", choices=criteria.MORPHISM_KINDS)
     fc.add_argument("--k", type=_int_option, help="twist kH to classify")
     fc.add_argument("--p", type=_int_option, help="syzygy level to test")
-    fp = fs.add_parser("surface",
-                       help="multiples on an anticanonical surface")
+    fp = _add_table(fs, "surface", _fano_surface_op,
+                    "multiples on an anticanonical surface")
     fp.add_argument("--minus-k-dot-b", type=_int_option, required=True,
                     dest="minusK_dot_B")
     fp.add_argument("--l", type=_int_option, required=True, help="multiple lB")
     fp.add_argument("--p", type=_int_option, required=True)
     fp.add_argument("--p2-o1", action="store_true", dest="is_P2_O1",
                     help="B is the plane with its line bundle")
-    ft = fs.add_parser("twist", help="pinned projective-space twists")
+    ft = _add_table(fs, "twist", "projective_space_twist_max_np",
+                    "pinned projective-space twists")
     ft.add_argument("--dim", type=_int_option, required=True)
     ft.add_argument("--k", type=_int_option, required=True)
 

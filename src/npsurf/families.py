@@ -485,7 +485,7 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     return checks + [CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)]
 
 
-def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
+def _fibration_span(A: DivisorClass) -> tuple[int, int] | None:
     """Write A = alpha * section + beta * fiber on the 9-point pencil blow-up,
     if A lies in that rank-2 span; otherwise None.  The section is E_9 and
     the fiber is -K = (3, -1, ..., -1), so A = (3beta, -beta x 8,
@@ -498,7 +498,7 @@ def _fibration_span(S: SurfaceModel, A: DivisorClass) -> tuple[int, int] | None:
 
 
 def _elliptic_pencil_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    span = _fibration_span(S, A)
+    span = _fibration_span(A)
     if span is None:
         return [CurveCaseCheck("ProperIntersection(span)", 1, 0, False)]
     alpha, beta = span
@@ -655,7 +655,7 @@ def _cone_candidates(S: SurfaceModel, D: DivisorClass, box: int):
 def _pencil_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     """The exceptional curves, the fiber and the section/fiber span of the
     blow-up of P2 at the nine base points of a cubic pencil."""
-    span = _fibration_span(S, D)
+    span = _fibration_span(D)
     if span is None:
         raise OracleNotApplicable(
             "polarization leaves the section/fiber span; the "

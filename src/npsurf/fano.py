@@ -112,7 +112,7 @@ def primitive_np(f: FanoInput) -> NpVerdict:
 
 class SurfaceProfile(TypedDict, total=False):
     """Numeric profile of a polarized surface (S, B); ``minusK_dot_B`` is
-    required, ``is_P2_O1`` marks the plane with its line bundle."""
+    required, ``is_P2_O1`` marks the plane with its line bundle (-K.B = 3)."""
 
     minusK_dot_B: int
     is_P2_O1: bool
@@ -136,6 +136,9 @@ def multiples_np_surface(B_profile: SurfaceProfile, l: int, p: int) -> BoolVerdi
         raise FanoError(f"minusK_dot_B must be an integer, got {deg!r}")
     if type(plane) is not bool:
         raise FanoError(f"is_P2_O1 must be a bool, got {plane!r}")
+    if plane and deg != 3:
+        raise FanoError("the plane with its line bundle has -K.B = 3, "
+                        f"got minusK_dot_B = {deg}")
     assumed = ("ample", "bpf")
     if (deg >= 4 or plane) and l >= p:
         return BoolVerdict(True, "Thm 2.6", assumed)

@@ -70,6 +70,7 @@ OP_ARGS = {
     "multiples_np_fano": (("n", "m", "Hn", "l", "p"), ("h0H", "morphism")),
     "index_nm3_n0": (("n", "m", "Hn", "k"), ("h0H", "morphism")),
     "index_nm3_np": (("n", "m", "Hn", "k", "p"), ("h0H", "morphism")),
+    "projective_space_twist_max_np": (("dim", "k"), ()),
 }
 
 PLANE_DIVISOR = {"kind": "P2", "coeffs": [2]}
@@ -307,7 +308,7 @@ F2_3 = {"kind": "Fe", "e": 2, "l": 3, "config": {}}
 ANTI = {"ample": True, "anticanonical": True}
 FANO = {"n": 3, "m": 2, "Hn": 8}
 NM3 = {"n": 5, "m": 2, "Hn": 2}
-# one request list over all 28 ops; each optional verdict field is both set
+# one request list over all 29 ops; each optional verdict field is both set
 # and left unset by some answer
 PINNED_REQUESTS = [
     ("intersect", {"d1": {**DP3, "coeffs": [3] + [-1] * 6},
@@ -385,9 +386,12 @@ PINNED_REQUESTS = [
     ("index_nm3_n0", {**NM3, "k": 2, "morphism": "neither_of_those"}),
     ("index_nm3_np", {**NM3, "h0H": 7, "k": 4, "p": 2}),
     ("index_nm3_np", {**NM3, "h0H": 6, "k": 4, "p": 2}),
+    # the pin primitive_np derives, then one looked up
+    ("projective_space_twist_max_np", {"dim": 3, "k": 2}),
+    ("projective_space_twist_max_np", {"dim": 4, "k": 2}),
 ]
 PINNED_ANSWERS = (
-    "f1bf3ab100e3244a6a0d4242063bb7c54f3a522af2c8aaa4deb01c1dc121f5aa")
+    "660ddd32f420e9a9da5c3cba7304887de6cfd1128c41a04bb42628661a379ef2")
 
 
 def test_pinned_requests_cover_every_op():

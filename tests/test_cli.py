@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from importlib import resources
 
@@ -532,19 +533,129 @@ TABLE_OPS = {
     ("terminate",): ("ampleness_termination",),
     ("fano", "classify"): ("primitive_np", "index_nm3_n0", "index_nm3_np",
                            "multiples_np_fano"),
+    ("fano", "surface"): ("multiples_np_surface",),
+    ("fano", "twist"): ("projective_space_twist_max_np",),
 }
 
 
 @pytest.mark.parametrize("path", TABLE_OPS, ids=" ".join)
 def test_every_table_option_is_an_argument_of_its_ops(path):
     from npsurf import api
+    from npsurf.fano import SurfaceProfile
 
     names = set().union(*(api._call(op).names for op in TABLE_OPS[path]))
+    # the surface profile's fields are options of their own
+    if "profile" in names:
+        names |= SurfaceProfile.__optional_keys__
     dests = {action.dest for action in _subparser(cli.build_parser(),
                                                   *path)._actions
              if action.option_strings and action.dest != "help"}
     # --equivalence only chooses the op
     assert dests - {"equivalence"} <= names, sorted(dests - names)
+
+
+FANO = {"n": 5, "m": 2, "Hn": 2}
+# commands that answer one library call, each beside the request it makes
+SINGLE_OP_COMMANDS = {
+    "fano classify primitive": (
+        ("fano", "classify", "--n", "3", "--index", "2", "--deg", "8"),
+        "primitive_np", {"n": 3, "m": 2, "Hn": 8}),
+    "fano classify multiples": (
+        ("fano", "classify", "--n", "3", "--index", "2", "--deg", "8", "--k",
+         "2", "--p", "3"),
+        "multiples_np_fano", {"n": 3, "m": 2, "Hn": 8, "l": 2, "p": 3}),
+    "fano classify n0": (
+        ("fano", "classify", "--n", "5", "--index", "2", "--deg", "2", "--k",
+         "3"), "index_nm3_n0", {**FANO, "k": 3}),
+    "fano classify np": (
+        ("fano", "classify", "--n", "5", "--index", "2", "--deg", "2", "--h0",
+         "7", "--k", "4", "--p", "2"),
+        "index_nm3_np", {**FANO, "h0H": 7, "k": 4, "p": 2}),
+    "fano surface": (
+        ("fano", "surface", "--minus-k-dot-b", "4", "--l", "1", "--p", "2"),
+        "multiples_np_surface", {"profile": {"minusK_dot_B": 4}, "l": 1,
+                                 "p": 2}),
+    "fano surface plane": (
+        ("fano", "surface", "--minus-k-dot-b", "3", "--l", "2", "--p", "2",
+         "--p2-o1"),
+        "multiples_np_surface", {"profile": {"minusK_dot_B": 3,
+                                             "is_P2_O1": True},
+                                 "l": 2, "p": 2}),
+    "fano twist derived": (
+        ("fano", "twist", "--dim", "3", "--k", "2"),
+        "projective_space_twist_max_np", {"dim": 3, "k": 2}),
+    "fano twist looked up": (
+        ("fano", "twist", "--dim", "4", "--k", "2"),
+        "projective_space_twist_max_np", {"dim": 4, "k": 2}),
+    "bounds lemma_125": (
+        ("bounds", "--k2", "3", "--L2", "24", "--p", "2",
+         "--adjoint-effective"),
+        "lemma_125_bound", {"ksq": 3, "Lsq": 24, "p": 2,
+                            "adjoint_effective": True}),
+    "bounds min_kA": (("bounds", "--k2", "2", "--summand", "minus_2k"),
+                      "min_kA_bound", {"ksq": 2, "summand": "minus_2k"}),
+    "bounds min_n": (("bounds", "--k2", "3", "--p", "4", "--exclude",
+                      "minus_k"),
+                     "adjoint_np_min_n", {"ksq": 3, "p": 4,
+                                          "exclude": ["minus_k"]}),
+    "adjoint table": (("adjoint", "--k2", "1", "--summands",
+                       "minus_k,minus_2k"),
+                      "adjoint_very_ample",
+                      {"ksq": 1, "summands": ["minus_k", "minus_2k"]}),
+    "adjoint equivalence": (("adjoint", "--k2", "5", "--equivalence",
+                             "--summand", "minus_k"),
+                            "thm_121_equivalence",
+                            {"ksq": 5, "summand": "minus_k"}),
+    "reider": (("reider", "--k2", "3", "--L2", "26", "--p", "2", "--cond1"),
+               "reider_np", {"ksq": 3, "Lsq": 26, "p": 2,
+                             "cond1_attested": True}),
+    "terminate": (("terminate", "--k2", "4", "--p", "3", "--np-sharp",
+                   "--not-multiple"),
+                  "ampleness_termination",
+                  {"ksq": 4, "p": 3, "np_sharp_attested": True,
+                   "multiple_of_minus_k": False}),
+    "classify t": (("classify", "--t", "7", "--ample", "--anticanonical"),
+                   "np_classify",
+                   {"t": 7, "flags": {"ample": True, "anticanonical": True}}),
+    "oracle id": (("oracle", "--id", "1.17", "--param", "l=4"),
+                  "ample_oracle",
+                  {"divisor": {"kind": "Fe", "e": 1, "l": 4, "config": {
+                      "on_smooth_anticanonical": True,
+                      "away_from_min_section": True,
+                      "anticanonical_effective": True},
+                      "coeffs": [3, 4, -1, -1, -1, -1]}}),
+}
+
+
+@pytest.mark.parametrize("argv, op, args", SINGLE_OP_COMMANDS.values(),
+                         ids=SINGLE_OP_COMMANDS)
+def test_a_single_op_command_prints_what_evaluate_answers(capsys, argv, op,
+                                                          args):
+    from npsurf import api
+
+    code, out, err = run(capsys, "--json", *argv)
+    answer = api.evaluate({"op": op, "args": args})
+    assert (code, err) == (0, "")
+    assert out == json.dumps(answer, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("degree", [-7, 0, 1, 4])
+def test_the_plane_profile_is_refused_with_another_degree(capsys, degree):
+    from npsurf import api
+    from npsurf.fano import FanoError, multiples_np_surface
+
+    profile = {"minusK_dot_B": degree, "is_P2_O1": True}
+    message = ("the plane with its line bundle has -K.B = 3, got "
+               f"minusK_dot_B = {degree}")
+    with pytest.raises(FanoError, match=f"^{re.escape(message)}$"):
+        multiples_np_surface(profile, 2, 1)
+    with pytest.raises(FanoError, match=f"^{re.escape(message)}$"):
+        api.evaluate({"op": "multiples_np_surface",
+                      "args": {"profile": profile, "l": 2, "p": 1}})
+    code, out, err = run(capsys, "fano", "surface", "--p2-o1",
+                         "--minus-k-dot-b", str(degree), "--l", "2", "--p",
+                         "1")
+    assert (code, out, err) == (2, "", f"npsurf: error: {message}\n")
 
 
 # --- fuzz ------------------------------------------------------------------

@@ -574,7 +574,7 @@ def _reference_candidates(S, D, box):
     weights = [D.dot(S.exceptional(i)) for i in range(l)]
     cands = [(w, ("E", i)) for i, w in enumerate(weights)]
     if pencil:
-        span = families._fibration_span(S, D)
+        span = families._fibration_span(D)
         if span is None:
             raise OracleNotApplicable(
                 "polarization leaves the section/fiber span; the "
@@ -656,7 +656,7 @@ def test_fibration_span_is_the_section_fiber_decomposition():
             A = S.divisor(c)
         alpha, beta = A.dot(F), A.dot(E9) + A.dot(F)
         in_span = alpha * E9 + beta * F == A
-        assert families._fibration_span(S, A) == (
+        assert families._fibration_span(A) == (
             (alpha, beta) if in_span else None), A
         seen.add(in_span)
     assert seen == {True, False}

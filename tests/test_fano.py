@@ -86,7 +86,7 @@ def test_surface_base_case_matches_the_surface_classification():
 
 def test_multiples_on_a_surface_profile():
     assert multiples_np_surface({"minusK_dot_B": 4}, 3, 3)
-    assert multiples_np_surface({"minusK_dot_B": 1, "is_P2_O1": True}, 2, 2)
+    assert multiples_np_surface({"minusK_dot_B": 3, "is_P2_O1": True}, 2, 2)
     low = multiples_np_surface({"minusK_dot_B": 4}, 1, 2)
     assert not low and "l = 1 < p = 2" in low.reason
     silent = multiples_np_surface({"minusK_dot_B": 3}, 5, 2)
