@@ -54,16 +54,14 @@ _HEADLINES = {
 }
 
 
-def _emit(payload: dict | list[str], as_json: bool) -> None:
+def _render(payload: dict | list[str], as_json: bool) -> str:
     if isinstance(payload, list):       # a command's own text lines
-        print("\n".join(payload))
-        return
+        return "\n".join(payload)
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return
+        return json.dumps(payload, indent=2, sort_keys=True)
     v = payload.get("verdict")
     headline = _HEADLINES.get(payload.get("kind"), json.dumps)(v)
-    print(f"{payload.get('op')}: {headline}")
+    lines = [f"{payload.get('op')}: {headline}"]
     tag = payload.get("justification")
     if isinstance(v, dict):
         for key in sorted(v):
@@ -73,13 +71,14 @@ def _emit(payload: dict | list[str], as_json: bool) -> None:
             value = v[key]
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
-            print(f"  {key}: {value}")
+            lines.append(f"  {key}: {value}")
     if "query" in payload:
         q = payload["query"]
         word = {True: "holds", False: "fails"}.get(q["holds"], "undetermined")
-        print(f"  N_{q['p']}: {word}")
+        lines.append(f"  N_{q['p']}: {word}")
     if tag:
-        print(f"  tag: {tag}")
+        lines.append(f"  tag: {tag}")
+    return "\n".join(lines)
 
 
 def _augment_query(payload: dict, p: int | None) -> dict:
@@ -531,6 +530,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code, payload = args.handler(args)
+        # an answer with an integer too long for str() is a refusal too
+        text = _render(payload, args.json)
     except (ValueError, OSError) as exc:
         return _refuse("error", exc, 2)
     except Exception as exc:
@@ -544,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
             raise
         return _refuse("not applicable", exc, 2)
     try:
-        _emit(payload, args.json)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: send what is left, and the flush at

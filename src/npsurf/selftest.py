@@ -15,6 +15,9 @@ A check states only what the package computes, and each fact once: a
 statement that calls no npsurf code can catch no fault of the package.
 Check 1 is the home of the family facts, since ``verify_example`` compares
 every instance's claims and certificate with its frozen fixture pin.
+Check 2 derives Thm 1.23's table from the package's own Prop 1.6
+(``adjoint_very_ample``) and Props 1.9-1.10 (``min_kA_bound``) tables, so
+a slip in any of the three fails it.
 
 A check does not recompute what a proof already gives.  A +-1 change d to
 an exceptional coefficient c moves ``A^2`` by ``-(2cd + 1)``, an odd
@@ -30,6 +33,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from operator import mul
 
 from . import criteria, families, fano, lattice
@@ -37,9 +41,11 @@ from .criteria import (
     CriteriaError,
     NpVerdict,
     adjoint_np_min_n,
+    adjoint_very_ample,
     ampleness_termination,
     curve_np_reference,
     lemma_125_bound,
+    min_kA_bound,
     np_classify_degree,
     reider_np,
     thm_121_equivalence,
@@ -107,53 +113,20 @@ def check_family_sweeps() -> tuple[bool, str]:
 # --- 2: minimal summand-count table ---------------------------------------
 
 
-def reconstructed_min_n(ksq: int, p: int, e: int | None = None,
-                        exclude: frozenset = frozenset()) -> int:
-    """Independent reconstruction of the minimal-summand table.
-
-    Combines the very-ampleness floor on the number of ample summands with
-    the worst-case per-summand degree: n summands contribute at least
-    ``n * beta`` to ``-K.(K + sum A_i) - K^2``, where ``beta`` is the least
-    ``-K.A`` over the summand shapes not excluded.
-    """
-    if ksq == 9:
-        floor_n = 4
-    elif ksq == 8:
-        floor_n = 3
-    elif 3 <= ksq <= 7:
-        floor_n = 2
-    elif ksq == 2:
-        floor_n = 2 if "minus_k" in exclude else 3
-    elif ksq == 1:
-        floor_n = 2 if "minus_k" in exclude else 4
-    elif ksq == 0:
-        floor_n = 3
-    else:
-        floor_n = 2
-
-    if ksq == 9:
-        beta = 3
-    elif ksq == 8:
-        beta = (e + 4) if e is not None else 4
-    elif 1 <= ksq <= 7:
-        vals = {"other": ksq + 3, "conic_fibration": ksq + 2, "minus_k": ksq}
-        if ksq == 1:
-            vals["minus_2k"] = 2
-            vals["minus_3k"] = 3
-        if ksq == 2:
-            vals["minus_2k"] = 4
-        beta = min(v for tag, v in vals.items() if tag not in exclude)
-    else:
-        beta = 1
-
-    need = p + 3 + ksq
-    n_deg = -(-need // beta) if need > 0 else 0
-    return max(floor_n, n_deg)
-
-
 def check_min_n_table() -> tuple[bool, str]:
-    """The closed-form minimal-summand table must equal its reconstruction
-    on every regime, and behave monotonically."""
+    """Thm 1.23's minimal-summand table must equal what Props 1.6, 1.9 and
+    1.10 give on every regime.  With the shapes the regime allows, the
+    floor is the least n at which Prop 1.6 makes K + A_1 + ... + A_n very
+    ample for every multiset of n shapes, and beta is the least -K.A of a
+    shape (Props 1.9 and 1.10, the conic pencil included unless excluded);
+    Thm 1.3 needs -K^2 + n * beta >= p + 3, so the table's n must be
+    ``max(floor, ceil((p + 3 + K^2) / beta))``.
+
+    The floor is at least 1 and beta is checked to be at least 1, so that
+    value cannot fall as p grows, and cannot rise as shapes are excluded:
+    fewer shapes leave fewer multisets for the floor and a least -K.A that
+    is no smaller.  So a table equal to it on every cell is monotone in p
+    and never raised by an exclusion."""
     failures = _Failures()
     compared = 0
     for ksq in range(-5, 10):
@@ -168,27 +141,25 @@ def check_min_n_table() -> tuple[bool, str]:
         if ksq == 8:
             regimes += [(e, frozenset()) for e in range(0, 6)]
         for e, exclude in regimes:
-            prev = None
+            shapes = sorted(criteria._SUMMAND_TAGS - exclude)
+            # Prop 1.6 asks for at most 4 summands; none up to 8 is a crash
+            floor = next(n for n in range(1, 9) if all(
+                adjoint_very_ample(ksq, c)
+                for c in combinations_with_replacement(shapes, n)))
+            bounds = [min_kA_bound(ksq, s, e=e).bound for s in shapes]
+            if "conic_fibration" not in exclude:
+                bounds.append(
+                    min_kA_bound(ksq, e=e, conic_fibration=True).bound)
+            beta = min(bounds)
+            failures.expect(beta >= 1, f"ksq={ksq} e={e}: least -K.A {beta}")
             for p in range(0, 41):
                 got = adjoint_np_min_n(ksq, p, e=e, exclude=exclude).n
-                want = reconstructed_min_n(ksq, p, e=e, exclude=exclude)
+                want = max(floor, -(-(p + 3 + ksq) // beta))
                 compared += 1
                 if got != want:
                     failures.append(
                         f"ksq={ksq} p={p} e={e} exclude={sorted(exclude)}: "
-                        f"table {got} != reconstruction {want}")
-                if prev is not None and got < prev:
-                    failures.append(
-                        f"ksq={ksq} e={e} exclude={sorted(exclude)}: "
-                        f"not monotone at p={p}")
-                prev = got
-        # exclusions may only help
-        if 2 <= ksq <= 7:
-            for p in range(0, 41):
-                if (adjoint_np_min_n(ksq, p, exclude=five).n
-                        > adjoint_np_min_n(ksq, p).n):
-                    failures.append(f"ksq={ksq} p={p}: exclusions raised the "
-                                    "summand count")
+                        f"table {got} != derived {want}")
     return failures.result(f"{compared} (ksq, p, regime) cells agree")
 
 
@@ -338,12 +309,11 @@ def check_fano() -> tuple[bool, str]:
     expect = failures.expect
 
     # pinned twists of projective space; the first is recomputed
-    expect(fano.projective_space_twist_max_np(3, 2).p == 5, "P3 O(2) pin off")
+    expect(fano.projective_space_twist_max_np(3, 2)
+           == fano.primitive_np(fano.FanoInput(n=3, m=2, Hn=8)),
+           "primitive classification disagrees with the P3 O(2) pin")
     expect(fano.projective_space_twist_max_np(3, 3).p == 6, "P3 O(3) pin off")
     expect(fano.projective_space_twist_max_np(4, 2).p == 5, "P4 O(2) pin off")
-    v = fano.primitive_np(fano.FanoInput(n=3, m=2, Hn=8))
-    expect((v.status, v.p) == ("ExactMax", 5),
-           "primitive classification disagrees with the degree-8 pin")
     failures.refuses(lambda: fano.projective_space_twist_max_np(5, 2),
                      fano.FanoError, "unpinned lookup did not error")
 

@@ -155,9 +155,51 @@ def _chain_strict(i):
     return chain
 
 
-# single slips in the criteria that checks 3 and 4 must reject, each
+_min_n = selftest.adjoint_np_min_n
+_very_ample = selftest.adjoint_very_ample
+_kA_bound = selftest.min_kA_bound
+
+
+def _one_higher_at_5_7(ksq, p, **kw):
+    # in the excluding regime (5, 8) stays 2, so the table is not monotone
+    res = _min_n(ksq, p, **kw)
+    return dataclasses.replace(res, n=res.n + ((ksq, p) == (5, 7)))
+
+
+def _conic_exclusion_raises(ksq, p, e=None, exclude=()):
+    if "conic_fibration" not in exclude:
+        return _min_n(ksq, p, e=e, exclude=exclude)
+    res = _min_n(ksq, p, e=e)
+    return dataclasses.replace(res, n=res.n + 1)
+
+
+def _conic_bound_one_lower(*args, **kw):
+    rep = _kA_bound(*args, **kw)
+    return dataclasses.replace(
+        rep, bound=rep.bound - (rep.exception == "conic_fibration"))
+
+
+def _very_ample_needs(count, ksq_range):
+    """``adjoint_very_ample`` short of ``count`` summands on ``ksq_range``."""
+    def very_ample(ksq, summands):
+        v = _very_ample(ksq, summands)
+        if ksq in ksq_range and len(summands) < count:
+            return dataclasses.replace(v, status="NotGuaranteed")
+        return v
+    return very_ample
+
+
+# single slips in the criteria that checks 2, 3 and 4 must reject, each
 # patched into the name selftest imports
 CHECK_MUTANTS = {
+    "min-n-one-higher-at-5-7": ("adjoint_np_min_n", _one_higher_at_5_7),
+    "conic-exclusion-raises-n": ("adjoint_np_min_n",
+                                 _conic_exclusion_raises),
+    "conic-bound-one-lower": ("min_kA_bound", _conic_bound_one_lower),
+    "very-ample-needs-3-at-3-to-7": ("adjoint_very_ample",
+                                     _very_ample_needs(3, range(3, 8))),
+    "very-ample-needs-5-at-9": ("adjoint_very_ample",
+                                _very_ample_needs(5, range(9, 10))),
     "plane-m-min-one-lower": ("ampleness_termination", _plane_one_lower),
     "ruled-case-ignores-e": ("ampleness_termination", _ruled_blind_to_e),
     "case-d-reads-p-plus-2": ("ampleness_termination",
@@ -165,7 +207,10 @@ CHECK_MUTANTS = {
     "inequality-1-strict": ("verify_inequality_chain", _chain_strict(0)),
     "inequality-2-strict": ("verify_inequality_chain", _chain_strict(1)),
 }
-_CHECK_OF = {"ampleness_termination": selftest.check_sharpness,
+_CHECK_OF = {"adjoint_np_min_n": selftest.check_min_n_table,
+             "adjoint_very_ample": selftest.check_min_n_table,
+             "min_kA_bound": selftest.check_min_n_table,
+             "ampleness_termination": selftest.check_sharpness,
              "verify_inequality_chain": selftest.check_degree_chain}
 
 
@@ -199,3 +244,29 @@ def test_selftest_command_is_hermetic_and_fast():
     assert len(lines) == len(selftest.CHECKS)
     assert f"{len(selftest.CHECKS)}/{len(selftest.CHECKS)} checks passed" \
         in proc.stdout
+
+
+# what ``npsurf selftest`` reports, check by check
+SELFTEST_RESULTS = [
+    ("family sweeps and ampleness agreement", True,
+     "88 instances across 11 families"),
+    ("minimal summand-count table vs reconstruction", True,
+     "1394 (ksq, p, regime) cells agree"),
+    ("degree-bound inequality chain", True, "19551 grid cells verified"),
+    ("sharpness boundaries", True, "all boundary fixtures equality-adjacent"),
+    ("fano criteria and induction base", True,
+     "pins, induction base, gates, and monotonicity verified"),
+    ("algebraic property suites", True,
+     "signature, basis pairings and 50 dense pairs per family exact, "
+     "round-trips and verdict shapes included"),
+    ("mutation robustness", True,
+     "1128/1138 perturbations flip the certificate (99%); A2 moves under "
+     "each"),
+    ("oracle determinism", True,
+     "6 probes agree with the least candidate and reproduce"),
+]
+
+
+def test_selftest_results_are_pinned():
+    assert [(r.name, r.passed, r.detail)
+            for r in selftest.run_all()] == SELFTEST_RESULTS

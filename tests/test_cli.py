@@ -207,6 +207,27 @@ def test_eval_unknown_op(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def _plane(digits):
+    return {"kind": "P2", "coeffs": [int("9" * digits)]}
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["classify", "--ample", "--anticanonical", "--surface"], _plane(4300)),
+    (["--json", "classify", "--ample", "--anticanonical", "--surface"],
+     _plane(4300)),
+    (["--eval-file"], {"op": "intersect",
+                       "args": {"d1": _plane(3000), "d2": _plane(3000)}}),
+], ids=["text", "json", "eval-file"])
+def test_an_answer_past_the_digit_limit_is_refused(tmp_path, capsys, argv,
+                                                   content):
+    # the input's integers are readable, the answer's too long to print
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv, str(f))
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.startswith("npsurf: error: Exceeds the limit (4300 digits)")
+
+
 _LONG = "x" * 200_000
 
 
