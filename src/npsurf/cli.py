@@ -29,7 +29,14 @@ def _status(v: dict) -> str:
     return head
 
 
-# one-line summary of a verdict, by the ``kind`` the API reports
+def _instance_name(fid: str, params: dict) -> str:
+    """``1.17[l=4]``, or the bare id of an instance without parameters."""
+    key = ",".join(f"{k}={v}" for k, v in params.items())
+    return f"{fid}[{key}]" if key else fid
+
+
+# one-line summary of a verdict, by the ``kind`` the API reports, or by the
+# op of a payload the CLI builds itself
 _HEADLINES = {
     "NpVerdict": _status,
     "VAVerdict": _status,
@@ -51,6 +58,9 @@ _HEADLINES = {
         else "only the syzygy/ampleness equivalence holds"),
     "VerifyReport": lambda v: ("ok" if v["passed"]
                                else f"FAILED: {v['failures'][0]}"),
+    "ExampleFamily": lambda v: _instance_name(v["id"], v["params"]),
+    "example_list": lambda v: (f"{len(v)} families, "
+                               f"{sum(map(len, v.values()))} instances"),
 }
 
 
@@ -60,7 +70,8 @@ def _render(payload: dict | list[str], as_json: bool) -> str:
     if as_json:
         return json.dumps(payload, indent=2, sort_keys=True)
     v = payload.get("verdict")
-    headline = _HEADLINES.get(payload.get("kind"), json.dumps)(v)
+    kind = payload.get("kind", payload.get("op"))
+    headline = _HEADLINES.get(kind, json.dumps)(v)
     lines = [f"{payload.get('op')}: {headline}"]
     tag = payload.get("justification")
     if isinstance(v, dict):
@@ -286,8 +297,7 @@ def _cmd_example(args) -> tuple[int, dict | list[str]]:
                       "justification": "family verification"}
     lines = []
     for inst in instances:
-        key = ",".join(f"{k}={v}" for k, v in inst["params"].items())
-        name = f"{inst['family']}[{key}]" if key else inst["family"]
+        name = _instance_name(inst["family"], inst["params"])
         if inst["passed"]:
             np_v = inst["np_verdict"]
             lines.append(f"ok   {name}: {_status(np_v)} "

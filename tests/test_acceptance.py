@@ -6,6 +6,8 @@ can never drift apart.
 """
 
 import dataclasses
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -23,12 +25,12 @@ def test_family_sweeps_and_ampleness_agreement_under_ten_seconds():
     assert elapsed < 10.0, f"sweeps took {elapsed:.2f}s (budget 10s)"
 
 
-def test_min_summand_count_table_matches_independent_reconstruction():
+def test_min_summand_count_table_matches_props_1_6_1_9_and_1_10():
     ok, detail = selftest.check_min_n_table()
     assert ok, detail
 
 
-def test_degree_bound_chain_holds_on_the_full_grid():
+def test_lemma_125_degree_bound_fires_exactly_on_its_threshold():
     ok, detail = selftest.check_degree_chain()
     assert ok, detail
 
@@ -127,7 +129,6 @@ def test_mutation_check_rejects_a_certificate_blind_to_the_polarization(
 
 
 _termination = selftest.ampleness_termination
-_chain = selftest.verify_inequality_chain
 
 
 def _plane_one_lower(ksq, p, **kw):
@@ -143,16 +144,6 @@ def _case_d_reads_p_plus_2(ksq, p, multiple_of_minus_k=True, **kw):
     # (p + 1)/K^2 - 1 written (p + 2)/K^2 - 1
     return _termination(ksq, p + (1 <= ksq <= 7 and not multiple_of_minus_k),
                         multiple_of_minus_k=multiple_of_minus_k, **kw)
-
-
-def _chain_strict(i):
-    """``verify_inequality_chain`` with inequality ``i`` (0 or 1) strict."""
-    def chain(p, m, ksq):
-        d = p - m
-        ineqs = list(_chain(p, m, ksq))
-        ineqs[i] = (p * p + 3 * p + 3 - ksq, d * d + 5 * d + 6)[i] > 0
-        return tuple(ineqs)
-    return chain
 
 
 _min_n = selftest.adjoint_np_min_n
@@ -189,7 +180,7 @@ def _very_ample_needs(count, ksq_range):
     return very_ample
 
 
-# single slips in the criteria that checks 2, 3 and 4 must reject, each
+# single slips in the criteria that checks 2 and 4 must reject, each
 # patched into the name selftest imports
 CHECK_MUTANTS = {
     "min-n-one-higher-at-5-7": ("adjoint_np_min_n", _one_higher_at_5_7),
@@ -204,14 +195,11 @@ CHECK_MUTANTS = {
     "ruled-case-ignores-e": ("ampleness_termination", _ruled_blind_to_e),
     "case-d-reads-p-plus-2": ("ampleness_termination",
                               _case_d_reads_p_plus_2),
-    "inequality-1-strict": ("verify_inequality_chain", _chain_strict(0)),
-    "inequality-2-strict": ("verify_inequality_chain", _chain_strict(1)),
 }
 _CHECK_OF = {"adjoint_np_min_n": selftest.check_min_n_table,
              "adjoint_very_ample": selftest.check_min_n_table,
              "min_kA_bound": selftest.check_min_n_table,
-             "ampleness_termination": selftest.check_sharpness,
-             "verify_inequality_chain": selftest.check_degree_chain}
+             "ampleness_termination": selftest.check_sharpness}
 
 
 @pytest.mark.parametrize("name, mutant", CHECK_MUTANTS.values(),
@@ -250,9 +238,9 @@ def test_selftest_command_is_hermetic_and_fast():
 SELFTEST_RESULTS = [
     ("family sweeps and ampleness agreement", True,
      "88 instances across 11 families"),
-    ("minimal summand-count table vs reconstruction", True,
+    ("minimal summand-count table from Props 1.6, 1.9 and 1.10", True,
      "1394 (ksq, p, regime) cells agree"),
-    ("degree-bound inequality chain", True, "19551 grid cells verified"),
+    ("degree bound of Lemma 1.25", True, "79 threshold cells verified"),
     ("sharpness boundaries", True, "all boundary fixtures equality-adjacent"),
     ("fano criteria and induction base", True,
      "pins, induction base, gates, and monotonicity verified"),
@@ -270,3 +258,15 @@ SELFTEST_RESULTS = [
 def test_selftest_results_are_pinned():
     assert [(r.name, r.passed, r.detail)
             for r in selftest.run_all()] == SELFTEST_RESULTS
+
+
+_README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_sample_selftest_output_matches_run_all():
+    block = _README.read_text().split("$ npsurf selftest\n", 1)[1]
+    sample = [re.sub(r" \(\d+\.\d+s\)$", "", line)
+              for line in block.split("```", 1)[0].splitlines()
+              if line.startswith("[")]
+    assert sample == [f"[ok  ] {r.name}: {r.detail}"
+                      for r in selftest.run_all()]

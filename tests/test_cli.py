@@ -170,6 +170,22 @@ def test_example_show_and_list(capsys):
     assert code == 0 and len(payload["verdict"]) == 11
 
 
+@pytest.mark.parametrize("argv, headline", [
+    (("example", "show", "1.11"), "build_example: 1.11"),
+    (("example", "show", "1.16", "--param", "e=1", "--param", "n=2"),
+     "build_example: 1.16[e=1,n=2]"),
+    (("example", "list"), "example_list: 11 families, 88 instances"),
+], ids=["show", "show-with-params", "list"])
+def test_example_text_headline_repeats_no_field(capsys, argv, headline):
+    code, out, _ = run(capsys, *argv)
+    first, *fields = out.splitlines()
+    assert code == 0 and first == headline
+    # each further line is "  key: value"; the headline names the id
+    values = [line.split(": ", 1)[1] for line in fields
+              if not line.startswith("  id: ")]
+    assert values and not any(v in first for v in values)
+
+
 def test_example_verify_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(npsurf.families, "fixture_instance",
                         lambda a, b: None)

@@ -354,6 +354,11 @@ def test_proof_chain_inequalities_and_equality_locus():
         verify_inequality_chain(1, 1, 3)
     with pytest.raises(CriteriaError):
         verify_inequality_chain(1, 2, 0)
+    # where the proof is tight: p = 1 and K^2 = 7 make inequality 1 zero;
+    # m = 3 puts p - m at -2, where inequality 2 is zero too, and m = 2
+    # gives inequality 3 its least value, p(p + 1) = 2
+    assert verify_inequality_chain(1, 3, 7) == (True, True, True)
+    assert verify_inequality_chain(1, 2, 7) == (True, True, True)
 
 
 # --- termination thresholds ------------------------------------------------
