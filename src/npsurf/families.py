@@ -62,15 +62,14 @@ oracle's minimum is >= 1.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import mul
-from typing import Callable
+from operator import attrgetter, mul
+from typing import Callable, NamedTuple
 
 from .criteria import NpVerdict, np_classify
 from .lattice import (
@@ -142,8 +141,16 @@ class ExampleFamily:
 
     def with_polarization(self, A: DivisorClass) -> "ExampleFamily":
         """The same instance with a perturbed polarization (for robustness
-        tests); id and params, and so the fixture pin, stay the same."""
-        return dataclasses.replace(self, A=A)
+        tests); id and params, and so the fixture pin, stay the same.  A
+        class on another surface is refused: the instance's surface, its
+        model and its claims would not be its own."""
+        S = self.A.surface
+        # identity first, then equality, as ``DivisorClass`` pairs classes
+        if A.surface is not S and A.surface != S:
+            raise FamilyError(f"{self.id}[{self.instance_key}]: the "
+                              "polarization lives on another surface")
+        return ExampleFamily(self.id, self.params, A, self.claims,
+                             self.np_flags)
 
     @cached_property
     def claim_names(self) -> tuple[str, ...]:
@@ -318,6 +325,9 @@ class CurveCaseCheck:
     to_json = fields_json
 
 
+_PASSED = attrgetter("passed")
+
+
 @dataclass(frozen=True)
 class AmpleCertificate:
     family: str
@@ -329,10 +339,11 @@ class AmpleCertificate:
     valid: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # every value positive is the least one positive
         object.__setattr__(self, "valid", (
             self.self_intersection > 0
-            and all(v > 0 for v in self.exceptional_values)
-            and all(c.passed for c in self.curve_case_checks)))
+            and min(self.exceptional_values, default=1) > 0
+            and all(map(_PASSED, self.curve_case_checks))))
 
     def flip_signature(self) -> tuple:
         """Pass/fail pattern of every check, for perturbation comparisons."""
@@ -410,6 +421,39 @@ def _ruling_budgets(S: SurfaceModel) -> tuple[int, int]:
     return (0 if cfg.away_from_min_section else max(0, 2 - S.e)), fiber
 
 
+def _linear_row(a: int, b: int, margin: int) -> tuple[str, int, int, int]:
+    """A row of ``_CertificateRows.linear``: the case of the class (a, b)."""
+    return f"ProperIntersection({a},{b})", a, b, margin
+
+
+class _CertificateRows(NamedTuple):
+    """The rows of ``_points_on_c_certificate`` that do not depend on the
+    polarization, one per base: F_0, and F_e with e > 0.
+
+    ``linear`` holds ``(case, a, b, margin)`` for the corner of the cone of
+    base classes, with a margin of 1, and for each direction generating the
+    cone from it, with a margin of 0.  On F_e with e > 0 the corner is
+    (1, e), the one row that depends on e, so the body makes it per call
+    and ``linear`` holds the direction alone.  ``rulings`` holds ``(case,
+    (a, b))`` for each of ``_RULINGS``, checked with a margin of 1.
+    """
+
+    linear: tuple[tuple[str, int, int, int], ...]
+    rulings: tuple[tuple[str, tuple[int, int]], ...]
+
+
+# F_0: the corner (1, 1) and the two rulings as directions; each ruling is
+# a fiber of one of the two projections
+_F0_ROWS = _CertificateRows(
+    (_linear_row(1, 1, 1), *[_linear_row(a, b, 0) for a, b in _RULINGS]),
+    tuple(zip(("FiberSpecial(f1)", "FiberSpecial(f2)"), _RULINGS)))
+# F_e, e > 0: the fiber is the one direction; the rulings are the negative
+# section C0 and the fiber
+_FE_ROWS = _CertificateRows(
+    (_linear_row(0, 1, 0),),
+    tuple(zip(("FiberSpecial(C0)", "FiberSpecial(f)"), _RULINGS)))
+
+
 def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
     """Closed-form sufficiency certificate that the polarization is ample.
 
@@ -466,23 +510,23 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     if S.e == 0:
         w1 = top[0]
         wmax = top[1] if len(top) > 1 else w1
-        extra, corner, dirs, tags = w1 - wmax, (1, 1), _RULINGS, ("f1", "f2")
+        extra, rows = w1 - wmax, _F0_ROWS
+        linear = rows.linear
     else:
-        wmax, extra, corner, dirs = top[0], 0, (1, S.e), ((0, 1),)
-        tags = ("C0", "f")
+        wmax, extra, rows = top[0], 0, _FE_ROWS
+        linear = (_linear_row(1, S.e, 1), *rows.linear)
     checks = []
-    for (a, b), margin in [(corner, 1), *((d, 0) for d in dirs)]:
+    for case, a, b, margin in linear:
         lhs, rhs = wmax * (cp * a + cq * b) + extra * a, p * a + q * b
-        checks.append(CurveCaseCheck(f"ProperIntersection({a},{b})", lhs,
-                                     rhs, rhs - lhs >= margin))
-    for tag, (a, b), budget in zip(tags, _RULINGS, _ruling_budgets(S)):
+        checks.append(CurveCaseCheck(case, lhs, rhs, rhs - lhs >= margin))
+    for (case, (a, b)), budget in zip(rows.rulings, _ruling_budgets(S)):
         # the greedy load with a cap of 1: the top ``budget`` positive weights
         lhs = prefix[min(budget, len(positive))]
         rhs = p * a + q * b
-        checks.append(CurveCaseCheck(f"FiberSpecial({tag})", lhs, rhs,
-                                     rhs - lhs >= 1))
-    lhs, rhs = sum(weights), sum(map(mul, (p, q), C))
-    return checks + [CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1)]
+        checks.append(CurveCaseCheck(case, lhs, rhs, rhs - lhs >= 1))
+    lhs, rhs = sum(weights), p * C[0] + q * C[1]
+    checks.append(CurveCaseCheck("EqualsC", lhs, rhs, rhs - lhs >= 1))
+    return checks
 
 
 def _fibration_span(A: DivisorClass) -> tuple[int, int] | None:

@@ -421,16 +421,20 @@ def _is_hyperbolic(gram, base_rank: int) -> bool:
 
 def _dense_pair(rng: random.Random, S: lattice.SurfaceModel):
     """Two classes at the examples' magnitudes (base part up to a few
-    hundred, exceptional part within +-9), the first of positive square."""
-    ms = [rng.randint(-9, 9) for _ in range(S.rank - S.base_rank)]
+    hundred, exceptional part within +-9), the first of positive square.
+
+    ``randrange(n) + lo`` makes the one ``_randbelow(n)`` draw that
+    ``randint(lo, lo + n - 1)`` makes, without its argument handling, so
+    the pairs are those ``randint`` gave."""
+    below = rng.randrange
+    ms = [below(19) - 9 for _ in range(S.rank - S.base_rank)]
     load = sum(m * m for m in ms)
     if S.base_rank == 1:
-        base = [math.isqrt(load) + 1 + rng.randint(0, 200)]
+        base = [math.isqrt(load) + 1 + below(201)]
     else:
-        a = rng.randint(1, 20)
-        base = [a, (S.e * a * a + load) // (2 * a) + 1 + rng.randint(0, 200)]
-    other = ([rng.randint(-300, 300) for _ in base]
-             + [rng.randint(-9, 9) for _ in ms])
+        a = below(20) + 1
+        base = [a, (S.e * a * a + load) // (2 * a) + 1 + below(201)]
+    other = [below(601) - 300 for _ in base] + [below(19) - 9 for _ in ms]
     return S.divisor(base + ms), S.divisor(other)
 
 
@@ -446,12 +450,13 @@ def _lattice_fault(S: lattice.SurfaceModel, rng: random.Random) -> str | None:
            for i, u in enumerate(units) for j, v in enumerate(units)):
         return "pairing disagrees with the gram on the basis"
     pairs = [_dense_pair(rng, S) for _ in range(_DENSE_PAIRS)]
+    # a pair's coefficients are formatted only for the failure they name
     for d1, d2 in pairs:
-        at = f"{d1.coeffs} . {d2.coeffs}"
         if not d1.dot(d2) == d2.dot(d1) == _slow_dot(gram, d1, d2):
-            return f"pairing is not the gram pairing at {at}"
+            return ("pairing is not the gram pairing at "
+                    f"{d1.coeffs} . {d2.coeffs}")
         if not lattice.hodge_index_bound(d1, d2):
-            return f"index bound violated at {at}"
+            return f"index bound violated at {d1.coeffs} . {d2.coeffs}"
     probes = [S.zero(), *units, *negs,
               *[u + v for i, u in enumerate(units) for v in units[i + 1:]],
               *[d for pair in pairs for d in pair]]

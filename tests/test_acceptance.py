@@ -6,7 +6,9 @@ can never drift apart.
 """
 
 import dataclasses
+import math
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +17,32 @@ import time
 import pytest
 
 from npsurf import families, lattice, selftest
+
+
+def _randint_dense_pair(rng, S):
+    """Check 6's dense pair as it was drawn with ``randint``."""
+    ms = [rng.randint(-9, 9) for _ in range(S.rank - S.base_rank)]
+    load = sum(m * m for m in ms)
+    if S.base_rank == 1:
+        base = [math.isqrt(load) + 1 + rng.randint(0, 200)]
+    else:
+        a = rng.randint(1, 20)
+        base = [a, (S.e * a * a + load) // (2 * a) + 1 + rng.randint(0, 200)]
+    other = ([rng.randint(-300, 300) for _ in base]
+             + [rng.randint(-9, 9) for _ in ms])
+    return S.divisor(base + ms), S.divisor(other)
+
+
+def test_dense_pairs_are_the_randint_draws():
+    # check 6 draws _DENSE_PAIRS pairs per family surface from one stream
+    ref, new = random.Random(selftest._SEED), random.Random(selftest._SEED)
+    pairs = 0
+    for fid, S in selftest._family_surfaces():
+        for _ in range(selftest._DENSE_PAIRS):
+            want = _randint_dense_pair(ref, S)
+            assert selftest._dense_pair(new, S) == want, fid
+            pairs += 1
+    assert pairs == 550
 
 
 def test_family_sweeps_and_ampleness_agreement_under_ten_seconds():

@@ -6,6 +6,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 TOOL = (pathlib.Path(__file__).resolve().parent.parent / "tools"
         / "bench_record.py")
 
@@ -220,3 +222,46 @@ def test_the_note_is_stored_with_the_runs(monkeypatch, tmp_path):
         out = tmp_path / "bench.json"
         assert tool.main(["parent", "change", str(out), *extra]) == 0
         assert json.loads(out.read_text()).get("note") == note
+
+
+@pytest.mark.parametrize("claim", [
+    ["selftest", "four", "10", "ops_per_s"],      # a seed that is no integer
+    ["selftest", "4", "ten", "ops_per_s"],        # pairs that are no integer
+    ["selftest", "4", "2.5", "ops_per_s"],
+    ["selftest", "4", "0", "ops_per_s"],          # no pair at all
+    ["selftest", "4", "-3", "ops_per_s"],
+    ["self-test", "4", "10", "ops_per_s"],        # an unknown workload
+    ["selftest", "4", "10", "ops"],               # an unknown metric
+])
+def test_a_bad_claim_is_refused_before_the_first_run(claim, monkeypatch,
+                                                     tmp_path, capsys):
+    tool = _tool()
+    calls = []
+    monkeypatch.setattr(tool, "run", lambda *args: calls.append(args))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["parent", "change", str(out), "--claim", *claim])
+    assert exit_.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_a_good_claim_runs_its_pairs_on_its_seed(monkeypatch, tmp_path):
+    tool = _tool()
+    calls = []
+    ok = {"correct": True, "attempted": 1, "metrics": {
+        "ops_per_s": {"value": 5.0}, "peak_rss_mb": {"value": 1.0}}}
+
+    def stub(checkout, workload, seed, trace):
+        calls.append((workload, seed, trace))
+        return {"workload": workload, "seed": seed, "trace": trace,
+                "env": None, "exit": 0, "result": ok}
+
+    monkeypatch.setattr(tool, "run", stub)
+    out = tmp_path / "bench.json"
+    assert tool.main(["parent", "change", str(out),
+                      "--claim", "selftest", "4", "2", "ops_per_s"]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert (claim["workload"], claim["seed"], claim["pairs"]) == (
+        "selftest", 4, 2)
+    assert calls[-6:] == [("selftest", 4, 0)] * 4 + [("selftest", 1, 1)] * 2

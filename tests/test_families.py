@@ -308,6 +308,36 @@ def test_certificate_pins_every_instance_and_unit_mutant():
         "8e9319619a04d6c045219f31abc4d79f31074427e5465c51fe5d94897431a0a9")
 
 
+def _certificate_and_signature_or_refusal(ex):
+    try:
+        cert = nakai_certificate(ex)
+    except CertificateRefused as exc:
+        return str(exc)
+    return [cert.to_json(), cert.flip_signature()]
+
+
+def test_certificate_and_flip_signature_pin_every_instance_2a_and_mutant():
+    # the certificate's JSON and flip signature, or the refusal text, for
+    # the 88 sweep instances, their doubled polarizations and each +-1 and
+    # +-2 change to one exceptional coefficient (2,740 mutants)
+    records = []
+    for fid in FAMILY_IDS:
+        for params in FAMILY_SWEEPS[fid]:
+            ex = build_example(fid, params)
+            # (index, delta, instance), the doubled class under index "2A"
+            cases = [(None, 0, ex), ("2A", 0, ex.with_polarization(2 * ex.A))]
+            cases += [(i, delta, mutate_polarization(ex, i, delta))
+                      for i in range(ex.surface.l or 0)
+                      for delta in (1, -1, 2, -2)]
+            records += [[fid, ex.instance_key, i, delta,
+                         _certificate_and_signature_or_refusal(inst)]
+                        for i, delta, inst in cases]
+    assert len(records) == 2916
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "8fb97539bd4af12edf78fdec842d8b8b186d737abca9341ef0044e8515b950f4")
+
+
 def _oracle_or_refusal(ex):
     try:
         return ample_oracle(ex.A).to_json()
@@ -825,6 +855,38 @@ def test_mutation_delta_is_an_int_never_coerced(delta):
     ex = build_example("1.17", {"l": 3})
     with pytest.raises(FamilyError, match="delta must be an integer"):
         mutate_polarization(ex, 0, delta)
+
+
+def test_a_polarization_on_another_surface_is_refused():
+    ex = build_example("1.17", {"l": 4})
+    with pytest.raises(FamilyError, match="another surface"):
+        ex.with_polarization(SurfaceModel.hirzebruch(0).divisor([1, 1]))
+    # an equal surface built apart is the instance's
+    twin = SurfaceModel.from_json(ex.surface.to_json())
+    assert twin is not ex.surface
+    assert ex.with_polarization(twin.divisor(ex.A.coeffs)) == ex
+
+
+def test_with_polarization_keeps_every_field_replace_keeps():
+    # ``claims`` compares as equal whatever it is, so each field is
+    # compared by identity; a field added later fails here until the
+    # direct constructor passes it on
+    names = [f.name for f in dataclasses.fields(families.ExampleFamily)]
+    checked = 0
+    for fid in FAMILY_IDS:
+        for params in FAMILY_SWEEPS[fid]:
+            ex = build_example(fid, params)
+            mut = (mutate_polarization(ex, 0, 1).A if ex.surface.l
+                   else 2 * ex.A)
+            for A in (ex.A, mut):
+                direct = ex.with_polarization(A)
+                replaced = dataclasses.replace(ex, A=A)
+                assert type(direct) is families.ExampleFamily
+                for name in names:
+                    assert getattr(direct, name) is getattr(replaced, name), (
+                        fid, params, name)
+                checked += 1
+    assert checked == 176
 
 
 def test_mutation_keeps_the_recorded_expectations():

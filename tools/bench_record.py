@@ -24,7 +24,10 @@ only when none of its runs failed.  A run that left no result line is
 recorded with ``result: null``, counted in ``failed_runs`` and left out of
 the medians: ``perfbench/run.py`` stopped before measuring, or it ran past
 ``RUN_TIMEOUT_S`` and was killed (``exit: null``).  ``--note`` stores TEXT
-as the file's ``note``: where the measured change comes from.
+as the file's ``note``: where the measured change comes from.  The claim's
+four arguments are checked before the first run: a workload of
+``BENCHMARK.json``, an integer SEED, an integer PAIRS of at least 1 and an
+end-to-end METRIC.
 """
 
 from __future__ import annotations
@@ -184,8 +187,19 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    if args.claim and args.claim[3] not in better:
-        parser.error(f"--claim metric must be one of {sorted(better)}")
+    if args.claim:
+        workload, seed, pairs, metric = args.claim
+        if workload not in workloads:
+            parser.error(f"--claim workload must be one of {workloads}")
+        try:
+            seed, pairs = int(seed), int(pairs)
+        except ValueError:
+            parser.error("--claim SEED and PAIRS must be integers")
+        if pairs < 1:
+            parser.error("--claim PAIRS must be at least 1")
+        if metric not in better:
+            parser.error(f"--claim metric must be one of {sorted(better)}")
+        args.claim = workload, seed, pairs, metric
 
     runs = []
     for seed, workload, parent_first in schedule(workloads):
@@ -194,8 +208,7 @@ def main(argv=None) -> int:
     if args.note:
         doc["note"] = args.note
     if args.claim:
-        workload, seed, pairs, metric = args.claim[0], int(args.claim[1]), \
-            int(args.claim[2]), args.claim[3]
+        workload, seed, pairs, metric = args.claim
         claim_runs = []
         for i in range(pairs):
             claim_runs += pair(checkouts, workload, seed, 0,
