@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 from operator import attrgetter, mul
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .criteria import NpVerdict, np_classify
 from .lattice import (
@@ -421,39 +421,6 @@ def _ruling_budgets(S: SurfaceModel) -> tuple[int, int]:
     return (0 if cfg.away_from_min_section else max(0, 2 - S.e)), fiber
 
 
-def _linear_row(a: int, b: int, margin: int) -> tuple[str, int, int, int]:
-    """A row of ``_CertificateRows.linear``: the case of the class (a, b)."""
-    return f"ProperIntersection({a},{b})", a, b, margin
-
-
-class _CertificateRows(NamedTuple):
-    """The rows of ``_points_on_c_certificate`` that do not depend on the
-    polarization, one per base: F_0, and F_e with e > 0.
-
-    ``linear`` holds ``(case, a, b, margin)`` for the corner of the cone of
-    base classes, with a margin of 1, and for each direction generating the
-    cone from it, with a margin of 0.  On F_e with e > 0 the corner is
-    (1, e), the one row that depends on e, so the body makes it per call
-    and ``linear`` holds the direction alone.  ``rulings`` holds ``(case,
-    (a, b))`` for each of ``_RULINGS``, checked with a margin of 1.
-    """
-
-    linear: tuple[tuple[str, int, int, int], ...]
-    rulings: tuple[tuple[str, tuple[int, int]], ...]
-
-
-# F_0: the corner (1, 1) and the two rulings as directions; each ruling is
-# a fiber of one of the two projections
-_F0_ROWS = _CertificateRows(
-    (_linear_row(1, 1, 1), *[_linear_row(a, b, 0) for a, b in _RULINGS]),
-    tuple(zip(("FiberSpecial(f1)", "FiberSpecial(f2)"), _RULINGS)))
-# F_e, e > 0: the fiber is the one direction; the rulings are the negative
-# section C0 and the fiber
-_FE_ROWS = _CertificateRows(
-    (_linear_row(0, 1, 0),),
-    tuple(zip(("FiberSpecial(C0)", "FiberSpecial(f)"), _RULINGS)))
-
-
 def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
     """Closed-form sufficiency certificate that the polarization is ample.
 
@@ -476,17 +443,13 @@ def nakai_certificate(ex: ExampleFamily) -> AmpleCertificate:
                             tuple(certify(S, A, weights)), flags)
 
 
-def _plane_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    line, _ = _base_form(S, A)
-    return [CurveCaseCheck("ProperIntersection(1)", 0, line, line >= 1)]
-
-
-def _hirzebruch_certificate(S, A, weights) -> list[CurveCaseCheck]:
-    c0, f = _base_form(S, A)
-    return [
-        CurveCaseCheck("FiberSpecial(C0)", 0, c0, c0 >= 1),
-        CurveCaseCheck("FiberSpecial(f)", 0, f, f >= 1),
-    ]
+def _cone_certificate(S, A, weights) -> list[CurveCaseCheck]:
+    """Bare P2 or F_e: A is positive on the line, or on C0 and the fiber."""
+    p, q = _base_form(S, A)
+    if S.kind == KIND_P2:
+        return [CurveCaseCheck("ProperIntersection(1)", 0, p, p >= 1)]
+    return [CurveCaseCheck("FiberSpecial(C0)", 0, p, p >= 1),
+            CurveCaseCheck("FiberSpecial(f)", 0, q, q >= 1)]
 
 
 def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
@@ -508,18 +471,26 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     # than two are positive, which no valid certificate allows
     top = positive if len(positive) > 1 else sorted(weights, reverse=True)
     if S.e == 0:
-        w1 = top[0]
-        wmax = top[1] if len(top) > 1 else w1
-        extra, rows = w1 - wmax, _F0_ROWS
-        linear = rows.linear
+        wmax = top[1] if len(top) > 1 else top[0]
+        extra = top[0] - wmax
+        # ``(case, a, b, margin)`` for the corner (1, 1) and the two rulings
+        # as directions; each ruling is a fiber of one of the projections
+        linear = (("ProperIntersection(1,1)", 1, 1, 1),
+                  ("ProperIntersection(1,0)", 1, 0, 0),
+                  ("ProperIntersection(0,1)", 0, 1, 0))
+        rulings = ("FiberSpecial(f1)", "FiberSpecial(f2)")
     else:
-        wmax, extra, rows = top[0], 0, _FE_ROWS
-        linear = (_linear_row(1, S.e, 1), *rows.linear)
+        wmax, extra = top[0], 0
+        # the corner (1, e) and the fiber as the one direction; the rulings
+        # are the negative section C0 and the fiber
+        linear = ((f"ProperIntersection(1,{S.e})", 1, S.e, 1),
+                  ("ProperIntersection(0,1)", 0, 1, 0))
+        rulings = ("FiberSpecial(C0)", "FiberSpecial(f)")
     checks = []
     for case, a, b, margin in linear:
         lhs, rhs = wmax * (cp * a + cq * b) + extra * a, p * a + q * b
         checks.append(CurveCaseCheck(case, lhs, rhs, rhs - lhs >= margin))
-    for (case, (a, b)), budget in zip(rows.rulings, _ruling_budgets(S)):
+    for case, (a, b), budget in zip(rulings, _RULINGS, _ruling_budgets(S)):
         # the greedy load with a cap of 1: the top ``budget`` positive weights
         lhs = prefix[min(budget, len(positive))]
         rhs = p * a + q * b
@@ -774,8 +745,7 @@ def _model(S: SurfaceModel):
     """
     plane = S.kind == KIND_P2
     if not S.l:
-        return ((_plane_certificate if plane else _hirzebruch_certificate),
-                _cone_candidates, ())
+        return _cone_certificate, _cone_candidates, ()
     cfg = S.config
     if cfg.complete_intersection_of_cubics and plane and S.l == 9:
         return (_elliptic_pencil_certificate, _pencil_candidates,

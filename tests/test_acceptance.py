@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from npsurf import families, lattice, selftest
+from npsurf import families, fano, lattice, selftest
 
 
 def _randint_dense_pair(rng, S):
@@ -237,6 +237,110 @@ def test_threshold_and_chain_checks_reject_each_mutant(monkeypatch, name,
     monkeypatch.setattr(selftest, name, mutant)
     ok, detail = _CHECK_OF[name]()
     assert not ok and detail
+
+
+_lemma_125 = selftest.lemma_125_bound
+
+
+def _threshold_moved(shift):
+    """Lemma 1.25's bound firing at ``L^2 >= (p+3)^2 - 1 + shift``."""
+    def bound(ksq, Lsq, p, **kw):
+        return _lemma_125(ksq, Lsq - shift, p, **kw)
+    return bound
+
+
+def _k2_8_accepts_p_1(ksq, Lsq, p, **kw):
+    # the K^2 = 8 scope written p >= 1 instead of p >= 2
+    if (ksq, p) == (8, 1):
+        return p + 3 + ksq if Lsq >= (p + 3) ** 2 - 1 else None
+    return _lemma_125(ksq, Lsq, p, **kw)
+
+
+# single slips in Lemma 1.25's bound that check 3 must reject, with the
+# failure every message of its detail names
+DEGREE_CHAIN_MUTANTS = {
+    "threshold-one-lower": (_threshold_moved(-1), "bound overfired at"),
+    "threshold-one-higher": (_threshold_moved(1), "bound missing at"),
+    "k2-8-accepts-p-1": (_k2_8_accepts_p_1,
+                         "an out-of-scope degree-bound call was accepted"),
+}
+
+
+@pytest.mark.parametrize("mutant, message", DEGREE_CHAIN_MUTANTS.values(),
+                         ids=list(DEGREE_CHAIN_MUTANTS))
+def test_degree_chain_check_rejects_each_mutant(monkeypatch, mutant,
+                                                message):
+    monkeypatch.setattr(selftest, "lemma_125_bound", mutant)
+    ok, detail = selftest.check_degree_chain()
+    assert not ok
+    assert all(m.startswith(message) for m in detail.split("; ")), detail
+
+
+def _fano_mutant(name, slip):
+    """``fano.<name>`` with ``slip(real, *args)`` in its place."""
+    real = getattr(fano, name)
+    return name, lambda *args: slip(real, *args)
+
+
+def _multiples_without_degree_gate(real, f, l, p):
+    return real(dataclasses.replace(f, Hn=max(f.Hn, 4)), l, p)
+
+
+def _n0_at_k3_with_morphism_unknown(real, f, k):
+    if k == 3 and f.morphism == fano.MORPHISM_UNKNOWN:
+        return fano.FanoN0Decision(fano.N0_YES, (), "Thm 3.1(2)")
+    return real(f, k)
+
+
+def _induction_base_high_at_4(real, d):
+    v = real(d)
+    return dataclasses.replace(v, p=v.p + 1) if d == 4 else v
+
+
+# single slips in the Fano criteria that check 5 must reject, each patched
+# into the ``fano`` module, whose attributes selftest reads at call time
+FANO_MUTANTS = {
+    "multiples-ignore-degree-gate": (
+        _fano_mutant("multiples_np_fano", _multiples_without_degree_gate),
+        "fano multiples fired at degree 3 with index n-1"),
+    "n0-at-k3-with-morphism-unknown": (
+        _fano_mutant("index_nm3_n0", _n0_at_k3_with_morphism_unknown),
+        "k=3 unknown-morphism case off"),
+    "induction-base-one-high-at-4": (
+        _fano_mutant("surface_induction_base", _induction_base_high_at_4),
+        "induction base mismatch at degree 4"),
+}
+
+
+@pytest.mark.parametrize("mutant, detail", FANO_MUTANTS.values(),
+                         ids=list(FANO_MUTANTS))
+def test_fano_check_rejects_each_mutant(monkeypatch, mutant, detail):
+    monkeypatch.setattr(fano, *mutant)
+    assert selftest.check_fano() == (False, detail)
+
+
+def _oracle_keeping_the_last_equal_value(D, box=None):
+    """``ample_oracle`` comparing values only, the last of equal minima
+    kept: its argmin then hangs on the enumeration order."""
+    box = families._search_box(box)
+    S = D.surface
+    best, count = None, 0
+    for value, key in families._candidates(S, D, box):
+        count += 1
+        if best is None or value <= best[0]:
+            best = value, key
+    value, key = best
+    return families.OracleResult(value, families._full_key(S, D, key), box,
+                                 count)
+
+
+def test_oracle_determinism_check_rejects_a_value_only_tie_break(
+        monkeypatch):
+    monkeypatch.setattr(selftest, "ample_oracle",
+                        _oracle_keeping_the_last_equal_value)
+    assert selftest.check_oracle_determinism() == (False, "; ".join(
+        f"{probe}: argmin is not the least candidate"
+        for probe in ("1.18{}", "1.16{'e': 1, 'n': 2}", "1.17{'l': 7}")))
 
 
 def test_a_check_reports_the_failure_it_found(monkeypatch):

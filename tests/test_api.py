@@ -193,6 +193,16 @@ def test_bad_request_is_refused(name, tmp_path, capsys):
     assert code == 2 and "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    {"flags": {"ample": True}},
+    {"flags": {"ample": True}, "t": 3, "divisor": PLANE_DIVISOR},
+], ids=["neither", "both"])
+def test_np_classify_needs_exactly_one_of_divisor_or_t(args):
+    with pytest.raises(api.ApiError,
+                       match="^pass exactly one of divisor or t$"):
+        api.evaluate({"op": "np_classify", "args": args})
+
+
 # a divisor of the attested family 1.13: no model, but its box is checked
 ATTESTED_DIVISOR = build_example("1.13", {"l": 3}).A.to_json()
 

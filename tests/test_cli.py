@@ -57,6 +57,25 @@ def test_classify_by_degree_with_level_queries(capsys):
     assert code == 0 and "N_5: fails" in out
 
 
+@pytest.mark.parametrize("argv, status, line, holds", [
+    (["--t", "7", "--ample", "--bpf", "--p", "4"], "AtLeast", "N_4: holds",
+     True),
+    (["--t", "7", "--ample", "--bpf", "--p", "5"], "AtLeast",
+     "N_5: undetermined", None),
+    (["--t", "2", "--ample", "--anticanonical", "--p", "0"], "NotN0",
+     "N_0: fails", False),
+    (["--curve-genus", "3", "--curve-degree", "6", "--p", "0"],
+     "NotApplicable", "N_0: undetermined", None),
+], ids=["at-least-within", "at-least-past", "not-n0", "not-applicable"])
+def test_classify_level_query_on_every_other_status(capsys, argv, status,
+                                                    line, holds):
+    code, out, _ = run(capsys, "classify", *argv)
+    assert code == 0 and f"  {line}\n" in out
+    code, payload, _ = run_json(capsys, "classify", *argv)
+    assert code == 0 and payload["verdict"]["status"] == status
+    assert payload["query"] == {"p": int(argv[-1]), "holds": holds}
+
+
 def test_classify_refuses_contradictory_attestations(capsys):
     code, out, err = run(capsys, "classify", "--t", "0", "--ample",
                          "--anticanonical")

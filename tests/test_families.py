@@ -1053,6 +1053,40 @@ def test_null_ampleness_pin_needs_both_routes_to_refuse(monkeypatch):
     assert report.failures == ("1.11[-]: expected certificate refusal",)
 
 
+def test_verify_reports_a_drifted_claim_pin(monkeypatch):
+    pin = fixture_instance("1.11", "-")
+    pin = {**pin, "claims": {**pin["claims"], "K2": 8}}
+    monkeypatch.setattr(families, "fixture_instance", lambda a, b: pin)
+    report = verify_example("1.11", strict=False)
+    assert report.failures == (
+        "1.11[-]: claim 'K2' fixture pins 8, recomputed 9",)
+
+
+def test_verify_reports_a_drifted_syzygy_pin(monkeypatch):
+    pin = {**fixture_instance("1.11", "-"),
+           "np": {"p": 1, "status": "ExactMax"}}
+    monkeypatch.setattr(families, "fixture_instance", lambda a, b: pin)
+    report = verify_example("1.11", strict=False)
+    assert report.failures == (
+        "1.11[-]: fixture syzygy pin {'p': 1, 'status': 'ExactMax'} != "
+        "verdict (ExactMax, 0)",)
+
+
+def test_null_ampleness_pin_needs_the_oracle_to_abstain(monkeypatch):
+    # a refusing certificate alone leaves the verdict None, matching the
+    # pin; the oracle must abstain too
+    pin = {**fixture_instance("1.11", "-"), "ample": None}
+    monkeypatch.setattr(families, "fixture_instance", lambda a, b: pin)
+
+    def refuse(ex):
+        raise CertificateRefused(ex.id, "on_smooth_anticanonical")
+
+    monkeypatch.setattr(families, "nakai_certificate", refuse)
+    report = verify_example("1.11", strict=False)
+    assert report.oracle.min_value == 1
+    assert report.failures == ("1.11[-]: expected oracle abstention",)
+
+
 def _oracle_minimum(value):
     def search(D, box=None):
         return families.OracleResult(value, ("base", 1), DEFAULT_BOX, 1)

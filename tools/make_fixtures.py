@@ -151,9 +151,10 @@ def build() -> dict:
 
 
 def main() -> None:
+    table = build()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(build(), indent=1, sort_keys=True) + "\n")
-    total = sum(len(f["instances"]) for f in build()["families"].values())
+    OUT.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    total = sum(len(f["instances"]) for f in table["families"].values())
     print(f"wrote {OUT} ({total} instances)")
 
 
