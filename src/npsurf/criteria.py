@@ -79,7 +79,7 @@ class NpVerdict:
                 raise CriteriaError(f"{self.status} needs p >= 0, got {self.p}")
         elif self.p is not None:
             raise CriteriaError(f"{self.status} carries no level p")
-        if self.status == EXACT_MAX and not _EXACTNESS_FLAGS & set(self.assumed):
+        if self.status == EXACT_MAX and _EXACTNESS_FLAGS.isdisjoint(self.assumed):
             raise CriteriaError(
                 "an exact maximal level requires an exactness hypothesis "
                 "(anticanonical or elliptic)"
@@ -117,7 +117,7 @@ def _check_bool(name: str, value) -> None:
 
 def _require_flags(flags, allowed: frozenset[str]) -> dict[str, bool]:
     flags = dict(flags or {})
-    unknown = set(flags) - allowed
+    unknown = flags.keys() - allowed
     if unknown:
         raise CriteriaError(f"unknown flags: {sorted(unknown)}")
     for name, value in flags.items():

@@ -54,10 +54,12 @@ The certificate bodies and the candidate generators read the polarization's
 pairings from the same two linear forms: ``_weights`` on the exceptional
 curves and ``_base_form`` on pulled-back base classes.  On F_e the classes
 (1,0) and (0,1) take their point budgets from ``_ruling_budgets``, which both
-checks read, as they read C (``_anticanonical``) and the heaviest point loads
-(``_greedy_order``) for points on C.  The certificate is conservative for the
-model: whenever it validates a (possibly perturbed) polarization, the
-oracle's minimum is >= 1.
+checks read, as they read C (``_anticanonical``) and, for points on C, the
+heaviest point loads: ``_loads`` gives both the positive weights in descending
+order and their prefix sums, and ``_full_key``, which alone names the points
+of an argmin, orders the point indices the same way.  The certificate is
+conservative for the model: whenever it validates a (possibly perturbed)
+polarization, the oracle's minimum is >= 1.
 """
 
 from __future__ import annotations
@@ -378,16 +380,14 @@ def _base_form(S: SurfaceModel, X: DivisorClass) -> tuple[int, int]:
     return x[1] - S.e * x[0], x[0]
 
 
-def _greedy_order(weights: list[int]) -> tuple[list[int], ...]:
-    """The points of positive weight in greedy order, descending weight
-    with ties by index, their weights in that order and the prefix sums
-    (from 0): the heaviest load ``sum(w_i * m_i)`` with ``0 <= m_i <= cap``
-    and ``sum(m_i) <= budget`` fills the points in this order."""
-    # a reversed sort is still stable: equal weights stay in index order
-    order = sorted([i for i, w in enumerate(weights) if w > 0],
-                   key=weights.__getitem__, reverse=True)
-    top = list(map(weights.__getitem__, order))
-    return order, top, list(itertools.accumulate(top, initial=0))
+def _loads(weights: list[int]) -> tuple[list[int], list[int]]:
+    """The positive weights in descending order and their prefix sums (from
+    0): the heaviest load ``sum(w_i * m_i)`` with ``0 <= m_i <= cap`` and
+    ``sum(m_i) <= budget`` fills the points in this order, so it is read
+    off these two lists.  Which point carries which weight is left to
+    ``_full_key``, the one reader of the point indices."""
+    top = sorted([w for w in weights if w > 0], reverse=True)
+    return top, list(itertools.accumulate(top, initial=0))
 
 
 def _anticanonical(S: SurfaceModel) -> tuple[list[int], tuple[int, int], int]:
@@ -466,9 +466,9 @@ def _points_on_c_certificate(S, A, weights) -> list[CurveCaseCheck]:
     """
     p, q = _base_form(S, A)
     C, (cp, cq), _ = _anticanonical(S)
-    _, positive, prefix = _greedy_order(weights)
-    # the greedy order starts with the two largest weights unless fewer
-    # than two are positive, which no valid certificate allows
+    positive, prefix = _loads(weights)
+    # the positive weights start with the two largest unless fewer than two
+    # are positive, which no valid certificate allows
     top = positive if len(positive) > 1 else sorted(weights, reverse=True)
     if S.e == 0:
         wmax = top[1] if len(top) > 1 else top[0]
@@ -558,7 +558,7 @@ class Family:
         """The requested parameters in table order; refuses unknown, missing,
         non-integer and out-of-domain values."""
         params = dict(params or {})
-        unknown = set(params) - set(self.params)
+        unknown = params.keys() - self.params.keys()
         if unknown:
             raise FamilyError(f"unknown parameters: {sorted(unknown)}")
         for name, allowed in self.params.items():
@@ -709,7 +709,7 @@ def _points_on_c_candidates(S: SurfaceModel, D: DivisorClass, box: int):
     # the greedy load in O(1): a cap of ``cap`` at each point and ``budget``
     # points in all load the top ``budget // cap`` weights fully and the
     # next one ``budget % cap`` times
-    _, top, prefix = _greedy_order(weights)
+    top, prefix = _loads(weights)
     n = len(top)
     top.append(0)          # once every point is full, the rest loads nothing
     p, q = _base_form(S, D)
@@ -752,12 +752,15 @@ def _model(S: SurfaceModel):
                 ("complete_intersection_of_cubics",))
     if not cfg.on_smooth_anticanonical:
         return None
+    flags = ("on_smooth_anticanonical",)
     if plane:
-        return None, _points_on_c_candidates, ("on_smooth_anticanonical",)
-    # the flags ``_ruling_budgets`` reads
-    read = ("distinct_fibers",) + (("away_from_min_section",) if S.e else ())
-    return (_points_on_c_certificate, _points_on_c_candidates,
-            ("on_smooth_anticanonical", *(f for f in read if getattr(cfg, f))))
+        return None, _points_on_c_candidates, flags
+    # on F_e, also each flag ``_ruling_budgets`` reads that is set
+    if cfg.distinct_fibers:
+        flags += ("distinct_fibers",)
+    if S.e and cfg.away_from_min_section:
+        flags += ("away_from_min_section",)
+    return _points_on_c_certificate, _points_on_c_candidates, flags
 
 
 def _candidates(S: SurfaceModel, D: DivisorClass, box: int):
@@ -777,7 +780,10 @@ def _full_key(S: SurfaceModel, D: DivisorClass, key: tuple) -> tuple:
         return key
     *head, cap, budget = key
     weights = _weights(S, D)
-    order, _, _ = _greedy_order(weights)
+    # the points of ``_loads``'s weights: descending weight, ties by index
+    # (a reversed sort is still stable)
+    order = sorted([i for i, w in enumerate(weights) if w > 0],
+                   key=weights.__getitem__, reverse=True)
     m = [0] * len(weights)
     for i in order:
         if budget <= 0:
@@ -925,47 +931,48 @@ def verify_example(family_id: str, params: Mapping[str, int] | None = None, *,
     except OracleNotApplicable as exc:
         oracle_note = str(exc)
 
-    verdict = np_classify(ex.A, dict(ex.np_flags))
+    # np_classify reads the flag pairs into a dict of its own
+    verdict = np_classify(ex.A, ex.np_flags)
     np_expected = ((None, None) if pin is None
                    else (pin["np"]["status"], pin["np"]["p"]))
 
+    # each failure as it reads after the instance's name, prefixed below
     failures = []
-    where = f"{ex.id}[{ex.instance_key}]"
     ample, agreement_ok = None, True
     if certificate is not None and oracle is not None:
         oracle_ample = oracle.min_value >= 1
         ample = certificate.valid and oracle_ample
         agreement_ok = certificate.valid == oracle_ample
         if not agreement_ok:
-            failures.append(
-                f"{where}: certificate validity {certificate.valid} "
-                f"disagrees with oracle minimum {oracle.min_value}")
+            failures.append(f"certificate validity {certificate.valid} "
+                            f"disagrees with oracle minimum {oracle.min_value}")
         if not certificate.valid:
-            failures.append(f"{where}: certificate failed on the unperturbed "
+            failures.append("certificate failed on the unperturbed "
                             "polarization")
 
     if pin is None:
-        failures.append(f"{where}: no fixture entry")
+        failures.append("no fixture entry")
     else:
         for c in claims:
             if not c.ok:
-                failures.append(f"{where}: claim {c.quantity!r} fixture "
-                                f"pins {c.expected}, recomputed {c.actual}")
-        failures += [f"{where}: pinned claim {name!r} not computed"
+                failures.append(f"claim {c.quantity!r} fixture pins "
+                                f"{c.expected}, recomputed {c.actual}")
+        failures += [f"pinned claim {name!r} not computed"
                      for name in pinned if name not in computed]
         if (verdict.status, verdict.p) != np_expected:
-            failures.append(
-                f"{where}: fixture syzygy pin {pin['np']} != verdict "
-                f"({verdict.status}, {verdict.p})")
+            failures.append(f"fixture syzygy pin {pin['np']} != verdict "
+                            f"({verdict.status}, {verdict.p})")
         if pin["ample"] != ample:
-            failures.append(f"{where}: fixture ampleness pin "
-                            f"{pin['ample']} != {ample}")
+            failures.append(f"fixture ampleness pin {pin['ample']} != {ample}")
         elif pin["ample"] is None:
             if refused is None:
-                failures.append(f"{where}: expected certificate refusal")
+                failures.append("expected certificate refusal")
             if oracle_note is None:
-                failures.append(f"{where}: expected oracle abstention")
+                failures.append("expected oracle abstention")
 
+    if failures:
+        where = f"{ex.id}[{ex.instance_key}]"
+        failures = [f"{where}: {failure}" for failure in failures]
     report = VerifyReport(
         family=ex.id, params=ex.params, claims=tuple(claims),
         certificate=certificate, certificate_refused=refused,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from operator import mul
+from typing import Callable
 
 KIND_P2 = "P2"
 KIND_FE = "Fe"
@@ -56,9 +57,8 @@ class LatticeError(ValueError):
     """Raised for ill-formed surfaces, divisors, or cross-surface pairings."""
 
 
-# class -> (name, whether it declares a default, that default) of each init
-# field, read on first use
-_FIELD_SPECS: dict[type, tuple[tuple[str, bool, object], ...]] = {}
+# class -> the function that writes it, built on first use by _serializer
+_SERIALIZERS: dict[type, Callable[[object], dict]] = {}
 _JSON_SCALARS = frozenset({str, int, bool, type(None)})
 
 
@@ -66,20 +66,34 @@ def fields_json(obj) -> dict:
     """A value or verdict dataclass as JSON: its init fields in order, less
     any that holds its declared default; a tuple as a list (shallowly), and
     any other value that is not a JSON scalar by its own ``to_json``."""
-    spec = _FIELD_SPECS.get(type(obj))
-    if spec is None:
-        spec = _FIELD_SPECS[type(obj)] = tuple(
-            [(f.name, f.default is not MISSING, f.default)
-             for f in fields(obj) if f.init])
-    out = {}
-    for name, defaulted, default in spec:
-        value = getattr(obj, name)
-        if defaulted and value == default:
+    write = _SERIALIZERS.get(type(obj))
+    if write is None:
+        write = _SERIALIZERS[type(obj)] = _serializer(type(obj))
+    return write(obj)
+
+
+def _serializer(cls: type) -> Callable[[object], dict]:
+    """``fields_json`` for ``cls``, compiled once from its init fields, as
+    ``dataclasses`` compiles ``__init__``: one statement per field, which
+    reads the field by name and compares it with its default only where
+    the field declares one."""
+    namespace = {"_JSON_SCALARS": _JSON_SCALARS}
+    body = []
+    for f in fields(cls):
+        if not f.init:
             continue
-        if type(value) not in _JSON_SCALARS:
-            value = list(value) if type(value) is tuple else value.to_json()
-        out[name] = value
-    return out
+        body.append(f"    v = obj.{f.name}")
+        indent = "    "
+        if f.default is not MISSING:
+            namespace[f"_default_{f.name}"] = f.default
+            body.append(f"    if not v == _default_{f.name}:")
+            indent += "    "
+        body.append(f"{indent}out[{f.name!r}] = (v if type(v) in _JSON_SCALARS"
+                    " else list(v) if type(v) is tuple else v.to_json())")
+    source = "\n".join(["def fields_json(obj):", "    out = {}", *body,
+                        "    return out"])
+    exec(source, namespace)
+    return namespace["fields_json"]
 
 
 @dataclass(frozen=True)
@@ -331,14 +345,11 @@ class DivisorClass:
                 f"expected {self.surface.rank} coefficients, got {len(self.coeffs)}"
             )
 
-    def _same_surface(self, other: "DivisorClass") -> None:
-        # classes built on one surface object share it; equal but distinct
-        # surfaces still pair
-        if self.surface is not other.surface and self.surface != other.surface:
-            raise LatticeError("divisor classes live on different surfaces")
+    # ``dot``, ``+`` and ``-`` each check inline that the two classes share
+    # a surface: classes built on one surface object share it, and equal but
+    # distinct surfaces still pair
 
     def dot(self, other: "DivisorClass") -> int:
-        # _same_surface, inlined: this runs for every pairing
         S = self.surface
         if S is not other.surface and S != other.surface:
             raise LatticeError("divisor classes live on different surfaces")
@@ -356,12 +367,16 @@ class DivisorClass:
     # componentwise exact arithmetic (tuples from lists: see
     # SurfaceModel.divisor)
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_surface(other)
-        return DivisorClass(self.surface, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
+        S = self.surface
+        if S is not other.surface and S != other.surface:
+            raise LatticeError("divisor classes live on different surfaces")
+        return DivisorClass(S, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_surface(other)
-        return DivisorClass(self.surface, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
+        S = self.surface
+        if S is not other.surface and S != other.surface:
+            raise LatticeError("divisor classes live on different surfaces")
+        return DivisorClass(S, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.surface, tuple([-a for a in self.coeffs]))

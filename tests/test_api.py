@@ -1,5 +1,6 @@
 """The JSON boundary: the op table, strict argument typing, and a fuzz."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -408,16 +409,22 @@ def test_pinned_requests_cover_every_op():
     assert {op for op, _ in PINNED_REQUESTS} == set(api.OPERATIONS)
 
 
-def test_value_and_verdict_types_share_one_json_rule():
+def _fields_json_types():
+    """The 13 value and verdict types whose JSON is ``fields_json``."""
     from npsurf import criteria, families, fano, lattice
 
-    shared = (lattice.PointConfig, lattice.SurfaceModel, criteria.NpVerdict,
-              criteria.BoolVerdict, criteria.VAVerdict,
-              criteria.MinusKBoundReport, criteria.MinNResult,
-              criteria.EquivalenceReport, fano.FanoInput,
-              fano.FanoN0Decision, families.OracleResult,
-              families.CurveCaseCheck, families.ClaimResult)
-    for cls in shared:
+    return (lattice.PointConfig, lattice.SurfaceModel, criteria.NpVerdict,
+            criteria.BoolVerdict, criteria.VAVerdict,
+            criteria.MinusKBoundReport, criteria.MinNResult,
+            criteria.EquivalenceReport, fano.FanoInput,
+            fano.FanoN0Decision, families.OracleResult,
+            families.CurveCaseCheck, families.ClaimResult)
+
+
+def test_value_and_verdict_types_share_one_json_rule():
+    from npsurf import fano, lattice
+
+    for cls in _fields_json_types():
         assert cls.to_json is lattice.fields_json, cls.__name__
     # no op answers with a FanoInput, so its form is checked here: fields
     # in order, each left out while it holds its declared default
@@ -426,6 +433,91 @@ def test_value_and_verdict_types_share_one_json_rule():
     assert list(profile.to_json().items()) == [
         ("n", 4), ("m", 1), ("Hn", 2), ("h0H", 0),
         ("morphism", "neither_of_those")]
+
+
+def _reference_fields_json(obj, clauses: set) -> dict:
+    """README's JSON rule as a plain loop, noting in ``clauses`` which of
+    its clauses each field took."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        if not f.init:
+            continue
+        value = getattr(obj, f.name)
+        if f.default is not dataclasses.MISSING:
+            if value == f.default:
+                clauses.add("default left out")
+                continue
+            clauses.add("default overridden")
+        elif value is None:
+            clauses.add("no default, None")
+        if type(value) is tuple:
+            clauses.add("tuple")
+            value = list(value)
+        elif type(value) not in (str, int, bool, type(None)):
+            clauses.add("nested")
+            value = value.to_json()
+        out[f.name] = value
+    return out
+
+
+def _fields_json_values(x, found: list) -> None:
+    """Every value in ``x``, through init fields, tuples and lists, whose
+    type writes its JSON by ``fields_json``."""
+    if isinstance(x, (tuple, list)):
+        for item in x:
+            _fields_json_values(item, found)
+    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+        if type(x).to_json is npsurf.lattice.fields_json:
+            found.append(x)
+        for f in dataclasses.fields(x):
+            if f.init:
+                _fields_json_values(getattr(x, f.name), found)
+
+
+def test_each_type_writes_its_json_by_the_reference_rule():
+    # every fields_json value in the answers of the pinned requests, and
+    # FanoInput, which no op answers with, against the rule as a loop
+    from npsurf import fano
+    from npsurf.lattice import fields_json
+
+    found = [fano.FanoInput(3, 2, 8),
+             fano.FanoInput(4, 1, 2, h0H=0, morphism="neither_of_those")]
+    for op, args in PINNED_REQUESTS:
+        _fields_json_values(api._call(op).run(args), found)
+    assert {type(v) for v in found} == set(_fields_json_types())
+    clauses = set()
+    for value in found:
+        expected = _reference_fields_json(value, clauses)
+        assert list(fields_json(value).items()) == list(expected.items())
+    assert clauses == {"default left out", "default overridden",
+                       "no default, None", "tuple", "nested"}
+
+    # a type first seen now gets its own serializer, built from its own
+    # fields and defaults, beside another type with the same field names
+    @dataclasses.dataclass(frozen=True)
+    class Late:
+        a: int | None
+        b: tuple = ()
+        c: object = None
+        to_json = fields_json
+
+    @dataclasses.dataclass(frozen=True)
+    class Twin:
+        a: int | None = 0
+        b: tuple = (1,)
+        c: object = None
+        to_json = fields_json
+
+    assert Late not in npsurf.lattice._SERIALIZERS
+    config = PointConfig(general_position=True)
+    for value in (Late(None), Late(0, (1, 2), config), Twin(), Twin(None, ())):
+        assert list(value.to_json().items()) == list(
+            _reference_fields_json(value, set()).items())
+    assert Late(0, (1,)).to_json() == {"a": 0, "b": [1]}
+    # a value equal to the default, though not the default object, is left out
+    assert Twin(0, tuple([1])).to_json() == {}
+    assert (npsurf.lattice._SERIALIZERS[Late]
+            is not npsurf.lattice._SERIALIZERS[Twin])
 
 
 def test_api_answers_are_pinned():

@@ -316,26 +316,78 @@ def _certificate_and_signature_or_refusal(ex):
     return [cert.to_json(), cert.flip_signature()]
 
 
-def test_certificate_and_flip_signature_pin_every_instance_2a_and_mutant():
-    # the certificate's JSON and flip signature, or the refusal text, for
-    # the 88 sweep instances, their doubled polarizations and each +-1 and
-    # +-2 change to one exceptional coefficient (2,740 mutants)
-    records = []
+def _instances_2a_and_mutants():
+    """``(id, instance key, index, delta, instance)`` for the 88 sweep
+    instances, their doubled polarizations (index ``"2A"``) and each +-1 and
+    +-2 change to one exceptional coefficient (2,740 mutants)."""
     for fid in FAMILY_IDS:
         for params in FAMILY_SWEEPS[fid]:
             ex = build_example(fid, params)
-            # (index, delta, instance), the doubled class under index "2A"
-            cases = [(None, 0, ex), ("2A", 0, ex.with_polarization(2 * ex.A))]
-            cases += [(i, delta, mutate_polarization(ex, i, delta))
-                      for i in range(ex.surface.l or 0)
-                      for delta in (1, -1, 2, -2)]
-            records += [[fid, ex.instance_key, i, delta,
-                         _certificate_and_signature_or_refusal(inst)]
-                        for i, delta, inst in cases]
+            yield fid, ex.instance_key, None, 0, ex
+            yield fid, ex.instance_key, "2A", 0, ex.with_polarization(2 * ex.A)
+            for i in range(ex.surface.l or 0):
+                for delta in (1, -1, 2, -2):
+                    yield (fid, ex.instance_key, i, delta,
+                           mutate_polarization(ex, i, delta))
+
+
+def test_certificate_and_flip_signature_pin_every_instance_2a_and_mutant():
+    # the certificate's JSON and flip signature, or the refusal text, for
+    # each of _instances_2a_and_mutants
+    records = [[fid, key, i, delta, _certificate_and_signature_or_refusal(inst)]
+               for fid, key, i, delta, inst in _instances_2a_and_mutants()]
     assert len(records) == 2916
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
     assert digest.hexdigest() == (
         "8fb97539bd4af12edf78fdec842d8b8b186d737abca9341ef0044e8515b950f4")
+
+
+def _argmin_order(S, D) -> list[int]:
+    """The point indices in the order ``_full_key`` fills them: with a cap
+    of 1, a budget of k loads exactly the first k points."""
+    order = []
+    for budget in range(1, (S.l or 0) + 1):
+        *_, m = families._full_key(S, D, ("D", 1, 1, 1, budget))
+        new = [i for i, mult in enumerate(m) if mult and i not in order]
+        if not new:
+            break
+        (i,) = new              # one more point per unit of budget
+        order.append(i)
+    return order
+
+
+def test_loads_are_the_weights_of_the_argmin_point_order():
+    # the certificate and the stream read _loads; the argmin key orders the
+    # point indices itself, and both orders must name the same weights
+    count = 0
+    for *_, inst in _instances_2a_and_mutants():
+        count += 1
+        S, D = inst.surface, inst.A
+        weights = families._weights(S, D)
+        top = [weights[i] for i in _argmin_order(S, D)]
+        prefix = [0]
+        for w in top:
+            prefix.append(prefix[-1] + w)
+        assert families._loads(weights) == (top, prefix), inst.id
+    assert count == 2916
+
+
+def test_a_slip_in_the_loads_reaches_the_next_certificate(monkeypatch):
+    # nothing derived from the loads outlives a call: an ascending slip
+    # changes the very next certificate of 1.20 n=-8, whose E1 weighs 2
+    ex = build_example("1.20", {"n": -8})
+    assert families._weights(ex.surface, ex.A)[:2] == [2, 1]
+    before = nakai_certificate(ex).to_json()
+    assert nakai_certificate(ex).to_json() == before
+
+    def ascending(weights):
+        top = sorted([w for w in weights if w > 0])
+        return top, [sum(top[:k]) for k in range(len(top) + 1)]
+
+    monkeypatch.setattr(families, "_loads", ascending)
+    assert nakai_certificate(ex).to_json() != before
+    monkeypatch.undo()
+    assert nakai_certificate(ex).to_json() == before
 
 
 def _oracle_or_refusal(ex):
